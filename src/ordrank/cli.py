@@ -13,6 +13,7 @@ Spec strings on flags:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,7 +120,10 @@ def _json_out(obj, args) -> None:
     _emit(json.dumps(obj, indent=2), args.out)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later call:
+    parsing reads it and never changes it."""
     parser = _Parser(prog="ordrank", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")

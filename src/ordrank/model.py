@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, log_ndtr, logsumexp
+from scipy.special import expit, log_ndtr
 
 __all__ = [
     "InvalidPatternError",
@@ -32,9 +32,16 @@ __all__ = [
     "ModelMoments",
     "OrdinalModel",
     "binarize",
+    "log_cosh",
+    "sech2",
     "model_to_json",
     "model_from_json",
 ]
+
+_LOG2 = math.log(2.0)
+# |phi| and |lam| * max k up to here take the log1p forms below; beyond it
+# the log-sum-exp forms, whose absolute error no longer swamps the result
+_SMALL_ARG = 1.0
 
 LINK_KINDS = ("cubic", "identity", "tanh-sigmoid", "logit-of-cdf", "custom")
 BASE_CDFS = ("logistic", "standard-normal")
@@ -205,11 +212,6 @@ class PatternDistribution:
         raise ValueError(f"unknown pattern family {family!r}")
 
     @property
-    def log_weights(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.asarray(self.weights))
-
-    @property
     def magnitudes(self) -> np.ndarray:
         return np.arange(1, self.K + 1, dtype=float)
 
@@ -224,6 +226,14 @@ class PatternDistribution:
 
     def is_degenerate(self) -> bool:
         return sum(1 for w in self.weights if w > 0) == 1
+
+    @property
+    def inverse_snr(self) -> float:
+        """1/SNR(|Y|) = var(|Y|) / (E|Y|)^2; exactly 0 for a degenerate law,
+        where the variance would otherwise keep a rounding residue."""
+        if self.is_degenerate():
+            return 0.0
+        return self.variance() / self.mean() ** 2
 
     def to_dict(self) -> dict:
         # 17 significant digits round-trips IEEE doubles bit-exactly
@@ -247,9 +257,26 @@ class ModelMoments(NamedTuple):
     snr: float
 
 
-def _log_cosh(x: float) -> float:
-    # log cosh x = logaddexp(x, -x) - log 2, safe for large |x|
-    return float(np.logaddexp(x, -x) - math.log(2.0))
+def log_cosh(x):
+    """log cosh x for scalars or arrays: log1p(2 sinh^2(x/2)) keeps full
+    relative precision at tiny |x|, and |x| + log1p(e^-2|x|) - log 2 stays
+    finite at huge |x|."""
+    a = np.abs(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        out = np.where(a <= _SMALL_ARG, np.log1p(2.0 * np.sinh(a / 2.0) ** 2),
+                       a + np.log1p(np.exp(-2.0 * a)) - _LOG2)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def sech2(x):
+    """sech^2 x = 1 - tanh^2 x, without the cancellation that zeroes the
+    difference once tanh rounds to 1 (from |x| ~ 19)."""
+    out = np.exp(-2.0 * log_cosh(x))
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,17 +325,14 @@ class OrdinalModel:
         """Mean, variance and signal-to-noise ratio of Y.
 
         mean = tanh(phi(gamma)) * E|Y|,  var = E|Y|^2 - mean^2,
-        snr  = tanh^2 / (1/snr(|Y|) + 1 - tanh^2); a degenerate magnitude
-        law at saturated tanh yields the +inf sentinel, never NaN.
+        snr  = tanh^2 / (1/snr(|Y|) + sech^2); a degenerate magnitude law
+        at a link value past float range yields the +inf sentinel, never NaN.
         """
-        t = math.tanh(self.link(gamma))
-        m1 = self.pattern.mean()
-        m2 = self.pattern.second_moment()
-        mean = t * m1
-        variance = m2 - mean * mean
-        # 1/SNR(|Y|) = var(|Y|) / mean(|Y|)^2 vanishes for degenerate patterns
-        inv_snr_mag = self.pattern.variance() / (m1 * m1)
-        denom = inv_snr_mag + 1.0 - t * t
+        phi = self.link(gamma)
+        t = math.tanh(phi)
+        mean = t * self.pattern.mean()
+        variance = self.pattern.second_moment() - mean * mean
+        denom = self.pattern.inverse_snr + sech2(phi)
         if denom <= 0.0:
             snr = math.inf
         else:
@@ -324,22 +348,65 @@ class OrdinalModel:
         idx = np.searchsorted(cdf, rng.random(count), side="right")
         return values[np.minimum(idx, values.size - 1)]
 
-    def log_mgf(self, gamma: float, lam) -> float | np.ndarray:
-        """log E[exp(lam * Y)] = log sum_k w_k cosh(phi + lam k) - log cosh(phi).
+    def _tilted(self, gamma, lam, slope: bool) -> float | np.ndarray:
+        """``log_mgf`` (slope=False) or ``tilted_mean`` (slope=True).
 
-        Evaluated as a log-sum-exp over the 2K signed terms; ``lam`` may be a
-        scalar or an array.
+        With x_k = phi + lam k over the magnitudes k of positive weight w_k,
+        points where |phi| and |lam| max k are at most _SMALL_ARG use
+        M - 1 = sum_k w_k (2 sinh^2(lam k / 2) + tanh phi sinh(lam k)), which
+        loses nothing to cancellation at tiny phi and lam; the others use
+        log-sum-exp forms over w_k e^(+-x_k - top), top = max_k |x_k|, which
+        cannot overflow.
         """
-        lam_arr = _check_finite(lam)
-        phi = self.link(gamma)
-        ks = self.pattern.magnitudes
-        logw = self.pattern.log_weights
-        shifted = lam_arr[..., None] * ks + phi
-        terms = np.concatenate([logw + shifted, logw - shifted], axis=-1)
-        out = logsumexp(terms, axis=-1) - np.logaddexp(phi, -phi)
-        if np.ndim(lam) == 0:
+        phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
+                                       _check_finite(lam))
+        w = np.asarray(self.pattern.weights)
+        ks = self.pattern.magnitudes[w > 0]
+        w = w[w > 0]
+        small = (np.abs(phi) <= _SMALL_ARG) & (np.abs(lam) * ks[-1] <= _SMALL_ARG)
+        lk = lam[..., None] * ks
+        near = far = 0.0  # each form is computed only where some point needs it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if small.any():
+                t = np.tanh(phi)[..., None]
+                sh = np.sinh(lk)
+                excess = (w * (2.0 * np.sinh(lk / 2.0) ** 2 + t * sh)).sum(axis=-1)  # M - 1
+                if slope:
+                    near = (w * ks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
+                else:
+                    near = np.log1p(excess)
+            if not small.all():
+                x = phi[..., None] + lk
+                top = np.max(np.abs(x), axis=-1, keepdims=True)
+                up, down = w * np.exp(x - top), w * np.exp(-x - top)
+                if slope:
+                    far = (ks * (up - down)).sum(axis=-1) / (up + down).sum(axis=-1)
+                else:
+                    far = (top[..., 0] + np.log((up + down).sum(axis=-1)) - _LOG2
+                           - log_cosh(phi))
+        out = np.where(small, near, far)
+        if out.ndim == 0:
             return float(out)
         return out
+
+    def log_mgf(self, gamma, lam) -> float | np.ndarray:
+        """log E[exp(lam * Y)] = log sum_k w_k cosh(phi + lam k) - log cosh(phi).
+
+        ``gamma`` and ``lam`` may be scalars or arrays and broadcast against
+        each other.
+        """
+        return self._tilted(gamma, lam, slope=False)
+
+    def tilted_mean(self, gamma, lam) -> float | np.ndarray:
+        """d/dlam of ``log_mgf``: the mean of Y under the law tilted by
+        e^(lam Y),
+
+            sum_k w_k k (sinh lam k + t cosh lam k)
+            / sum_k w_k (cosh lam k + t sinh lam k),   t = tanh phi.
+
+        Broadcasts like ``log_mgf``.
+        """
+        return self._tilted(gamma, lam, slope=True)
 
     def to_dict(self) -> dict:
         return {"link": self.link.to_dict(), "pattern": self.pattern.to_dict()}

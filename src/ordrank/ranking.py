@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .model import CorruptDataError, OrdinalModel
+from .model import CorruptDataError, OrdinalModel, sech2
 
 __all__ = [
     "PreferenceVector",
@@ -193,29 +193,33 @@ def asymptotic_two_item(model: OrdinalModel, gamma: float, L: int) -> tuple[floa
         raise ValueError("L must be >= 1")
     phi = model.link(gamma)
     root_l = math.sqrt(L)
-    p_binary = float(ndtr(root_l * math.sinh(phi)))
-    t = math.tanh(phi)
-    inv_snr = model.pattern.variance() / model.pattern.mean() ** 2
-    p_ordinal = float(ndtr(root_l * t / math.sqrt(inv_snr + 1.0 - t * t)))
+    with np.errstate(over="ignore", divide="ignore"):
+        # sinh overflows, and sech^2 underflows, only where both limits are 1
+        p_binary = float(ndtr(root_l * np.sinh(phi)))
+        spread = np.sqrt(model.pattern.inverse_snr + sech2(phi))
+        p_ordinal = float(ndtr(root_l * math.tanh(phi) / spread))
     return p_binary, p_ordinal
 
 
 def _pairwise_drift_and_spread(model: OrdinalModel, theta_sorted: np.ndarray):
-    """Per-pair mean drift and variance-proxy terms of the score-difference
-    sums, both scaled by 1/(2n)."""
+    """Per-pair mean drift and spread of the score-difference sums, both
+    scaled by 1/(2n).  The spread is 1 - V for the variance proxy V, summed
+    from sech^2 = 1 - tanh^2 terms so that it does not cancel to 0 where
+    tanh rounds to 1."""
     n = theta_sorted.size
-    gaps = theta_sorted[:, None] - theta_sorted[None, :]
-    t = np.tanh(model.link(gaps))
+    phi = model.link(theta_sorted[:, None] - theta_sorted[None, :])
+    t = np.tanh(phi)
+    s = sech2(phi)
     np.fill_diagonal(t, 0.0)
-    q = t * t
+    np.fill_diagonal(s, 0.0)
     row_t = t.sum(axis=1)
-    row_q = q.sum(axis=1)
+    row_s = s.sum(axis=1)
     # D_ij = 2 t_ij + sum_{k != i,j} (t_ik - t_jk) collapses to the row-sum
-    # difference; V_ij likewise to row_q_i + row_q_j + 2 q_ij.
+    # difference; the spread likewise to row_s_i + row_s_j + 2 s_ij.
     d = (row_t[:, None] - row_t[None, :]) / (2.0 * n)
-    v = (row_q[:, None] + row_q[None, :] + 2.0 * q) / (2.0 * n)
+    spread = (row_s[:, None] + row_s[None, :] + 2.0 * s) / (2.0 * n)
     iu = np.triu_indices(n, k=1)
-    return d[iu], v[iu]
+    return d[iu], spread[iu]
 
 
 def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tuple[float, float]:
@@ -227,11 +231,12 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
     if np.any(np.diff(th) == 0):
         raise ValueError("theta must be strictly ordered after sorting")
     n = th.size
-    d_bar, v_bar = _pairwise_drift_and_spread(model, th)
+    d_bar, spread = _pairwise_drift_and_spread(model, th)
     scale = math.sqrt(2.0 * n * L)
-    inv_snr = model.pattern.variance() / model.pattern.mean() ** 2
-    tau_ordinal = float(np.mean(ndtr(-scale * d_bar / np.sqrt(inv_snr + 1.0 - v_bar))))
-    tau_binary = float(np.mean(ndtr(-scale * d_bar / np.sqrt(1.0 - v_bar))))
+    inv_snr = model.pattern.inverse_snr
+    with np.errstate(divide="ignore"):
+        tau_ordinal = float(np.mean(ndtr(-scale * d_bar / np.sqrt(inv_snr + spread))))
+        tau_binary = float(np.mean(ndtr(-scale * d_bar / np.sqrt(spread))))
     return tau_ordinal, tau_binary
 
 

@@ -4,20 +4,21 @@ For a positively-oriented pair, the probability that a counting metric ranks
 it wrongly decays like exp(-L * I) in the round count L, where I is the
 Cramer rate at zero, i.e. the supremum over lam of -log E[exp(lam * sum)].
 For binarized data the rate has the closed form log cosh(phi(gamma)); for
-raw ordinal data it requires a one-dimensional convex minimization of the
-log-MGF, and is strictly smaller whenever the magnitude law is
-non-degenerate, which is what makes binarization win at large L.
+raw ordinal data it is minus the minimum of the convex log-MGF, found as the
+root of its analytic slope (the tilted mean).  It is strictly smaller
+whenever the magnitude law is non-degenerate, which is what makes
+binarization win at large L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
-from .model import OrdinalModel, PatternDistribution
+from .model import OrdinalModel, PatternDistribution, log_cosh
 from .ranking import PreferenceVector
 
 __all__ = [
@@ -50,35 +51,34 @@ class RateResult:
         }
 
 
-def _expand_bracket(f, lo: float, hi: float, max_expansions: int = 60):
-    """Grow [lo, hi] until the convex objective slopes down at lo and up at
-    hi, so the minimizer is interior."""
-    h = 1e-6
-    for _ in range(max_expansions):
-        width = hi - lo
-        if f(lo + h) - f(lo) >= 0:
-            lo -= width
-        elif f(hi) - f(hi - h) <= 0:
-            hi += width
-        else:
-            return lo, hi, True
-    return lo, hi, False
+_MAX_DOUBLINGS = 64
 
 
-def _minimize_convex(f) -> tuple[float, float, int, bool]:
-    """Bracketed golden-section/parabolic minimization of a convex scalar
-    function; returns (argmin, minimum, iterations, converged)."""
-    lo, hi, bracketed = _expand_bracket(f, *_initial_bracket(f))
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10, "maxiter": 200})
-    iterations = int(getattr(res, "nit", res.nfev))
-    return float(res.x), float(res.fun), iterations, bool(res.success and bracketed)
+def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateResult:
+    """Rate -min over lam of sum_t log_mgf(gammas[t], mults[t] * lam).
 
+    The objective is convex with slope sum_t mults[t] * tilted_mean(gammas[t],
+    mults[t] * lam), positive at lam = 0 for an oriented pair, so the argmin
+    is the root of the slope on [-B, 0].  B starts at max |phi| and doubles
+    until the slope changes sign; brentq then finds the root.  ``iterations``
+    counts brentq iterations plus doublings.
+    """
+    def slope(lam: float) -> float:
+        return float(mults @ model.tilted_mean(gammas, mults * lam))
 
-def _initial_bracket(f):
-    # attribute set by callers that know the natural lambda scale
-    span = getattr(f, "bracket_halfwidth", 5.0)
-    return -span, span
+    B = float(np.max(np.abs(model.link(gammas))))
+    if B == 0.0:  # the link underflowed: every term is flat at lam = 0
+        return RateResult(0.0, 0.0, 0, True)
+    doublings = 0
+    while slope(-B) > 0:
+        if doublings == _MAX_DOUBLINGS:
+            return RateResult(-float(np.sum(model.log_mgf(gammas, -B * mults))),
+                              -B, doublings, False)
+        B *= 2.0
+        doublings += 1
+    lam, info = brentq(slope, -B, 0.0, xtol=1e-12 * B, full_output=True, disp=False)
+    rate = -float(np.sum(model.log_mgf(gammas, lam * mults)))
+    return RateResult(rate, lam, info.iterations + doublings, info.converged)
 
 
 def rate_at_zero_binary(model: OrdinalModel, gamma: float) -> RateResult:
@@ -87,8 +87,7 @@ def rate_at_zero_binary(model: OrdinalModel, gamma: float) -> RateResult:
     phi = model.link(gamma)
     if gamma == 0:
         return RateResult(0.0, 0.0, 0, True, boundary=True)
-    rate = float(np.logaddexp(phi, -phi) - math.log(2.0))
-    return RateResult(rate, -phi, 0, True)
+    return RateResult(log_cosh(phi), -phi, 0, True)
 
 
 def rate_at_zero_ordinal(model: OrdinalModel, gamma: float) -> RateResult:
@@ -99,14 +98,10 @@ def rate_at_zero_ordinal(model: OrdinalModel, gamma: float) -> RateResult:
     """
     if gamma == 0:
         return RateResult(0.0, 0.0, 0, True, boundary=True)
-    phi = model.link(gamma)
-
-    def objective(lam: float) -> float:
-        return model.log_mgf(gamma, lam)
-
-    objective.bracket_halfwidth = abs(phi) + 5.0
-    lam, fmin, iters, ok = _minimize_convex(objective)
-    return RateResult(-fmin, lam, iters, ok)
+    if gamma < 0:  # the link is odd: log_mgf(-gamma, -lam) == log_mgf(gamma, lam)
+        res = rate_at_zero_ordinal(model, -gamma)
+        return replace(res, argmin_lambda=-res.argmin_lambda)
+    return _rate(model, np.array([gamma], dtype=float), np.ones(1))
 
 
 def rate_at_zero_nitem(model: OrdinalModel, theta: PreferenceVector,
@@ -117,31 +112,21 @@ def rate_at_zero_nitem(model: OrdinalModel, theta: PreferenceVector,
     The score-difference summand is 2*y_ij plus the indirect terms
     y_ik + y_kj over all other items k; by independence its log-MGF is the
     sum of the per-comparison log-MGFs with the direct term taken at
-    2*lambda.
+    2*lambda, stacked into one call over 2n - 3 terms.
     """
     if i == j:
         raise ValueError("need two distinct items")
-    th = theta.theta
+    th = np.asarray(theta.theta)
     if th[i] == th[j]:
         raise ValueError("tied preferences have no misranking rate")
     if th[i] < th[j]:
         i, j = j, i
     mdl = OrdinalModel(model.link, _SIGN_PATTERN) if binarized else model
-    gamma_ij = th[i] - th[j]
-    others = [k for k in range(theta.n) if k not in (i, j)]
-    gammas_ik = np.array([th[i] - th[k] for k in others])
-    gammas_kj = np.array([th[k] - th[j] for k in others])
-
-    def objective(lam: float) -> float:
-        total = mdl.log_mgf(gamma_ij, 2.0 * lam)
-        for g_ik, g_kj in zip(gammas_ik, gammas_kj):
-            total += mdl.log_mgf(g_ik, lam) + mdl.log_mgf(g_kj, lam)
-        return total
-
-    phis = np.abs(mdl.link(np.concatenate([[gamma_ij], gammas_ik, gammas_kj])))
-    objective.bracket_halfwidth = float(np.max(phis)) + 5.0
-    lam, fmin, iters, ok = _minimize_convex(objective)
-    return RateResult(-fmin, lam, iters, ok)
+    others = np.delete(th, [i, j])
+    gammas = np.concatenate([[th[i] - th[j]], th[i] - others, others - th[j]])
+    mults = np.ones(gammas.size)
+    mults[0] = 2.0
+    return _rate(mdl, gammas, mults)
 
 
 def error_decay_prediction(rate: RateResult, L: int) -> float:

@@ -3,11 +3,15 @@ payloads, and the ingest/evaluate pipeline."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordrank.cli import parse_and_dispatch, parse_link_spec, parse_pattern_spec
+from ordrank.cli import _build_parser, parse_and_dispatch, parse_link_spec, parse_pattern_spec
 from ordrank.data import synthetic_ratings
 from ordrank.harness import default_config
 from ordrank.model import model_from_json
@@ -213,3 +217,49 @@ class TestModelInfo:
         assert run_cli("model-info", "--link", "identity", "--pattern",
                        "uniform,K=2") == 0
         assert "annotations" not in json.loads(capsys.readouterr().out)
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it leaks no state from
+    one call into the next."""
+
+    CALLS = [
+        ("snr", "--K", "4", "--psi", "abs:0.1", "--bogus"),  # usage error
+        ("rates", "--link", "identity", "--pattern", "abs:0.1,K=4", "--gamma", "0.15"),
+        ("model-info", "--link", "identity", "--pattern", "uniform,K=2", "--annotate"),
+        ("model-info", "--link", "identity", "--pattern", "uniform,K=2"),
+    ]
+
+    @staticmethod
+    def run_all(capsys, fresh: bool) -> list:
+        results = []
+        for argv in TestParserReuse.CALLS:
+            if fresh:
+                _build_parser.cache_clear()
+            code = run_cli(*argv)
+            captured = capsys.readouterr()
+            out = captured.out
+            if "annotations" in out:  # the wall clock differs between runs
+                payload = json.loads(out)
+                payload["annotations"] = "<stamp>"
+                out = json.dumps(payload)
+            results.append((code, out, captured.err))
+        return results
+
+    def test_reuse_matches_fresh_parser(self, capsys):
+        fresh = self.run_all(capsys, fresh=True)
+        reused = self.run_all(capsys, fresh=False)
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+        assert "<stamp>" in fresh[2][1] and "annotations" not in fresh[3][1]
+        assert reused == fresh
+        assert _build_parser() is _build_parser()
+
+    def test_not_built_at_import(self):
+        import ordrank
+
+        env = {**os.environ, "PYTHONPATH": str(Path(ordrank.__file__).parents[1])}
+        code = ("import ordrank.cli as c; "
+                "print(c._build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "0"

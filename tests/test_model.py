@@ -133,6 +133,18 @@ class TestPatternDistribution:
         with pytest.raises(InvalidPatternError):
             PatternDistribution((0.5, 0.4))
 
+    def test_inverse_snr(self):
+        p = PatternDistribution.from_family("abs", 0.1, 4)
+        assert p.inverse_snr == pytest.approx(p.variance() / p.mean() ** 2,
+                                              rel=1e-15)
+
+    def test_inverse_snr_zero_for_degenerate_law(self):
+        # a point mass within the 1e-12 normalization slack: the variance
+        # keeps a rounding residue, the inverse SNR must not
+        p = PatternDistribution((0.0, 1.0 - 1e-13))
+        assert p.variance() > 0.0
+        assert p.inverse_snr == 0.0
+
 
 class TestPmf:
     def test_symmetric_at_gamma_zero(self):
@@ -270,6 +282,11 @@ class TestMoments:
                          PatternDistribution.from_weights([0, 0, 1.0]))
         assert m.moments(50.0).snr == math.inf
 
+    def test_large_phi_snr_keeps_sech(self):
+        # tanh(125) rounds to 1, but sech^2 does not vanish until phi ~ 372
+        m = OrdinalModel(StrengthLink("cubic"), PatternDistribution.uniform(1))
+        assert m.moments(5.0).snr == pytest.approx(math.sinh(125.0) ** 2, rel=1e-12)
+
 
 class TestSampling:
     def test_empty(self):
@@ -363,6 +380,21 @@ class TestLogMgf:
             m = random_model(rng)
             vals = m.log_mgf(float(rng.uniform(-1.5, 1.5)), grid)
             assert np.all(np.diff(vals, 2) >= -1e-8)
+
+    def test_tilted_mean_k1_root_at_minus_phi(self):
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(1))
+        for phi in (1e-9, 0.8, 30.0):
+            assert m.tilted_mean(phi, -phi) == pytest.approx(0.0, abs=1e-15)
+            assert m.tilted_mean(phi, 0.0) == pytest.approx(math.tanh(phi), rel=1e-14)
+
+    def test_broadcast_shapes(self):
+        m = OrdinalModel(StrengthLink("cubic"),
+                         PatternDistribution.from_family("abs", 0.3, 4))
+        gammas = np.array([[0.1], [0.6], [2.0]])
+        lams = np.linspace(-2, 2, 5)
+        assert m.log_mgf(gammas, lams).shape == (3, 5)
+        assert m.tilted_mean(gammas, lams).shape == (3, 5)
+        assert isinstance(m.log_mgf(0.6, 0.1), float)
 
     def test_vectorized_matches_scalar(self):
         m = OrdinalModel(StrengthLink("cubic"),

@@ -244,6 +244,13 @@ class TestAsymptoticTwoItem:
             normal_cdf(math.sqrt(L) * math.sinh(phi) / shrink), abs=1e-12)
         assert p_raw < p_sign
 
+    def test_degenerate_saturated_link(self):
+        # cubic at gamma = 5 gives phi = 125, where tanh rounds to 1: the
+        # raw-sum limit once divided by sqrt(1 - tanh^2) = 0
+        m = OrdinalModel(StrengthLink("cubic"), PatternDistribution.uniform(1))
+        p_sign, p_raw = asymptotic_two_item(m, 5.0, 500)
+        assert p_raw == p_sign == 1.0
+
     def test_orientation_required(self):
         m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
         with pytest.raises(ValueError):

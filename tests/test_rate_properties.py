@@ -1,0 +1,77 @@
+"""Property tests of the log-MGF, its slope and the decay rates over the
+whole link range, from tiny phi (where the rates are O(phi^2)) to saturated
+phi, for every magnitude count K in 1..6."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
+from ordrank.rates import rate_at_zero_binary, rate_at_zero_ordinal
+
+IDENTITY = StrengthLink("identity")  # phi == gamma, so gamma is drawn as phi
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# each level is absent or carries a weight in [0.05, 1]: laws are either
+# degenerate or clearly spread, never within rounding of either
+weights = st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                   min_size=1, max_size=6).filter(lambda w: any(w))
+patterns = weights.map(PatternDistribution.from_weights)
+
+
+def series_rates(pattern: PatternDistribution, phi: float) -> tuple[float, float]:
+    """Small-phi leading terms: phi^2 / 2 and (tanh phi E|Y|)^2 / (2 E|Y|^2)."""
+    mu = math.tanh(phi) * pattern.mean()
+    return phi * phi / 2.0, mu * mu / (2.0 * pattern.second_moment())
+
+
+@settings(deadline=None)
+@given(patterns, log_uniform(1e-12, 50.0))
+def test_binary_beats_ordinal_beats_zero(pattern, phi):
+    model = OrdinalModel(IDENTITY, pattern)
+    binary = rate_at_zero_binary(model, phi)
+    ordinal = rate_at_zero_ordinal(model, phi)
+    assert ordinal.converged
+    if pattern.is_degenerate():
+        assert ordinal.rate == pytest.approx(binary.rate, rel=1e-9)
+        assert ordinal.rate > 0.0
+    else:
+        assert binary.rate > ordinal.rate > 0.0
+
+
+@settings(deadline=None)
+@given(patterns, log_uniform(1e-12, 1e-4))
+def test_small_phi_series(pattern, phi):
+    model = OrdinalModel(IDENTITY, pattern)
+    want_binary, want_ordinal = series_rates(pattern, phi)
+    assert rate_at_zero_binary(model, phi).rate == pytest.approx(want_binary, rel=1e-6)
+    assert rate_at_zero_ordinal(model, phi).rate == pytest.approx(want_ordinal, rel=1e-6)
+
+
+@settings(deadline=None)
+@given(patterns,
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+       st.floats(-20.0, 20.0))
+def test_log_mgf_broadcasts_over_gamma(pattern, gammas, lam):
+    model = OrdinalModel(IDENTITY, pattern)
+    stacked = model.log_mgf(np.array(gammas), lam)
+    assert stacked.shape == (len(gammas),)
+    for g, v in zip(gammas, stacked):
+        assert v == pytest.approx(model.log_mgf(g, lam), rel=1e-14, abs=1e-300)
+
+
+@settings(deadline=None)
+@given(patterns, log_uniform(1e-12, 50.0), st.floats(-1.5, 0.5))
+def test_tilted_mean_is_the_slope(pattern, phi, s):
+    model = OrdinalModel(IDENTITY, pattern)
+    lam = s * (phi + 1.0)
+    h = 1e-6 * (1.0 + abs(lam))
+    central = (model.log_mgf(phi, lam + h) - model.log_mgf(phi, lam - h)) / (2.0 * h)
+    assert model.tilted_mean(phi, lam) == pytest.approx(central, rel=1e-6, abs=1e-9)

@@ -191,6 +191,55 @@ class TestNItemRate:
             rate_at_zero_nitem(m, theta, 0, 1, binarized=False)
 
 
+class TestTinyAndSaturatedLinks:
+    def test_tiny_phi_keeps_the_ordering(self):
+        # cubic link at gamma = 1e-3: phi = 1e-9, rates of order 1e-19
+        m = OrdinalModel(StrengthLink("cubic"),
+                         PatternDistribution.from_family("abs", 0.1, 4))
+        binary = rate_at_zero_binary(m, 1e-3)
+        ordinal = rate_at_zero_ordinal(m, 1e-3)
+        assert binary.rate == pytest.approx(0.5e-18, rel=1e-12)
+        assert binary.rate > ordinal.rate > 0.0
+        assert crossover_rounds(binary, ordinal) is not None
+
+    def test_saturated_degenerate_rates_coincide(self):
+        m = OrdinalModel(StrengthLink("cubic"), PatternDistribution.uniform(1))
+        binary = rate_at_zero_binary(m, 5.0)
+        ordinal = rate_at_zero_ordinal(m, 5.0)
+        assert ordinal.converged
+        assert ordinal.rate == pytest.approx(binary.rate, rel=1e-12)
+        assert ordinal.argmin_lambda == pytest.approx(-125.0, rel=1e-9)
+
+    def test_underflowed_link_gives_zero_rate(self):
+        # cubic at gamma = 1e-110: phi = 1e-330 rounds to 0
+        m = OrdinalModel(StrengthLink("cubic"), PatternDistribution.uniform(3))
+        res = rate_at_zero_ordinal(m, 1e-110)
+        assert res.converged and res.rate == 0.0
+
+    def test_negative_gamma_mirrors(self):
+        m = OrdinalModel(StrengthLink("identity"),
+                         PatternDistribution.from_family("abs", 0.4, 3))
+        pos = rate_at_zero_ordinal(m, 0.7)
+        neg = rate_at_zero_ordinal(m, -0.7)
+        assert neg.rate == pos.rate
+        assert neg.argmin_lambda == -pos.argmin_lambda
+
+    def test_one_log_mgf_call_per_solve(self, monkeypatch):
+        calls = []
+        original = OrdinalModel.log_mgf
+
+        def counting(self, gamma, lam):
+            calls.append(np.shape(gamma))
+            return original(self, gamma, lam)
+
+        monkeypatch.setattr(OrdinalModel, "log_mgf", counting)
+        m = OrdinalModel(StrengthLink("identity"),
+                         PatternDistribution.from_family("abs", 1.0, 5))
+        theta = PreferenceVector.equally_spaced(10, 0.05)
+        rate_at_zero_nitem(m, theta, 2, 7, binarized=False)
+        assert calls == [(2 * 10 - 3,)]
+
+
 class TestDecayPrediction:
     def test_zero_rate(self):
         m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
