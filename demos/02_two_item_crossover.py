@@ -20,7 +20,7 @@ config = default_config(
     replications=20000,
     base_seed=2,
 )
-result = run_two_item(config, threads=4)
+result = run_two_item(config)
 
 model = OrdinalModel(StrengthLink("identity"),
                      PatternDistribution.from_family("abs", BETA, config.K))

@@ -3,7 +3,7 @@
 Scenario 1 traces both ranking errors over the round count; scenario 2
 relates the ordinal-minus-binary gap to the magnitude SNR over a beta grid;
 scenario 3 tracks the binary/ordinal error ratio, which drifts toward zero.
-All runs are seeded and reduce deterministically, so these numbers are
+All runs are seeded, one generator per grid point, so these numbers are
 reproducible to the last bit.
 """
 
@@ -16,7 +16,7 @@ cfg1 = default_config("scenario1", n=10, K=4, theta_gap=0.05,
                       pattern={"family": "abs", "beta": 0.9},
                       L_grid=(100, 200, 300, 400, 500),
                       replications=400, base_seed=51)
-res1 = run_experiment(cfg1, threads=4)
+res1 = run_experiment(cfg1)
 print("scenario 1: n=10, abs-family beta=0.9, K=4, gap 0.05, 99% CIs")
 print(f"{'L':>5} {'ordinal tau':>18} {'binary tau':>18}")
 for p in res1.points:
@@ -29,7 +29,7 @@ cfg2 = default_config("scenario2", n=10, K=5, L_grid=(100,),
                       pattern={"family": "sq"},
                       betas=(0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0),
                       replications=400, base_seed=52)
-res2 = run_experiment(cfg2, threads=4)
+res2 = run_experiment(cfg2)
 print("\nscenario 2: sq-family patterns, (n, L, K) = (10, 100, 5)")
 print(f"{'beta':>6} {'SNR':>9} {'tau gap (ord - bin)':>20}")
 for p in res2.points:
@@ -44,7 +44,7 @@ cfg3 = default_config("scenario3", n=10, K=4, theta_gap=0.05,
                       pattern={"family": "abs", "beta": 0.9},
                       L_grid=tuple(100 * i for i in range(1, 11)),
                       replications=400, base_seed=53)
-res3 = run_experiment(cfg3, threads=4)
+res3 = run_experiment(cfg3)
 print("\nscenario 3: binary/ordinal expected-error ratio")
 ls, ratios = [], []
 for p in res3.points:

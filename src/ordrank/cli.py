@@ -13,6 +13,7 @@ Spec strings on flags:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -134,7 +135,8 @@ def _build_parser() -> _Parser:
         parser.subparsers[name] = p
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: every command runs in one thread")
         p.add_argument("--annotate", action="store_true",
                        help="include wall-clock annotations in JSON output")
         return p
@@ -242,19 +244,13 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-_PAPER_REPS = {"two_item": 10**6, "scenario1": 1000, "scenario2": 1000,
-               "scenario3": 1000}
-
-
 def _cmd_simulate(args) -> int:
     config = harness.ExperimentConfig.from_json(
         Path(args.config).read_text(encoding="utf-8"))
     if args.paper_scale:
-        d = config.to_dict()
-        d["replications"] = _PAPER_REPS[config.scenario]
-        config = harness.ExperimentConfig.from_dict(d)
-    result = harness.run_experiment(config, threads=args.threads)
-    _emit(result.to_csv(), args.out)
+        config = dataclasses.replace(
+            config, replications=harness.PAPER_REPS[config.scenario])
+    _emit(harness.run_experiment(config).to_csv(), args.out)
     return 0
 
 

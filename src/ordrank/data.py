@@ -424,10 +424,27 @@ def save_pairs(pairs: PairComparisons, path) -> None:
 
 
 def load_pairs(path) -> PairComparisons:
+    """Read a ``save_pairs`` archive; raises CorruptDataError unless the
+    offsets partition the differences into one run per pair and no pair is
+    listed twice."""
     with np.load(path) as z:
         item_i, item_j = z["item_i"], z["item_j"]
         offsets, diffs = z["offsets"], z["diffs"]
+    if not (item_i.ndim == item_j.ndim == offsets.ndim == diffs.ndim == 1
+            and item_i.size == item_j.size
+            and all(np.issubdtype(a.dtype, np.integer)
+                    for a in (item_i, item_j, offsets))):
+        raise CorruptDataError(
+            f"{path}: item_i, item_j and offsets must be 1-d integer arrays, "
+            f"item_i and item_j of equal length")
+    if (offsets.size != item_i.size + 1 or offsets[0] != 0
+            or np.any(np.diff(offsets) < 0) or offsets[-1] != diffs.size):
+        raise CorruptDataError(
+            f"{path}: offsets must hold {item_i.size + 1} non-decreasing "
+            f"entries from 0 to {diffs.size}")
     out = {}
     for a, (i, j) in enumerate(zip(item_i.tolist(), item_j.tolist())):
         out[(i, j)] = diffs[offsets[a]:offsets[a + 1]]
+    if len(out) != item_i.size:
+        raise CorruptDataError(f"{path}: an item pair is listed twice")
     return PairComparisons(out)

@@ -6,19 +6,24 @@ that the raw-sum and sign-sum metrics rank a single pair correctly over a
 L; ``scenario2`` relates the ordinal-minus-binary error gap to the magnitude
 SNR over a beta grid; ``scenario3`` tracks the error ratio as L grows.
 
-Replications are independent work units.  The generator for replication r of
-grid point g is seeded with (base_seed, g, r), and per-point results are
-reduced by an ordered fold over r, so outputs are bit-identical for any
-worker count.
+The counting scores read only each pair's raw sum and sign sum over its L
+rounds, and both are linear in the pair's outcome counts.  So a replication
+draws one ``multinomial(L, pmf)`` count vector per pair instead of L single
+outcomes, and item scores are the pair sums times a signed pair-by-item
+incidence matrix.  Grid point g has one generator, seeded with
+(base_seed, g), that draws the counts of all replications in blocks of
+``_BLOCK``.  The blocks continue one stream, so the block size bounds memory
+without changing any output, and reruns give byte-identical results.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,9 +49,25 @@ __all__ = [
 
 SCENARIOS = ("two_item", "scenario1", "scenario2", "scenario3")
 
+# Full-scale replication counts, restored by ``--paper-scale``.
+PAPER_REPS = {"two_item": 10**6, "scenario1": 1000, "scenario2": 1000,
+              "scenario3": 1000}
+
+# Replications per multinomial draw.  It bounds the count array at any
+# replication count: 1024 x 45 pairs x 10 outcomes is 3.7 MB at n=10, K=5.
+_BLOCK = 1024
+
 CSV_COLUMNS = ["scenario", "link", "pattern", "beta", "n", "K", "L",
                "gamma_or_w", "metric", "estimate", "se", "ci_lo", "ci_hi",
                "reps", "seed"]
+
+# Config field types (as annotated) and how JSON values are coerced to them.
+_COERCE = {
+    "int": int,
+    "float": float,
+    "tuple[int, ...]": lambda v: tuple(int(x) for x in v),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+}
 
 
 class ConfigError(ValueError):
@@ -70,12 +91,19 @@ class ExperimentConfig:
     ci_level: float = 0.99
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None:
+                if kind == f.type:
+                    raise ConfigError(f"config field {f.name} may not be null")
+            elif kind in _COERCE:
+                object.__setattr__(self, f.name, _COERCE[kind](value))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        grid = tuple(int(v) for v in self.L_grid)
+        grid = self.L_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise ConfigError("L grid must be strictly increasing and positive")
-        object.__setattr__(self, "L_grid", grid)
         if self.replications < 1:
             raise ConfigError("replication count must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -85,12 +113,11 @@ class ExperimentConfig:
                 raise ConfigError("two_item needs a gamma grid")
             if any(g <= 0 for g in self.gammas):
                 raise ConfigError("two_item gammas must be positive")
-            object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         else:
             if self.theta is None and self.theta_gap is None:
                 raise ConfigError("ranking scenarios need theta or theta_gap")
-        if self.betas is not None:
-            object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+            if self.theta is not None and len(self.theta) != self.n:
+                raise ConfigError(f"theta has {len(self.theta)} items but n={self.n}")
         if self.scenario == "scenario2" and not self.betas:
             raise ConfigError("scenario2 needs a beta grid")
 
@@ -126,49 +153,19 @@ class ExperimentConfig:
         return (None,)
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "link": self.link,
-            "pattern": self.pattern,
-            "K": self.K,
-            "L_grid": list(self.L_grid),
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "n": self.n,
-            "ci_level": self.ci_level,
-        }
-        if self.theta_gap is not None:
-            d["theta_gap"] = self.theta_gap
-        if self.theta is not None:
-            d["theta"] = list(self.theta)
-        if self.gammas is not None:
-            d["gammas"] = list(self.gammas)
-        if self.betas is not None:
-            d["betas"] = list(self.betas)
-        return d
+        """JSON-ready fields; optional fields left unset are omitted."""
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f in dataclasses.fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kwargs = dict(
-            scenario=d["scenario"],
-            link=d["link"],
-            pattern=d["pattern"],
-            K=int(d["K"]),
-            L_grid=tuple(d["L_grid"]),
-            replications=int(d["replications"]),
-            base_seed=int(d["base_seed"]),
-            n=int(d.get("n", 2)),
-            ci_level=float(d.get("ci_level", 0.99)),
-        )
-        if d.get("theta_gap") is not None:
-            kwargs["theta_gap"] = float(d["theta_gap"])
-        if d.get("theta") is not None:
-            kwargs["theta"] = tuple(float(v) for v in d["theta"])
-        if d.get("gammas") is not None:
-            kwargs["gammas"] = tuple(float(v) for v in d["gammas"])
-        if d.get("betas") is not None:
-            kwargs["betas"] = tuple(float(v) for v in d["betas"])
-        return cls(**kwargs)
+        """Inverse of ``to_dict``; keys that name no field are ignored."""
+        try:
+            return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
+                          if f.name in d})
+        except TypeError as exc:  # a missing key or a value of the wrong kind
+            raise ConfigError(f"bad config: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -258,17 +255,6 @@ def _link_label(link: StrengthLink) -> str:
     return base
 
 
-def _rep_rng(base_seed: int, grid_id: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng([base_seed, grid_id, rep])
-
-
-def _map_reps(worker: Callable[[int], tuple], reps: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(reps)))
-
-
 def _bernoulli_metric(hits: np.ndarray, z: float) -> MetricEstimate:
     reps = hits.size
     p = float(np.mean(hits))
@@ -286,111 +272,83 @@ def _sample_metric(values: np.ndarray, z: float, clip01: bool = True) -> MetricE
     return MetricEstimate(est, se, lo, hi)
 
 
-# -- per-replication workers ----------------------------------------------
+def _replicate(config: ExperimentConfig, grid_id: int, L: int,
+               support: np.ndarray, probs: np.ndarray,
+               stat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-replication statistics of one grid point.
 
-
-def _draw_outcomes(values: np.ndarray, cdf: np.ndarray,
-                   rng: np.random.Generator, count: int) -> np.ndarray:
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    return values[np.minimum(idx, values.size - 1)]
-
-
-def _two_item_rep(values, cdf, L, base_seed, grid_id, rep):
-    rng = _rep_rng(base_seed, grid_id, rep)
-    y = _draw_outcomes(values, cdf, rng, L)
-    return int(y.sum()) > 0, int(np.sign(y).sum()) > 0
-
-
-def _ranking_rep(pair_tables, n, L, base_seed, grid_id, rep, theta):
-    """One full-graph replication; returns both ranking errors."""
-    rng = _rep_rng(base_seed, grid_id, rep)
-    raw = np.zeros(n, dtype=np.int64)
-    signed = np.zeros(n, dtype=np.int64)
-    for (i, j), (values, cdf) in pair_tables:
-        y = _draw_outcomes(values, cdf, rng, L)
-        s, b = int(y.sum()), int(np.sign(y).sum())
-        raw[i] += s
-        raw[j] -= s
-        signed[i] += b
-        signed[j] -= b
-    return kendall_tau(raw, theta), kendall_tau(signed, theta)
-
-
-def _pair_tables(model: OrdinalModel, theta: PreferenceVector):
-    """Outcome tables per pair, computed once per grid point and reused; the
-    table depends only on the pair's gamma, so equal gaps share one table."""
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    tables = []
-    th = theta.theta
-    for i in range(theta.n):
-        for j in range(i + 1, theta.n):
-            g = th[i] - th[j]
-            if g not in cache:
-                values, probs = model.pmf_table(g)
-                cache[g] = (values, np.cumsum(probs))
-            tables.append(((i, j), cache[g]))
-    return tables
+    ``probs`` holds one outcome pmf per pair (P x 2K, ordered as
+    ``support``).  ``stat`` maps a block's raw and sign sums, each of shape
+    (block, P), to one row per replication.
+    """
+    rng = np.random.default_rng([config.base_seed, grid_id])
+    basis = np.stack([support, np.sign(support)], axis=1)
+    blocks = []
+    for start in range(0, config.replications, _BLOCK):
+        size = (min(_BLOCK, config.replications - start), len(probs))
+        sums = rng.multinomial(L, probs, size=size) @ basis
+        blocks.append(stat(sums[..., 0], sums[..., 1]))
+    return np.concatenate(blocks)
 
 
 # -- experiment drivers ----------------------------------------------------
 
 
-def run_two_item(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_two_item(config: ExperimentConfig) -> ExperimentResult:
     if config.scenario != "two_item":
         raise ConfigError("config is not a two_item experiment")
     link = config.make_link()
     z = float(ndtri(0.5 + config.ci_level / 2.0))
     points = []
-    grid_id = 0
-    for beta in config.pattern_betas():
-        model = OrdinalModel(link, config.make_pattern(beta))
-        for gamma in config.gammas:
-            values, probs = model.pmf_table(gamma)
-            cdf = np.cumsum(probs)
-            for L in config.L_grid:
-                t0 = time.perf_counter()
-                gid = grid_id
-                rows = _map_reps(
-                    lambda r: _two_item_rep(values, cdf, L,
-                                            config.base_seed, gid, r),
-                    config.replications, threads)
-                arr = np.asarray(rows, dtype=bool)
-                # the two hit indicators share draws, so the gap gets its
-                # own paired standard error
-                gap = arr[:, 1].astype(float) - arr[:, 0].astype(float)
-                metrics = {
-                    "p_raw_positive": _bernoulli_metric(arr[:, 0], z),
-                    "p_sign_positive": _bernoulli_metric(arr[:, 1], z),
-                    "p_sign_minus_raw": _sample_metric(gap, z, clip01=False),
-                }
-                params = {"L": L, "gamma": gamma}
-                if beta is not None:
-                    params["beta"] = beta
-                points.append(GridPointResult(gid, params, metrics,
-                                              config.replications,
-                                              time.perf_counter() - t0))
-                grid_id += 1
+    grid = itertools.product(config.pattern_betas(), config.gammas, config.L_grid)
+    for grid_id, (beta, gamma, L) in enumerate(grid):
+        t0 = time.perf_counter()
+        support, probs = OrdinalModel(link, config.make_pattern(beta)).pmf_table(gamma)
+        hits = _replicate(config, grid_id, L, support, probs[None],
+                          lambda raw, sign: np.column_stack([raw[:, 0] > 0,
+                                                             sign[:, 0] > 0]))
+        # the two hit indicators share draws, so the gap gets its own paired
+        # standard error
+        gap = hits[:, 1].astype(float) - hits[:, 0].astype(float)
+        metrics = {
+            "p_raw_positive": _bernoulli_metric(hits[:, 0], z),
+            "p_sign_positive": _bernoulli_metric(hits[:, 1], z),
+            "p_sign_minus_raw": _sample_metric(gap, z, clip01=False),
+        }
+        params = {"L": L, "gamma": gamma}
+        if beta is not None:
+            params["beta"] = beta
+        points.append(GridPointResult(grid_id, params, metrics,
+                                      config.replications,
+                                      time.perf_counter() - t0))
     return _finish(config, points)
 
 
-def _run_tau_grid(config: ExperimentConfig, threads: int,
+def _run_tau_grid(config: ExperimentConfig,
                   grid: list[tuple[int, float | None]],
                   extra: Callable[[np.ndarray, PatternDistribution, float], dict]
                   ) -> ExperimentResult:
     link = config.make_link()
     theta = config.make_theta()
     z = float(ndtri(0.5 + config.ci_level / 2.0))
+    first, second = np.triu_indices(theta.n, k=1)
+    gaps = theta.gaps()[first, second]
+    # pair p = (i, j) adds its sums to item i and subtracts them from item j
+    incidence = np.zeros((gaps.size, theta.n), dtype=np.int64)
+    incidence[np.arange(gaps.size), first] = 1
+    incidence[np.arange(gaps.size), second] = -1
+
+    def stat(raw, sign):
+        return np.column_stack([kendall_tau(raw @ incidence, theta),
+                                kendall_tau(sign @ incidence, theta)])
+
     points = []
     for grid_id, (L, beta) in enumerate(grid):
+        t0 = time.perf_counter()
         pattern = config.make_pattern(beta)
         model = OrdinalModel(link, pattern)
-        tables = _pair_tables(model, theta)
-        t0 = time.perf_counter()
-        rows = _map_reps(
-            lambda r: _ranking_rep(tables, config.n, L, config.base_seed,
-                                   grid_id, r, theta),
-            config.replications, threads)
-        taus = np.asarray(rows, dtype=float)
+        support, probs = model.pmf_table(gaps)
+        taus = _replicate(config, grid_id, L, support, probs, stat)
         metrics = {
             "tau_ordinal": _sample_metric(taus[:, 0], z),
             "tau_binary": _sample_metric(taus[:, 1], z),
@@ -405,16 +363,16 @@ def _run_tau_grid(config: ExperimentConfig, threads: int,
     return _finish(config, points)
 
 
-def run_scenario1(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_scenario1(config: ExperimentConfig) -> ExperimentResult:
     """Ranking error of both counting scores over the L grid."""
     if config.scenario != "scenario1":
         raise ConfigError("config is not a scenario1 experiment")
     beta = config.pattern_betas()[0]
     grid = [(L, beta) for L in config.L_grid]
-    return _run_tau_grid(config, threads, grid, lambda taus, pat, z: {})
+    return _run_tau_grid(config, grid, lambda taus, pat, z: {})
 
 
-def run_scenario2(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_scenario2(config: ExperimentConfig) -> ExperimentResult:
     """Error gap (ordinal minus binary) against the magnitude SNR over the
     beta grid; L is fixed to the single grid entry."""
     if config.scenario != "scenario2":
@@ -432,10 +390,10 @@ def run_scenario2(config: ExperimentConfig, threads: int = 1) -> ExperimentResul
         }
 
     grid = [(L, beta) for beta in config.betas]
-    return _run_tau_grid(config, threads, grid, extra)
+    return _run_tau_grid(config, grid, extra)
 
 
-def run_scenario3(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_scenario3(config: ExperimentConfig) -> ExperimentResult:
     """Binary-to-ordinal error ratio over the L grid; points where the
     ordinal error estimate is zero are flagged (ratio undefined at finite
     replication count)."""
@@ -460,7 +418,7 @@ def run_scenario3(config: ExperimentConfig, threads: int = 1) -> ExperimentResul
                                             ratio + z * se)}
 
     grid = [(L, beta) for L in config.L_grid]
-    return _run_tau_grid(config, threads, grid, extra)
+    return _run_tau_grid(config, grid, extra)
 
 
 _RUNNERS = {
@@ -471,19 +429,20 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    return _RUNNERS[config.scenario](config, threads=threads)
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    return _RUNNERS[config.scenario](config)
 
 
 def _finish(config: ExperimentConfig, points: list[GridPointResult]) -> ExperimentResult:
     lineage = {"base_seed": config.base_seed,
-               "scheme": "default_rng([base_seed, grid_id, replication])"}
+               "scheme": ("default_rng([base_seed, grid_id]); multinomial outcome "
+                         f"counts per pair in blocks of {_BLOCK} replications")}
     return ExperimentResult(config, tuple(points), lineage)
 
 
 def default_config(scenario: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
     """Desk-scale defaults for the standard experiment grids; the
-    paper-scale switch restores the full two-item replication count."""
+    paper-scale switch sets the counts of ``PAPER_REPS``."""
     if scenario == "two_item":
         base = dict(
             scenario=scenario,
@@ -493,7 +452,7 @@ def default_config(scenario: str, paper_scale: bool = False, **overrides) -> Exp
             L_grid=tuple(range(50, 501, 50)),
             gammas=(0.05, 0.1, 0.15),
             betas=(0.1, 0.9),
-            replications=10**6 if paper_scale else 10**5,
+            replications=10**5,
             base_seed=12345,
         )
     elif scenario in ("scenario1", "scenario2", "scenario3"):
@@ -516,5 +475,7 @@ def default_config(scenario: str, paper_scale: bool = False, **overrides) -> Exp
             base["L_grid"] = tuple(100 * i for i in range(1, 11))
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    if paper_scale:
+        base["replications"] = PAPER_REPS[scenario]
     base.update(overrides)
     return ExperimentConfig(**base)

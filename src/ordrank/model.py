@@ -314,11 +314,13 @@ class OrdinalModel:
         return float(self.pattern.weights[abs(k) - 1]
                      * expit(2.0 * sign * self.link(gamma)))
 
-    def pmf_table(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Support values and their probabilities, ordered -K..-1, 1..K."""
+    def pmf_table(self, gamma) -> tuple[np.ndarray, np.ndarray]:
+        """Support values and their probabilities, ordered -K..-1, 1..K; an
+        array of gammas gives one row of probabilities per gamma."""
         w = np.asarray(self.pattern.weights)
         p_pos = expit(2.0 * self.link(gamma))
-        probs = np.concatenate([w[::-1] * (1.0 - p_pos), w * p_pos])
+        probs = np.concatenate([np.multiply.outer(1.0 - p_pos, w[::-1]),
+                                np.multiply.outer(p_pos, w)], axis=-1)
         return self.support, probs
 
     def moments(self, gamma: float) -> ModelMoments:

@@ -157,17 +157,21 @@ def count_scores(data: ComparisonDataset) -> ScorePair:
                      data.rounds)
 
 
-def kendall_tau(scores, theta: PreferenceVector) -> float:
+def kendall_tau(scores, theta: PreferenceVector):
     """Fraction of item pairs ordered differently by the scores than by
-    theta; pairs with equal scores count as errors."""
+    theta; pairs with equal scores count as errors.
+
+    One score vector gives a float; a (reps, n) array gives one fraction per
+    row.
+    """
     s = np.asarray(scores, dtype=float)
-    if s.shape != (theta.n,):
-        raise ValueError(f"got {s.size} scores for {theta.n} items")
-    ds = s[:, None] - s[None, :]
-    dt = theta.gaps()
-    iu = np.triu_indices(theta.n, k=1)
-    bad = np.count_nonzero(ds[iu] * dt[iu] <= 0)
-    return 2.0 * bad / (theta.n * (theta.n - 1))
+    if s.ndim not in (1, 2) or s.shape[-1] != theta.n:
+        raise ValueError(f"got scores of shape {s.shape} for {theta.n} items")
+    i, j = np.triu_indices(theta.n, k=1)
+    bad = np.count_nonzero((s[..., i] - s[..., j]) * theta.gaps()[i, j] <= 0,
+                           axis=-1)
+    tau = 2.0 * bad / (theta.n * (theta.n - 1))
+    return float(tau) if s.ndim == 1 else tau
 
 
 def expected_scores(model: OrdinalModel, theta: PreferenceVector):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom, norm
 
 from ordrank.cli import parse_and_dispatch
 from ordrank.data import (
@@ -107,6 +108,23 @@ FIXTURES_C4 = [
 ]
 
 
+def _two_item_exact(model, gamma, L):
+    """Exact (P(raw sum > 0), P(sign sum > 0)) after L rounds: the raw sum's
+    law is the L-fold convolution of the outcome pmf, and the sign sum is
+    positive when more than L/2 outcomes are."""
+    values, probs = model.pmf_table(gamma)
+    K = model.K
+    step = np.zeros(2 * K + 1)
+    step[values + K] = probs
+    total = np.ones(1)
+    for _ in range(L):
+        total = np.convolve(total, step)
+    # total[m] is P(raw sum = m - L K)
+    p_raw = float(total[L * K + 1:].sum())
+    p_sign = float(binom.sf(L // 2, L, model.prob_positive(gamma)))
+    return p_raw, p_sign
+
+
 def test_criterion_04_enumeration_oracle():
     """Harness Monte-Carlo hit rates sit inside 4-sigma binomial bands of
     exhaustive enumeration over all outcome sequences."""
@@ -124,6 +142,8 @@ def test_criterion_04_enumeration_oracle():
                     exact_raw += prob
                 if sum(1 if values[i] > 0 else -1 for i in seq) > 0:
                     exact_sign += prob
+            assert _two_item_exact(model, gamma, L) == pytest.approx(
+                (exact_raw, exact_sign), rel=0.0, abs=1e-12)
             cfg = ExperimentConfig(
                 scenario="two_item", link={"kind": "identity", "scale": 1.0},
                 pattern=pattern.to_dict(), K=K, L_grid=(L,), gammas=(gamma,),
@@ -137,11 +157,13 @@ def test_criterion_04_enumeration_oracle():
 
 def test_criterion_05_two_item_crossover():
     """At (beta, gamma) = (0.1, 0.15), K=4, L=500: the sign metric beats the
-    raw metric beyond 3 paired-MC sigma, and both normal-limit predictors sit
-    inside the MC 99% confidence intervals."""
+    raw metric beyond 3 paired-MC sigma, both MC hit rates sit inside 4-sigma
+    binomial bands of the exact law, and both normal-limit predictors lie
+    within the 99% half-width z*sqrt(p(1-p)/reps) of the exact p."""
+    reps = 10**5
     with timer(300.0):
         cfg = default_config("two_item", gammas=(0.15,), betas=(0.1,),
-                             L_grid=(500,), replications=10**5, K=4,
+                             L_grid=(500,), replications=reps, K=4,
                              base_seed=505)
         point = run_experiment(cfg).points[0]
     gap = point.metrics["p_sign_minus_raw"]
@@ -150,10 +172,13 @@ def test_criterion_05_two_item_crossover():
     model = OrdinalModel(StrengthLink("identity"),
                          PatternDistribution.from_family("abs", 0.1, 4))
     p_sign_pred, p_raw_pred = asymptotic_two_item(model, 0.15, 500)
-    sign_metric = point.metrics["p_sign_positive"]
-    raw_metric = point.metrics["p_raw_positive"]
-    assert sign_metric.ci_lo <= p_sign_pred <= sign_metric.ci_hi
-    assert raw_metric.ci_lo <= p_raw_pred <= raw_metric.ci_hi
+    exact_raw, exact_sign = _two_item_exact(model, 0.15, 500)
+    z = norm.ppf(0.5 + cfg.ci_level / 2.0)
+    for name, exact, pred in (("p_sign_positive", exact_sign, p_sign_pred),
+                              ("p_raw_positive", exact_raw, p_raw_pred)):
+        sd = math.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(point.metrics[name].estimate - exact) < 4.0 * sd
+        assert abs(pred - exact) <= z * sd
 
 
 def _grid_minimum(f, lo, hi, points=10**4):
@@ -332,7 +357,7 @@ def test_criterion_10_ratings_protocol_direction():
 
 def test_criterion_11_simulate_determinism(tmp_path):
     """A simulate run with fixed config and seed yields byte-identical CSV
-    for one and for eight worker threads."""
+    under --threads 1 and --threads 8 (the flag is accepted and ignored)."""
     configs = {
         "two_item.json": default_config(
             "two_item", L_grid=(10, 20), gammas=(0.2,), betas=(0.4,), K=3,

@@ -82,6 +82,15 @@ class TestExitCodes:
     def test_domain_error_is_exit_2(self, capsys):
         assert run_cli("snr-min", "--K", "1") == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "histogram"])
+    def test_corrupt_pairs_file_is_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "pairs.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, item_i=np.array([0, 1]), item_j=np.array([1, 2]),
+                     offsets=np.array([0, 5, 3]), diffs=np.ones(5))
+        assert run_cli(command, "--pairs", str(path)) == 2
+        assert "offsets" in capsys.readouterr().err
+
 
 class TestSnrCommands:
     def test_snr_value(self, capsys):

@@ -19,6 +19,7 @@ from ordrank.data import (
     synthetic_ratings,
     _split_accuracy,
 )
+from ordrank.model import CorruptDataError
 
 
 def normal_cdf(x: float) -> float:
@@ -310,3 +311,31 @@ class TestPairsSerialization:
         assert set(again.diffs) == set(pairs.diffs)
         for key, d in pairs.diffs.items():
             np.testing.assert_array_equal(again.diffs[key], d)
+
+    @staticmethod
+    def write_archive(path, offsets, item_i=(0, 1), item_j=(1, 2),
+                      diffs=(1.0, -2.0, 3.0, 1.0, 2.0)):
+        with open(path, "wb") as fh:
+            np.savez(fh, item_i=np.asarray(item_i), item_j=np.asarray(item_j),
+                     offsets=np.asarray(offsets), diffs=np.asarray(diffs))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"offsets": [0, 5, 3]},  # decreasing: a silently empty pair
+        {"offsets": [0, 2]},  # shorter than item_i: an IndexError
+        {"offsets": [0, 2, 4]},  # ends before diffs.size: trailing diffs lost
+        {"offsets": [1, 2, 5]},  # does not start at 0
+        {"offsets": [0, 2, 5], "item_j": (1,)},  # unequal item arrays
+        {"offsets": [0, 2, 5], "item_i": (0.0, 1.0)},  # non-integer items
+        {"offsets": [0, 2, 5], "item_i": (0, 0), "item_j": (1, 1)},  # duplicate
+    ])
+    def test_corrupt_archive_rejected(self, tmp_path, kwargs):
+        path = tmp_path / "pairs.npz"
+        self.write_archive(path, **kwargs)
+        with pytest.raises(CorruptDataError):
+            load_pairs(path)
+
+    def test_valid_archive_loads(self, tmp_path):
+        path = tmp_path / "pairs.npz"
+        self.write_archive(path, [0, 2, 5])
+        pairs = load_pairs(path)
+        assert pairs.diffs[(1, 2)].tolist() == [3.0, 1.0, 2.0]

@@ -1,5 +1,6 @@
-"""Tests for the Monte-Carlo harness: config handling, determinism across
-worker counts, estimator sanity, and agreement with exact enumeration."""
+"""Tests for the Monte-Carlo harness: config handling, determinism of the
+per-grid-point streams, estimator sanity, and agreement with exact
+enumeration."""
 
 import itertools
 import json
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from ordrank import harness
 from ordrank.harness import (
     ConfigError,
     ExperimentConfig,
@@ -39,9 +41,37 @@ def small_two_item(**overrides) -> ExperimentConfig:
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = default_config("scenario2")
-        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
-        assert again == cfg
+        configs = [default_config(sc) for sc in harness.SCENARIOS]
+        configs.append(default_config("scenario1", n=3, theta_gap=None,
+                                      theta=(0.4, 0, -0.4)))
+        for cfg in configs:
+            again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
+            assert again == cfg
+
+    def test_optional_keys_may_be_omitted(self):
+        cfg = ExperimentConfig.from_dict({
+            "scenario": "scenario1", "link": {"kind": "identity"},
+            "pattern": {"family": "abs", "beta": 1.0}, "K": "3",
+            "L_grid": [10.0], "replications": 5, "base_seed": 1,
+            "theta_gap": 1})
+        assert (cfg.n, cfg.ci_level, cfg.theta, cfg.gammas) == (2, 0.99, None, None)
+        assert cfg.K == 3 and cfg.L_grid == (10,)
+        assert isinstance(cfg.theta_gap, float)
+
+    def test_missing_required_key(self):
+        d = default_config("scenario1").to_dict()
+        del d["K"]
+        with pytest.raises(ConfigError, match="K"):
+            ExperimentConfig.from_dict(d)
+
+    def test_null_required_value(self):
+        d = {**default_config("scenario1").to_dict(), "n": None}
+        with pytest.raises(ConfigError, match="n may not be null"):
+            ExperimentConfig.from_dict(d)
+
+    def test_theta_length_must_match_n(self):
+        with pytest.raises(ConfigError, match="theta"):
+            default_config("scenario1", theta=(0.2, 0.0, -0.2))  # n=10
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -69,22 +99,41 @@ class TestConfig:
 
 
 class TestDeterminism:
-    def test_two_item_csv_identical_across_threads(self):
-        cfg = small_two_item(replications=500)
-        csv_1 = run_two_item(cfg, threads=1).to_csv()
-        csv_4 = run_two_item(cfg, threads=4).to_csv()
-        assert csv_1 == csv_4
-
-    def test_scenario1_csv_identical_across_threads(self):
-        cfg = default_config("scenario1", n=4, L_grid=(20, 40),
-                             replications=100)
-        csv_1 = run_scenario1(cfg, threads=1).to_csv()
-        csv_8 = run_scenario1(cfg, threads=8).to_csv()
-        assert csv_1 == csv_8
-
     def test_rerun_identical(self):
         cfg = small_two_item(replications=300)
         assert run_two_item(cfg).to_csv() == run_two_item(cfg).to_csv()
+
+    def test_scenario1_rerun_identical(self):
+        cfg = default_config("scenario1", n=4, L_grid=(20, 40),
+                             replications=100)
+        assert run_scenario1(cfg).to_csv() == run_scenario1(cfg).to_csv()
+
+    @pytest.mark.parametrize("cfg", [
+        small_two_item(betas=(0.1, 0.9), gammas=(0.1, 0.2)),
+        default_config("scenario1", n=4, L_grid=(20, 40), replications=100),
+    ])
+    def test_one_generator_per_grid_point(self, monkeypatch, cfg):
+        seeds = []
+        real = np.random.default_rng
+
+        def counting(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        res = run_experiment(cfg)
+        assert seeds == [[cfg.base_seed, g] for g in range(len(res.points))]
+
+    def test_replications_above_block_size(self, monkeypatch):
+        reps = harness._BLOCK + 3
+        cfg = default_config("scenario1", n=4, L_grid=(20,), replications=reps)
+        text = run_scenario1(cfg).to_csv()
+        rows = text.splitlines()[1:]
+        assert rows and all(row.split(",")[-2] == str(reps) for row in rows)
+        assert run_scenario1(cfg).to_csv() == text
+        # blocks continue one stream: the block size does not change output
+        monkeypatch.setattr(harness, "_BLOCK", 5)
+        assert run_scenario1(cfg).to_csv() == text
 
     def test_seed_changes_output(self):
         a = run_two_item(small_two_item(replications=300))
@@ -98,6 +147,13 @@ class TestTwoItem:
         res = run_two_item(cfg)
         for name in ("p_raw_positive", "p_sign_positive"):
             assert res.points[0].metrics[name].estimate > 0.999
+
+    def test_single_magnitude_gap_is_exactly_zero(self):
+        # K=1: the raw sum is the sign sum, so both hit on the same draws
+        cfg = small_two_item(pattern={"K": 1, "weights": ["1"]}, K=1,
+                             betas=None, replications=500)
+        for point in run_two_item(cfg).points:
+            assert point.metrics["p_sign_minus_raw"].estimate == 0.0
 
     def test_matches_enumeration_within_band(self):
         cfg = small_two_item(replications=20000)

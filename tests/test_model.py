@@ -174,6 +174,14 @@ class TestPmf:
             _, probs = m.pmf_table(gamma)
             assert abs(probs.sum() - 1.0) < 1e-12
 
+    def test_table_broadcasts_over_gamma(self):
+        m = random_model(np.random.default_rng(RNG_SEED + 3))
+        gammas = np.array([-2.0, -0.1, 0.0, 0.3, 40.0])
+        _, table = m.pmf_table(gammas)
+        assert table.shape == (gammas.size, 2 * m.K)
+        for g, row in zip(gammas, table):
+            np.testing.assert_array_equal(row, m.pmf_table(float(g))[1])
+
     def test_reflection_exact(self):
         rng = np.random.default_rng(RNG_SEED + 2)
         for _ in range(40):

@@ -173,6 +173,13 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             kendall_tau([1, 2], self.THETA)
 
+    def test_batched_rows_match_scalar_calls(self):
+        theta = PreferenceVector.equally_spaced(6, 0.1)
+        rows = np.random.default_rng(3).integers(-3, 4, size=(200, 6))
+        batched = kendall_tau(rows, theta)
+        assert batched.shape == (200,)
+        assert batched.tolist() == [kendall_tau(r, theta) for r in rows]
+
 
 class TestExpectedScores:
     def test_all_equal_theta(self):
