@@ -15,19 +15,19 @@ from ordrank import (
     model_from_json,
     model_to_json,
 )
+from ordrank.model import LINK_NAMES
 
-# The four stock links.  All are strictly increasing and odd; `scale`
-# multiplies the output (logit-of-cdf with the logistic base at scale 1/2 is
-# the classical Bradley-Terry propensity, x/2).
-links = {
-    "cubic": StrengthLink("cubic"),
-    "identity": StrengthLink("identity"),
-    "tanh-sigmoid": StrengthLink("tanh-sigmoid"),
-    "normal logit": StrengthLink("logit-of-cdf", base_cdf="standard-normal"),
-}
+# The four stock links, by the spec names that the CLI flags and the CSV
+# `link` column use.  All are strictly increasing and odd; `:scale`
+# multiplies the output.  The logit-of-cdf link with the logistic base is
+# the identity link, so at scale 1/2 it reads back as `identity:0.5`, the
+# classical Bradley-Terry propensity x/2.
+links = {name: StrengthLink.from_spec(name) for name in LINK_NAMES}
 print("link values at x = 0.5:")
 for name, link in links.items():
     print(f"  {name:>13}: {link(0.5): .6f}   (oddness: {link(-0.5): .6f})")
+print("  logistic logit-of-cdf at scale 1/2 reads back as",
+      StrengthLink("logit-of-cdf", 0.5, "logistic").spec)
 
 # Magnitude patterns: weights over |Y| in {1..K}, here from the exponential
 # families psi(k) = -beta*k and psi(k) = -beta*k^2.

@@ -6,8 +6,13 @@ stdout or to ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 
 Spec strings on flags:
   link:     cubic | identity | tanhsig | logitnorm, optionally ``:scale``
+            (read by ``StrengthLink.from_spec``, written by ``.spec``)
   pattern:  abs:<beta> | sq:<beta> | uniform | weights:w1,..,wK |
-            min-unconstrained | min-monotone, optionally followed by ``,K=<k>``
+            min-unconstrained | min-monotone, plus ``,K=<k>`` or ``--K``;
+            every K given, weight count included, must agree
+
+``--out`` and ``--threads`` (ignored) go on every subcommand, ``--annotate``
+on the JSON ones, ``--seed`` on ``evaluate``.
 """
 
 from __future__ import annotations
@@ -36,73 +41,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-_LINK_KINDS = {
-    "cubic": {"kind": "cubic"},
-    "identity": {"kind": "identity"},
-    "tanhsig": {"kind": "tanh-sigmoid"},
-    "logitnorm": {"kind": "logit-of-cdf", "base_cdf": "standard-normal"},
+def parse_link_spec(spec: str) -> StrengthLink:
+    """``StrengthLink.from_spec``, with a bad spec as a usage error."""
+    try:
+        return StrengthLink.from_spec(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+# Pattern families: how many numbers follow ``name:`` (None: a weight list,
+# whose length is K) and how the law is built from those numbers and K.
+_PATTERN_FAMILIES = {
+    "abs": (1, lambda args, K: PatternDistribution.from_family("abs", args[0], K)),
+    "sq": (1, lambda args, K: PatternDistribution.from_family("sq", args[0], K)),
+    "uniform": (0, lambda args, K: PatternDistribution.uniform(K)),
+    "weights": (None, lambda args, K: PatternDistribution.from_weights(args)),
+    "min-unconstrained": (0, lambda args, K: snr.minimal_snr_unconstrained(K)[1]),
+    "min-monotone": (0, lambda args, K: snr.minimal_snr_monotone(K)[1]),
 }
 
 
-def parse_link_spec(spec: str) -> StrengthLink:
-    name, _, scale = spec.partition(":")
-    if name not in _LINK_KINDS:
-        raise UsageError(f"unknown link {name!r}; choose from "
-                         f"{'|'.join(_LINK_KINDS)}")
-    kwargs = dict(_LINK_KINDS[name])
-    if scale:
-        try:
-            kwargs["scale"] = float(scale)
-        except ValueError:
-            raise UsageError(f"bad link scale {scale!r}") from None
-    return StrengthLink(**kwargs)
-
-
 def parse_pattern_spec(spec: str, K: int | None = None) -> PatternDistribution:
+    """The magnitude law of ``name[:args][,K=<k>]``.
+
+    Every K given (the ``K`` argument, each ``,K=`` part and the length of a
+    weight list) must agree, and there must be at least one.
+    """
     parts = [p.strip() for p in spec.split(",") if p.strip()]
-    body_parts = []
-    for part in parts:
-        if part.upper().startswith("K="):
-            try:
-                K = int(part[2:])
-            except ValueError:
-                raise UsageError(f"bad K in pattern spec {spec!r}") from None
-        else:
-            body_parts.append(part)
-    if not body_parts:
+    body = [p for p in parts if not p.upper().startswith("K=")]
+    if not body:
         raise UsageError(f"empty pattern spec {spec!r}")
-    name, _, arg = body_parts[0].partition(":")
-    if name == "weights":
-        try:
-            weights = [float(v) for v in [arg, *body_parts[1:]]]
-        except ValueError:
-            raise UsageError(f"bad weights in pattern spec {spec!r}") from None
-        if K is not None and K != len(weights):
-            raise UsageError(f"{len(weights)} weights given but K={K}")
-        return PatternDistribution.from_weights(weights)
-    if len(body_parts) > 1:
-        raise UsageError(f"cannot parse pattern spec {spec!r}")
-    if name in ("abs", "sq"):
-        if K is None:
-            raise UsageError("pattern family needs K (flag --K or ',K=<k>')")
-        try:
-            beta = float(arg)
-        except ValueError:
-            raise UsageError(f"bad beta in pattern spec {spec!r}") from None
-        return PatternDistribution.from_family(name, beta, K)
-    if name == "uniform":
-        if K is None:
-            raise UsageError("uniform pattern needs K")
-        return PatternDistribution.uniform(K)
-    if name == "min-unconstrained":
-        if K is None:
-            raise UsageError("min-unconstrained pattern needs K")
-        return snr.minimal_snr_unconstrained(K)[1]
-    if name == "min-monotone":
-        if K is None:
-            raise UsageError("min-monotone pattern needs K")
-        return snr.minimal_snr_monotone(K)[1]
-    raise UsageError(f"unknown pattern spec {spec!r}")
+    name, colon, first = body[0].partition(":")
+    if name not in _PATTERN_FAMILIES:
+        raise UsageError(f"unknown pattern {name!r}; choose from "
+                         f"{'|'.join(_PATTERN_FAMILIES)}")
+    arity, build = _PATTERN_FAMILIES[name]
+    try:
+        Ks = {int(p[2:]) for p in parts if p not in body} | ({K} - {None})
+        args = [float(v) for v in ([first] if colon else []) + body[1:]]
+    except ValueError:
+        raise UsageError(f"bad number in pattern spec {spec!r}") from None
+    if arity is None and args:
+        Ks.add(len(args))
+    elif len(args) != arity:
+        wanted = {None: "a weight list", 0: "no argument", 1: "one number"}[arity]
+        raise UsageError(f"pattern {name!r} takes {wanted} in {spec!r}")
+    if len(Ks) != 1:
+        raise UsageError(f"pattern {name!r} needs one K (flag --K or ',K=<k>'), "
+                         f"got {sorted(Ks) or 'none'}")
+    return build(args, Ks.pop())
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -115,7 +102,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _json_out(obj, args) -> None:
-    if getattr(args, "annotate", False):
+    if args.annotate:
         import time
         obj = {**obj, "annotations": {"unix_time": time.time()}}
     _emit(json.dumps(obj, indent=2), args.out)
@@ -128,62 +115,65 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ordrank", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-    parser.subparsers = {}
+    parser.subparsers = sub.choices  # name -> subparser
 
-    def add(name, help_text):
+    def add(name, run, help_text, json_output=True):
         p = sub.add_parser(name, help=help_text)
-        parser.subparsers[name] = p
+        p.set_defaults(run=run)
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored: every command runs in one thread")
-        p.add_argument("--annotate", action="store_true",
-                       help="include wall-clock annotations in JSON output")
+        if json_output:
+            p.add_argument("--annotate", action="store_true",
+                           help="include wall-clock annotations in JSON output")
         return p
 
-    p = add("snr", "signal-to-noise report for a magnitude pattern")
+    p = add("snr", _cmd_snr, "signal-to-noise report for a magnitude pattern")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--psi", required=True, help="pattern spec, e.g. abs:0.1")
 
-    p = add("snr-min", "minimal-SNR value and pattern for a given K")
+    p = add("snr-min", _cmd_snr_min, "minimal-SNR value and pattern for a given K")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--monotone", action="store_true",
                    help="restrict to non-increasing weights")
 
-    p = add("rank", "counting scores and ranking errors for a dataset")
+    p = add("rank", _cmd_rank, "counting scores and ranking errors for a dataset")
     p.add_argument("--input", required=True, help="CSV with header i,j,l,y")
     p.add_argument("--theta", required=True, help="JSON file with true preferences")
 
-    p = add("rates", "misranking decay rates and crossover estimate")
+    p = add("rates", _cmd_rates, "misranking decay rates and crossover estimate")
     p.add_argument("--link", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--K", type=int)
     p.add_argument("--factor", type=float, default=10.0)
 
-    p = add("simulate", "run a Monte-Carlo experiment from a config file")
+    p = add("simulate", _cmd_simulate,
+            "run a Monte-Carlo experiment from a config file", json_output=False)
     p.add_argument("--config", required=True)
     p.add_argument("--paper-scale", action="store_true",
                    help="restore the full-scale replication counts")
 
-    p = add("ingest", "parse ratings and write pairwise comparisons")
+    p = add("ingest", _cmd_ingest, "parse ratings and write pairwise comparisons",
+            json_output=False)
     p.add_argument("--format", default="movielens-100k-tab",
                    choices=["movielens-100k-tab", "generic-csv"])
     p.add_argument("--path", required=True)
     p.add_argument("--min-item-ratings", type=int, default=200)
 
-    p = add("evaluate", "split-protocol comparison of sum vs sign-sum")
+    p = add("evaluate", _cmd_evaluate, "split-protocol comparison of sum vs sign-sum")
     p.add_argument("--pairs", required=True)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--min-pair-count", type=int, default=10)
     p.add_argument("--pairing", choices=["repetition", "pair"],
                    default="repetition")
+    p.add_argument("--seed", type=int, default=7, help="seed of the random splits")
 
-    p = add("histogram", "magnitude histogram of pairwise comparisons")
+    p = add("histogram", _cmd_histogram, "magnitude histogram of pairwise comparisons")
     p.add_argument("--pairs", required=True)
 
-    p = add("model-info", "model descriptor and per-gamma statistics")
+    p = add("model-info", _cmd_model_info, "model descriptor and per-gamma statistics")
     p.add_argument("--link", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--K", type=int)
@@ -211,11 +201,14 @@ def _cmd_snr_min(args) -> int:
 def _cmd_rank(args) -> int:
     dataset = dataset_from_csv(Path(args.input).read_text(encoding="utf-8"))
     spec = json.loads(Path(args.theta).read_text(encoding="utf-8"))
-    if isinstance(spec, dict):
-        theta = PreferenceVector(tuple(spec["theta"]),
-                                 centered=bool(spec.get("centered", False)))
-    else:
-        theta = PreferenceVector(tuple(spec))
+    spec = spec if isinstance(spec, dict) else {"theta": spec}
+    values = spec.get("theta")
+    if not isinstance(values, list) or not all(isinstance(v, (int, float))
+                                               for v in values):
+        raise ValueError(f"{args.theta}: theta must be a JSON list of numbers "
+                         "or an object holding one under 'theta'")
+    theta = PreferenceVector(tuple(values),
+                             centered=bool(spec.get("centered", False)))
     scores = count_scores(dataset)
     _json_out({
         "scores": scores.to_dict(),
@@ -255,10 +248,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    table = data_mod.load_ratings(args.path, format=args.format)
-    pairs = data_mod.build_pair_comparisons(table, args.min_item_ratings)
     if args.out is None:
         raise UsageError("ingest needs --out for the pairs file")
+    table = data_mod.load_ratings(args.path, format=args.format)
+    pairs = data_mod.build_pair_comparisons(table, args.min_item_ratings)
     data_mod.save_pairs(pairs, args.out)
     print(f"wrote {pairs.n_pairs()} pairs "
           f"({pairs.total_comparisons()} comparisons)", file=sys.stderr)
@@ -300,19 +293,6 @@ def _cmd_model_info(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "snr": _cmd_snr,
-    "snr-min": _cmd_snr_min,
-    "rank": _cmd_rank,
-    "rates": _cmd_rates,
-    "simulate": _cmd_simulate,
-    "ingest": _cmd_ingest,
-    "evaluate": _cmd_evaluate,
-    "histogram": _cmd_histogram,
-    "model-info": _cmd_model_info,
-}
-
-
 def parse_and_dispatch(argv) -> int:
     parser = _build_parser()
     try:
@@ -320,7 +300,7 @@ def parse_and_dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"ordrank: {exc}", file=sys.stderr)
         if argv and argv[0] in parser.subparsers:

@@ -120,11 +120,20 @@ class ExperimentConfig:
                 raise ConfigError(f"theta has {len(self.theta)} items but n={self.n}")
         if self.scenario == "scenario2" and not self.betas:
             raise ConfigError("scenario2 needs a beta grid")
+        if not (isinstance(self.link, dict) and isinstance(self.pattern, dict)):
+            raise ConfigError("config link and pattern must be JSON objects")
+        # built once, so a malformed config fails before any run
+        try:
+            object.__setattr__(self, "_link", StrengthLink.from_dict(self.link))
+            object.__setattr__(self, "_patterns", {
+                beta: self.make_pattern(beta) for beta in self.pattern_betas()})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad link or pattern: {exc}") from None
 
     # -- model construction ------------------------------------------------
 
     def make_link(self) -> StrengthLink:
-        return StrengthLink.from_dict(self.link)
+        return self._link
 
     def make_pattern(self, beta: float | None = None) -> PatternDistribution:
         spec = self.pattern
@@ -198,7 +207,7 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         cfg = self.config
-        link_label = _link_label(cfg.make_link())
+        link_label = cfg.make_link().spec
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -241,18 +250,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return repr(float(v))
-
-
-def _link_label(link: StrengthLink) -> str:
-    names = {"cubic": "cubic", "identity": "identity",
-             "tanh-sigmoid": "tanhsig"}
-    if link.kind == "logit-of-cdf":
-        base = "logitnorm" if link.base_cdf == "standard-normal" else "identity"
-    else:
-        base = names[link.kind]
-    if link.scale != 1.0:
-        return f"{base}:{link.scale!r}"
-    return base
 
 
 def _bernoulli_metric(hits: np.ndarray, z: float) -> MetricEstimate:
@@ -303,7 +300,7 @@ def run_two_item(config: ExperimentConfig) -> ExperimentResult:
     grid = itertools.product(config.pattern_betas(), config.gammas, config.L_grid)
     for grid_id, (beta, gamma, L) in enumerate(grid):
         t0 = time.perf_counter()
-        support, probs = OrdinalModel(link, config.make_pattern(beta)).pmf_table(gamma)
+        support, probs = OrdinalModel(link, config._patterns[beta]).pmf_table(gamma)
         hits = _replicate(config, grid_id, L, support, probs[None],
                           lambda raw, sign: np.column_stack([raw[:, 0] > 0,
                                                              sign[:, 0] > 0]))
@@ -345,7 +342,7 @@ def _run_tau_grid(config: ExperimentConfig,
     points = []
     for grid_id, (L, beta) in enumerate(grid):
         t0 = time.perf_counter()
-        pattern = config.make_pattern(beta)
+        pattern = config._patterns[beta]
         model = OrdinalModel(link, pattern)
         support, probs = model.pmf_table(gaps)
         taus = _replicate(config, grid_id, L, support, probs, stat)

@@ -43,7 +43,12 @@ _LOG2 = math.log(2.0)
 # the log-sum-exp forms, whose absolute error no longer swamps the result
 _SMALL_ARG = 1.0
 
-LINK_KINDS = ("cubic", "identity", "tanh-sigmoid", "logit-of-cdf", "custom")
+# The one link vocabulary: spec name -> (kind, base_cdf).  The logistic
+# logit-of-CDF link is the identity link, so it has no name of its own.
+LINK_NAMES = {"cubic": ("cubic", None), "identity": ("identity", None),
+              "tanhsig": ("tanh-sigmoid", None),
+              "logitnorm": ("logit-of-cdf", "standard-normal")}
+LINK_KINDS = (*dict.fromkeys(kind for kind, _ in LINK_NAMES.values()), "custom")
 BASE_CDFS = ("logistic", "standard-normal")
 
 
@@ -69,10 +74,12 @@ class StrengthLink:
 
     ``kind`` selects the functional form; ``scale`` is a positive multiplier.
     ``logit-of-cdf`` builds the link as scale * log(F(x) / (1 - F(x))) for a
-    symmetric base CDF F.  For the logistic base this collapses exactly to
-    scale * x; for the standard normal it is evaluated through log_ndtr on
-    both tails, which keeps the two log terms accurate for |x| far beyond the
-    point where 1 - F(x) underflows.
+    symmetric base CDF F.  For the logistic base this is exactly scale * x,
+    so construction folds it into the identity link; for the standard normal
+    it is evaluated through log_ndtr on both tails, which keeps the two log
+    terms accurate for |x| far beyond the point where 1 - F(x) underflows.
+    ``from_spec`` and ``spec`` read and write the ``name[:scale]`` strings
+    of ``LINK_NAMES``.
     """
 
     kind: str = "identity"
@@ -88,6 +95,9 @@ class StrengthLink:
         if self.kind == "logit-of-cdf":
             if self.base_cdf not in BASE_CDFS:
                 raise ValueError(f"logit-of-cdf needs base_cdf in {BASE_CDFS}")
+            if self.base_cdf == "logistic":  # log(F / (1 - F)) == x
+                object.__setattr__(self, "kind", "identity")
+                object.__setattr__(self, "base_cdf", None)
         elif self.base_cdf is not None:
             raise ValueError("base_cdf only applies to logit-of-cdf links")
         if self.kind == "custom":
@@ -106,11 +116,7 @@ class StrengthLink:
             # (1 - e^-x) / (1 + e^-x) == tanh(x / 2), exactly odd in floats
             out = self.scale * np.tanh(arr / 2.0)
         elif self.kind == "logit-of-cdf":
-            if self.base_cdf == "logistic":
-                # log(sigma(x)) - log(1 - sigma(x)) == x identically
-                out = self.scale * arr
-            else:
-                out = self.scale * (log_ndtr(arr) - log_ndtr(-arr))
+            out = self.scale * (log_ndtr(arr) - log_ndtr(-arr))
         else:
             out = self.scale * np.asarray(self.fn(arr), dtype=float)
         if np.ndim(x) == 0:
@@ -126,6 +132,26 @@ class StrengthLink:
             raise ValueError(f"link {self.kind!r} is not strictly increasing")
         if np.max(np.abs(vals + self(-grid))) > tol or self(0.0) != 0.0:
             raise ValueError(f"link {self.kind!r} is not origin-antisymmetric")
+
+    @classmethod
+    def from_spec(cls, spec: str) -> "StrengthLink":
+        """The link named by ``name[:scale]``, a name from ``LINK_NAMES``."""
+        name, _, scale = spec.partition(":")
+        if name not in LINK_NAMES:
+            raise ValueError(f"unknown link {name!r}; choose from {'|'.join(LINK_NAMES)}")
+        kind, base_cdf = LINK_NAMES[name]
+        try:
+            return cls(kind, float(scale) if scale else 1.0, base_cdf)
+        except ValueError as exc:
+            raise ValueError(f"bad link scale {scale!r}: {exc}") from None
+
+    @property
+    def spec(self) -> str:
+        """The ``name[:scale]`` string that ``from_spec`` reads back."""
+        for name, form in LINK_NAMES.items():
+            if form == (self.kind, self.base_cdf):
+                return name if self.scale == 1.0 else f"{name}:{self.scale!r}"
+        raise ValueError("custom links have no spec")
 
     def to_dict(self) -> dict:
         if self.kind == "custom":

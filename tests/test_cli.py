@@ -272,3 +272,126 @@ class TestParserReuse:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env).stdout
         assert out.strip() == "0"
+
+
+class TestSpecRules:
+    """Every bad link spec is a usage error, and a pattern spec has one K
+    rule: every K given must agree, and a family without an argument
+    rejects one."""
+
+    @pytest.mark.parametrize("spec", ["cubic:x", "cubic:-1", "identity:inf",
+                                      "tanhsig:0"])
+    def test_bad_link_spec_exits_1(self, spec, capsys):
+        assert run_cli("model-info", "--link", spec, "--pattern", "uniform,K=2") == 1
+        assert "scale" in capsys.readouterr().err
+
+    def test_parse_link_spec_is_from_spec(self):
+        from ordrank.model import LINK_NAMES, StrengthLink
+        for name in LINK_NAMES:
+            assert parse_link_spec(f"{name}:0.5") == StrengthLink.from_spec(f"{name}:0.5")
+
+    @pytest.mark.parametrize("spec,K", [
+        ("uniform:3,K=2", None),  # uniform takes no argument
+        ("min-monotone:7,K=4", None),
+        ("min-unconstrained:1", 4),
+        ("abs:0.1,K=4", 5),  # ,K= disagrees with --K
+        ("abs:0.1,K=4,K=5", None),
+        ("weights:0.5,0.5", 3),
+        ("abs,K=4", None),  # a family argument is missing
+        ("sq:0.1,0.2,K=3", None),
+        ("weights", None),
+        ("abs:x,K=4", None),
+        ("abs:0.1,K=x", None),
+    ])
+    def test_pattern_repros_are_usage_errors(self, spec, K):
+        from ordrank.cli import UsageError
+        with pytest.raises(UsageError):
+            parse_pattern_spec(spec, K)
+
+    def test_agreeing_K_values_accepted(self):
+        assert parse_pattern_spec("abs:0.1,K=4", K=4) == parse_pattern_spec("abs:0.1,K=4")
+        assert parse_pattern_spec("weights:0.5,0.5,K=2", K=2).K == 2
+
+    def test_snr_rejects_conflicting_K(self, capsys):
+        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1,K=5") == 1
+        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1,K=4") == 0
+        assert json.loads(capsys.readouterr().out)["K"] == 4
+
+    def test_rates_rejects_conflicting_K(self):
+        assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
+                       "--K", "5", "--gamma", "0.15") == 1
+
+
+class TestFlagsWhereTheyAct:
+    """``--seed`` goes on ``evaluate`` only and ``--annotate`` on the JSON
+    commands; ``--out`` and ``--threads`` on every subcommand."""
+
+    @staticmethod
+    def commands_with(flag) -> set:
+        return {name for name, p in _build_parser().subparsers.items()
+                if f"[{flag}" in p.format_usage()}
+
+    def test_option_counts(self):
+        every = set(_build_parser().subparsers)
+        assert len(every) == 9
+        assert self.commands_with("--seed") == {"evaluate"}
+        assert self.commands_with("--annotate") == every - {"simulate", "ingest"}
+        assert self.commands_with("--out") == every
+        assert self.commands_with("--threads") == every
+
+    def test_simulate_rejects_seed(self, tmp_path, capsys):
+        cfg = default_config("two_item", L_grid=(4,), gammas=(0.3,), betas=(0.5,),
+                             K=2, replications=10)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path), "--seed", "1") == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_ingest_rejects_annotate(self, tmp_path, capsys):
+        assert run_cli("ingest", "--path", str(tmp_path / "u.data"), "--out",
+                       str(tmp_path / "pairs.npz"), "--annotate") == 1
+        assert "--annotate" in capsys.readouterr().err
+
+    def test_evaluate_reads_seed(self, tmp_path, capsys):
+        table = synthetic_ratings(n_items=5, users_per_pair=30, seed=3)
+        raw = tmp_path / "u.data"
+        write_ratings_file(raw, table)
+        pairs = tmp_path / "pairs.npz"
+        assert run_cli("ingest", "--path", str(raw), "--min-item-ratings", "10",
+                       "--out", str(pairs)) == 0
+        outputs = []
+        for seed in ("1", "1", "2"):
+            assert run_cli("evaluate", "--pairs", str(pairs), "--reps", "4",
+                           "--min-pair-count", "5", "--seed", seed) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("text", ["5", "null", '{"theta": 5}', '{"centered": true}',
+                                      '[0.3, "a"]'])
+    def test_malformed_theta_is_exit_2(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text(text, encoding="utf-8")
+        assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 2
+        assert "theta must be a JSON list" in capsys.readouterr().err
+
+    def test_theta_object_form_accepted(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text('{"theta": [0.5, -0.5], "centered": true}', encoding="utf-8")
+        assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 0
+        assert json.loads(capsys.readouterr().out)["tau_ordinal"] == 0.0
+
+    @pytest.mark.parametrize("key,value", [("link", "identity"), ("pattern", "abs"),
+                                           ("pattern", [1, 2])])
+    def test_malformed_simulate_config_is_exit_2(self, tmp_path, capsys, key, value):
+        d = {**default_config("scenario1").to_dict(), key: value}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "JSON objects" in capsys.readouterr().err

@@ -299,3 +299,56 @@ class TestResultPayloads:
     def test_seed_lineage_echo(self):
         res = run_two_item(small_two_item(replications=10))
         assert res.seed_lineage["base_seed"] == 42
+
+
+class TestModelPartsAtConstruction:
+    """The link and every grid pattern are built when the config is, so a
+    malformed one fails as a ``ConfigError`` before any run."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("link", "identity"),
+        ("pattern", "abs"),
+        ("pattern", [1, 2]),
+    ])
+    def test_non_object_parts_rejected(self, key, value):
+        d = {**default_config("scenario1").to_dict(), key: value}
+        with pytest.raises(ConfigError, match="JSON objects"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("link", {"kind": "quartic"}),
+        ("link", {"scale": 1.0}),
+        ("link", {"kind": "identity", "scale": -1.0}),
+        ("pattern", {"family": "cube", "beta": 1.0}),
+        ("pattern", {"family": "abs"}),  # no beta and no beta grid
+        ("pattern", {"weights": ["0.5", "0.4"]}),
+    ])
+    def test_parts_that_do_not_construct_rejected(self, key, value):
+        d = {**default_config("scenario1").to_dict(), key: value}
+        with pytest.raises(ConfigError, match="bad link or pattern"):
+            ExperimentConfig.from_dict(d)
+
+    def test_weights_pattern_with_beta_grid_rejected(self):
+        with pytest.raises(ConfigError, match="not a family"):
+            small_two_item(pattern={"K": 2, "weights": ["0.5", "0.5"]})
+
+    def test_grid_patterns_built_once(self, monkeypatch):
+        cfg = small_two_item(betas=(0.3, 0.6), L_grid=(4, 6, 8), replications=20)
+        calls = []
+        real = PatternDistribution.from_family
+        monkeypatch.setattr(PatternDistribution, "from_family",
+                            lambda *a: calls.append(a) or real(*a))
+        run_two_item(cfg)
+        assert calls == []
+        assert cfg.make_link() is cfg.make_link()
+
+    def test_csv_link_column_reads_spec(self):
+        logistic = {"kind": "logit-of-cdf", "scale": 0.5, "base_cdf": "logistic"}
+        normal = {"kind": "logit-of-cdf", "scale": 2.0, "base_cdf": "standard-normal"}
+        for link, label in [(logistic, "identity:0.5"), (normal, "logitnorm:2.0"),
+                            ({"kind": "tanh-sigmoid"}, "tanhsig"),
+                            ({"kind": "cubic", "scale": 3.0}, "cubic:3.0")]:
+            cfg = small_two_item(link=link, replications=10)
+            rows = run_two_item(cfg).to_csv().splitlines()[1:]
+            assert {row.split(",")[1] for row in rows} == {label}
+            assert cfg.make_link() == StrengthLink.from_spec(label)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ordrank.model import (
+    LINK_KINDS,
+    LINK_NAMES,
     CorruptDataError,
     InvalidPatternError,
     OrdinalModel,
@@ -88,6 +90,50 @@ class TestStrengthLink:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             StrengthLink("identity", scale=0.0)
+
+
+class TestLinkSpec:
+    """``from_spec`` and ``spec`` are inverses over the names of
+    ``LINK_NAMES``, and the logistic logit-of-CDF link is the identity."""
+
+    @pytest.mark.parametrize("name", sorted(LINK_NAMES))
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1, 3.0])
+    def test_round_trip(self, name, scale):
+        s = name if scale == 1.0 else f"{name}:{scale!r}"
+        link = StrengthLink.from_spec(s)
+        assert link.spec == s
+        assert StrengthLink.from_spec(link.spec) == link
+        assert link.scale == scale
+        assert (link.kind, link.base_cdf) == LINK_NAMES[name]
+
+    def test_names_cover_every_serializable_kind(self):
+        kinds = {kind for kind, _ in LINK_NAMES.values()}
+        assert kinds | {"custom"} == set(LINK_KINDS)
+
+    def test_logistic_logit_folds_into_identity(self):
+        folded = StrengthLink("logit-of-cdf", 0.5, "logistic")
+        assert folded == StrengthLink("identity", 0.5)
+        assert (folded.kind, folded.base_cdf) == ("identity", None)
+        assert folded.spec == "identity:0.5"
+        assert folded.to_dict() == {"kind": "identity", "scale": 0.5}
+        grid = np.linspace(-5.0, 5.0, 41)
+        assert np.array_equal(folded(grid), 0.5 * grid)
+
+    def test_json_form_with_logistic_base_still_parses(self):
+        link = StrengthLink.from_dict({"kind": "logit-of-cdf", "scale": 0.5,
+                                       "base_cdf": "logistic"})
+        assert link == StrengthLink("identity", 0.5)
+
+    @pytest.mark.parametrize("spec", ["quartic", "cubic:x", "cubic:-1",
+                                      "identity:inf", "tanhsig:0",
+                                      "logitnorm:nan", "logit-of-cdf"])
+    def test_bad_specs(self, spec):
+        with pytest.raises(ValueError):
+            StrengthLink.from_spec(spec)
+
+    def test_custom_link_has_no_spec(self):
+        with pytest.raises(ValueError):
+            StrengthLink("custom", fn=lambda x: x).spec
 
 
 class TestPatternDistribution:
