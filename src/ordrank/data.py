@@ -38,6 +38,15 @@ __all__ = [
     "load_pairs",
 ]
 
+_PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
+
+
+def _run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where a row of (a, b)-sorted columns starts a new (a, b) key."""
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return new
+
 
 @dataclass(frozen=True)
 class RatingsTable:
@@ -56,28 +65,20 @@ class RatingsTable:
             raise ValueError("ragged ratings columns")
         if self.timestamps is not None and self.timestamps.size != n:
             raise ValueError("ragged timestamp column")
-        keys = set(zip(self.users.tolist(), self.items.tolist()))
-        if len(keys) != n:
+        order = np.lexsort((self.items, self.users))
+        if not _run_starts(self.users[order], self.items[order]).all():
             raise ValueError("duplicate (user, item) pair after dedup")
 
     def __len__(self) -> int:
         return self.users.size
 
 
-def _dedup_latest(rows: list[tuple[int, int, float, int]]) -> RatingsTable:
-    """Keep the latest timestamp per (user, item); ties go to the later row."""
-    best: dict[tuple[int, int], tuple[int, int, float, int]] = {}
-    for row in rows:
-        key = (row[0], row[1])
-        if key not in best or row[3] >= best[key][3]:
-            best[key] = row
-    ordered = sorted(best.values())
-    return RatingsTable(
-        users=np.array([r[0] for r in ordered], dtype=np.int64),
-        items=np.array([r[1] for r in ordered], dtype=np.int64),
-        ratings=np.array([r[2] for r in ordered], dtype=float),
-        timestamps=np.array([r[3] for r in ordered], dtype=np.int64),
-    )
+def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
+    """Keep the latest timestamp per (user, item), in (user, item) order;
+    ties go to the later row."""
+    order = np.lexsort((timestamps, items, users))  # stable: ties keep row order
+    keep = order[np.r_[_run_starts(users[order], items[order])[1:], True]]
+    return RatingsTable(users[keep], items[keep], ratings[keep], timestamps[keep])
 
 
 def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
@@ -86,24 +87,31 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
     ``movielens-100k-tab`` rows are tab-separated ``user item rating
     timestamp`` with integer 1-5 ratings.  ``generic-csv`` expects a header
     with ``user,item,rating`` and an optional ``timestamp`` column; ratings
-    may be fractional.  Duplicate (user, item) entries keep the latest
-    timestamp (row order breaks ties).
+    may be fractional.  A rating must be finite.  Duplicate (user, item)
+    entries keep the latest timestamp (row order breaks ties).
     """
-    rows: list[tuple[int, int, float, int]] = []
+    users, items, ratings, stamps = [], [], [], []
+
+    def add(lineno: int, fields, raw) -> None:
+        try:
+            user, item, rating, ts = (int(fields[0]), int(fields[1]),
+                                      float(fields[2]), int(fields[3]))
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: malformed row "
+                             f"{raw!r}") from exc
+        if not math.isfinite(rating):
+            raise ValueError(f"{path}: line {lineno}: rating {fields[2]!r} "
+                             f"is not finite")
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+        stamps.append(ts)
+
     if format == "movielens-100k-tab":
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                try:
-                    user, item, rating, ts = (int(parts[0]), int(parts[1]),
-                                              float(parts[2]), int(parts[3]))
-                except (IndexError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {lineno}: malformed row "
-                                     f"{line!r}") from exc
-                rows.append((user, item, rating, ts))
+                if line := line.rstrip("\n"):
+                    add(lineno, line.split("\t"), line)
     elif format == "generic-csv":
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -112,68 +120,96 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
             required = {"user", "item", "rating"}
             if not required.issubset(reader.fieldnames):
                 raise ValueError(f"{path}: header must contain {sorted(required)}")
-            has_ts = "timestamp" in reader.fieldnames
             for lineno, rec in enumerate(reader, start=2):
-                try:
-                    ts = int(rec["timestamp"]) if has_ts else lineno
-                    rows.append((int(rec["user"]), int(rec["item"]),
-                                 float(rec["rating"]), ts))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {lineno}: malformed row "
-                                     f"{rec!r}") from exc
+                add(lineno, (rec["user"], rec["item"], rec["rating"],
+                             rec.get("timestamp", lineno)), rec)
     else:
         raise ValueError(f"unknown ratings format {format!r}")
-    if not rows:
+    if not users:
         raise ValueError(f"{path}: no ratings found")
-    return _dedup_latest(rows)
+    return _dedup_latest(np.array(users, dtype=np.int64),
+                         np.array(items, dtype=np.int64),
+                         np.array(ratings, dtype=float),
+                         np.array(stamps, dtype=np.int64))
 
 
 @dataclass(frozen=True)
 class PairComparisons:
-    """Signed rating differences per item pair, oriented i-minus-j for
-    i < j; zero differences have already been removed."""
+    """The pairs-file layout: pair p is (item_i[p], item_j[p]), i < j, with
+    finite non-zero differences diffs[offsets[p]:offsets[p + 1]] (i minus j).
+    Construction checks it (CorruptDataError) and sorts the pairs by (i, j)."""
 
-    diffs: dict[tuple[int, int], np.ndarray]
+    item_i: np.ndarray
+    item_j: np.ndarray
+    offsets: np.ndarray
+    diffs: np.ndarray
 
     def __post_init__(self):
-        for (i, j), d in self.diffs.items():
-            if not i < j:
-                raise ValueError(f"pair ({i}, {j}) not oriented i < j")
-            if np.any(np.asarray(d) == 0):
-                raise CorruptDataError(f"pair ({i}, {j}) holds a zero difference")
+        item_i, item_j, offsets = map(np.asarray, (self.item_i, self.item_j, self.offsets))
+        diffs = np.asarray(self.diffs, dtype=float)
+        if not (item_i.ndim == item_j.ndim == offsets.ndim == diffs.ndim == 1
+                and item_i.size == item_j.size
+                and all(a.dtype.kind in "iu" for a in (item_i, item_j, offsets))):
+            raise CorruptDataError(
+                "item_i, item_j and offsets must be 1-d integer arrays, "
+                "item_i and item_j of equal length")
+        lengths = np.diff(offsets)
+        if (offsets.size != item_i.size + 1 or offsets[0] != 0
+                or np.any(lengths < 0) or offsets[-1] != diffs.size):
+            raise CorruptDataError(
+                f"offsets must hold {item_i.size + 1} non-decreasing entries "
+                f"from 0 to {diffs.size}")
+        if np.any(item_i >= item_j) or not np.all(np.isfinite(diffs) & (diffs != 0)):
+            raise CorruptDataError("pairs need i < j and finite non-zero differences")
+        order = np.lexsort((item_j, item_i))
+        item_i, item_j, lengths = item_i[order], item_j[order], lengths[order]
+        if not _run_starts(item_i, item_j).all():
+            raise CorruptDataError("an item pair is listed twice")
+        # each pair's run of differences moves with it
+        offsets, starts = np.r_[0, np.cumsum(lengths)], offsets[:-1][order]
+        diffs = diffs[np.arange(diffs.size)
+                      + np.repeat(starts - offsets[:-1], lengths)]
+        for name, a in zip(_PAIR_ARRAYS, (item_i, item_j, offsets, diffs)):
+            object.__setattr__(self, name, a)
 
     def n_pairs(self) -> int:
-        return len(self.diffs)
+        return self.item_i.size
 
     def total_comparisons(self) -> int:
-        return sum(d.size for d in self.diffs.values())
+        return self.diffs.size
 
 
 def build_pair_comparisons(table: RatingsTable,
                            min_ratings_per_item: int = 1) -> PairComparisons:
     """Per-user signed rating differences over all pairs of items rated at
-    least ``min_ratings_per_item`` times; zero differences are dropped."""
+    least ``min_ratings_per_item`` times; zero differences are dropped, and
+    each pair's differences are in user order."""
     if min_ratings_per_item < 1:
         raise ValueError("min_ratings_per_item must be >= 1")
-    items, counts = np.unique(table.items, return_counts=True)
-    kept = set(items[counts >= min_ratings_per_item].tolist())
-    by_user: dict[int, list[tuple[int, float]]] = {}
-    for u, it, r in zip(table.users.tolist(), table.items.tolist(),
-                        table.ratings.tolist()):
-        if it in kept:
-            by_user.setdefault(u, []).append((it, r))
-    acc: dict[tuple[int, int], list[float]] = {}
-    for rated in by_user.values():
-        rated.sort()
-        for a in range(len(rated)):
-            i, ri = rated[a]
-            for b in range(a + 1, len(rated)):
-                j, rj = rated[b]
-                d = ri - rj
-                if d != 0:
-                    acc.setdefault((i, j), []).append(d)
-    return PairComparisons({p: np.asarray(v, dtype=float)
-                            for p, v in sorted(acc.items())})
+    ids, ranks, counts = np.unique(table.items, return_inverse=True,
+                                   return_counts=True)
+    kept = counts[ranks] >= min_ratings_per_item
+    users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
+    order = np.lexsort((ranks, users))
+    users, ranks, ratings = users[order], ranks[order], ratings[order]
+    starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
+    # a pair's key is rank_i * ids.size + rank_j, which cannot overflow
+    # whatever the item ids are; users go one at a time, because every
+    # user's index pairs at once cost more memory
+    blocks = [(ranks[:0], ratings[:0])]
+    for lo, hi in zip(starts.tolist(), np.r_[starts[1:], users.size].tolist()):
+        a, b = np.triu_indices(hi - lo, 1)
+        d = ratings[lo + a] - ratings[lo + b]
+        nz = d != 0
+        blocks.append((ranks[lo + a[nz]] * ids.size + ranks[lo + b[nz]], d[nz]))
+    keys, diffs = (np.concatenate(c) for c in zip(*blocks))
+    del blocks
+    order = np.argsort(keys, kind="stable")  # differences stay in user order
+    keys, diffs = keys[order], diffs[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    pair = keys[starts]
+    return PairComparisons(ids[pair // ids.size], ids[pair % ids.size],
+                           np.r_[starts, keys.size], diffs)
 
 
 def ordinal_histogram(pairs: PairComparisons, bins=None):
@@ -187,7 +223,7 @@ def ordinal_histogram(pairs: PairComparisons, bins=None):
     """
     if pairs.n_pairs() == 0:
         raise ValueError("no comparisons to histogram")
-    mags = np.abs(np.concatenate(list(pairs.diffs.values())))
+    mags = np.abs(pairs.diffs)
     if bins is not None:
         counts, edges = np.histogram(mags, bins=bins)
         _warn_if_increasing(counts.astype(float))
@@ -299,21 +335,27 @@ class EvaluationReport:
         }
 
 
-def _split_accuracy(diffs: np.ndarray, n_train: int,
-                    rng: np.random.Generator) -> tuple[float, float]:
-    """One random split of a pair's comparisons; returns (ordinal, binary)
-    accuracy of predicting the test signs from the train aggregate's sign."""
-    perm = rng.permutation(diffs.size)
-    train = diffs[perm[:n_train]]
-    test_signs = np.sign(diffs[perm[n_train:]])
-    out = []
-    for aggregate in (float(train.sum()), float(np.sign(train).sum())):
-        if aggregate == 0.0:
-            out.append(0.5)  # abstain: chance-level credit
-        else:
-            pred = 1.0 if aggregate > 0 else -1.0
-            out.append(float(np.mean(test_signs == pred)))
-    return out[0], out[1]
+def _split_keys(seed: int, repetitions: int, size: int):
+    """Per repetition, ``size`` uniform sort keys from its own spawned generator."""
+    for child in np.random.SeedSequence(seed).spawn(repetitions):
+        yield np.random.default_rng(child).random(size)
+
+
+def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
+                    n_train: np.ndarray) -> np.ndarray:
+    """Rows (ordinal, binary) of per-pair accuracies of one split: segment
+    ``diffs[offsets[p]:offsets[p + 1]]`` trains on its first ``n_train[p]``
+    comparisons and predicts the held-out signs from the sign of the raw
+    sum or the sign sum."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
+    n_test = sizes - n_train
+    test_pos = np.add.reduceat(~train & (diffs > 0), starts)
+    aggregate = np.add.reduceat(np.where(train, [diffs, np.sign(diffs)], 0.0),
+                                starts, axis=1)
+    correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
+    # a zero aggregate abstains: chance-level credit
+    return np.where(aggregate == 0.0, 0.5, correct / n_test)
 
 
 def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
@@ -322,8 +364,9 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
                            ) -> EvaluationReport:
     """Randomized split evaluation of sum versus sign-sum aggregation.
 
-    Pairs with fewer than ``min_pair_count`` comparisons are skipped.  The
-    closing paired t-test compares binary against ordinal accuracy; the
+    Pairs with fewer than ``min_pair_count`` comparisons are skipped; each
+    repetition splits all others with one generator spawned from ``seed``.
+    The closing paired t-test compares binary against ordinal accuracy; the
     pairing unit is the repetition mean by default, or per-pair means with
     ``pairing='pair'``.
     """
@@ -331,32 +374,31 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
         raise ValueError("train_frac must lie in (0, 1)")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    eligible = [(p, d) for p, d in sorted(pairs.diffs.items())
-                if d.size >= max(min_pair_count, 2)]
-    if not eligible:
-        raise ValueError("no pair has enough comparisons to evaluate")
-    n_pairs = len(eligible)
-    ord_acc = np.empty((repetitions, n_pairs))
-    bin_acc = np.empty((repetitions, n_pairs))
-    for rep in range(repetitions):
-        for idx, (_, diffs) in enumerate(eligible):
-            rng = np.random.default_rng([seed, rep, idx])
-            n_train = min(max(int(train_frac * diffs.size), 1), diffs.size - 1)
-            ord_acc[rep, idx], bin_acc[rep, idx] = _split_accuracy(
-                diffs, n_train, rng)
-    if pairing == "repetition":
-        binary, ordinal = bin_acc.mean(axis=1), ord_acc.mean(axis=1)
-    elif pairing == "pair":
-        binary, ordinal = bin_acc.mean(axis=0), ord_acc.mean(axis=0)
-    else:
+    if pairing not in ("repetition", "pair"):
         raise ValueError("pairing must be 'repetition' or 'pair'")
+    counts = np.diff(pairs.offsets)
+    eligible = counts >= max(min_pair_count, 2)
+    if not eligible.any():
+        raise ValueError("no pair has enough comparisons to evaluate")
+    sizes = counts[eligible]
+    diffs = pairs.diffs[np.repeat(eligible, counts)]
+    offsets = np.r_[0, np.cumsum(sizes)]
+    n_train = np.clip((train_frac * sizes).astype(np.int64), 1, sizes - 1)
+    pair_id = np.repeat(np.arange(sizes.size), sizes)
+    ord_acc, bin_acc = np.empty((2, repetitions, sizes.size))
+    for rep, keys in enumerate(_split_keys(seed, repetitions, diffs.size)):
+        ord_acc[rep], bin_acc[rep] = _split_accuracy(
+            diffs[np.lexsort((keys, pair_id))], offsets, n_train)
+    axis = 1 if pairing == "repetition" else 0
+    binary, ordinal = bin_acc.mean(axis=axis), ord_acc.mean(axis=axis)
     if binary.size < 2:  # a single pairing unit has no paired variance
         ttest = TTestResult(0.0, math.nan, degenerate=True)
     else:
         ttest = paired_t_test(binary, ordinal)
     return EvaluationReport(
-        pair_order=tuple(p for p, _ in eligible),
-        pair_counts=tuple(int(d.size) for _, d in eligible),
+        pair_order=tuple(zip(pairs.item_i[eligible].tolist(),
+                             pairs.item_j[eligible].tolist())),
+        pair_counts=tuple(sizes.tolist()),
         ordinal_acc=ord_acc,
         binary_acc=bin_acc,
         pairing=pairing,
@@ -391,60 +433,33 @@ def synthetic_ratings(n_items: int = 20, users_per_pair: int = 250,
     model = OrdinalModel(StrengthLink("identity"), pattern)
     theta = theta_gap * ((n_items - 1) / 2.0 - np.arange(n_items))
     rng = np.random.default_rng(seed)
-    rows: list[tuple[int, int, float, int]] = []
-    user = 0
-    ts = 0
-    for i in range(n_items):
-        for j in range(i + 1, n_items):
-            draws = model.sample(float(theta[i] - theta[j]), rng, users_per_pair)
-            for y in draws.tolist():
-                high = 3 + (y + (1 if y > 0 else 0)) // 2  # 3+ceil(y/2)
-                low = high - y
-                ts += 2
-                rows.append((user, i, float(high), ts - 1))
-                rows.append((user, j, float(low), ts))
-                user += 1
-    return _dedup_latest(rows)
+    first, second = np.triu_indices(n_items, 1)
+    y = np.concatenate([
+        model.sample(float(theta[i] - theta[j]), rng, users_per_pair)
+        for i, j in zip(first.tolist(), second.tolist())])
+    high = 3 + (y + (y > 0)) // 2  # 3 + ceil(y / 2)
+    # user u rates the higher item in row 2u and the lower one in row 2u + 1
+    return RatingsTable(
+        users=np.repeat(np.arange(y.size), 2),
+        items=np.column_stack([np.repeat(first, users_per_pair),
+                               np.repeat(second, users_per_pair)]).ravel(),
+        ratings=np.column_stack([high, high - y]).ravel().astype(float),
+        timestamps=np.arange(1, 2 * y.size + 1),
+    )
 
 
 def save_pairs(pairs: PairComparisons, path) -> None:
-    """Compact on-disk form: pair index arrays plus one flat diff array with
-    offsets (numpy .npz archive, written to ``path`` verbatim)."""
-    keys = sorted(pairs.diffs)
-    lengths = [pairs.diffs[k].size for k in keys]
+    """Write the four pair arrays as a numpy .npz archive to ``path`` verbatim."""
     with open(path, "wb") as fh:  # a handle stops savez appending .npz
-        np.savez(
-            fh,
-            item_i=np.array([k[0] for k in keys], dtype=np.int64),
-            item_j=np.array([k[1] for k in keys], dtype=np.int64),
-            offsets=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
-            diffs=(np.concatenate([pairs.diffs[k] for k in keys])
-                   if keys else np.empty(0)),
-        )
+        np.savez(fh, **{name: getattr(pairs, name) for name in _PAIR_ARRAYS})
 
 
 def load_pairs(path) -> PairComparisons:
-    """Read a ``save_pairs`` archive; raises CorruptDataError unless the
-    offsets partition the differences into one run per pair and no pair is
-    listed twice."""
+    """Read a ``save_pairs`` archive, its pairs in any order; raises
+    CorruptDataError, naming ``path``, for an invalid layout."""
     with np.load(path) as z:
-        item_i, item_j = z["item_i"], z["item_j"]
-        offsets, diffs = z["offsets"], z["diffs"]
-    if not (item_i.ndim == item_j.ndim == offsets.ndim == diffs.ndim == 1
-            and item_i.size == item_j.size
-            and all(np.issubdtype(a.dtype, np.integer)
-                    for a in (item_i, item_j, offsets))):
-        raise CorruptDataError(
-            f"{path}: item_i, item_j and offsets must be 1-d integer arrays, "
-            f"item_i and item_j of equal length")
-    if (offsets.size != item_i.size + 1 or offsets[0] != 0
-            or np.any(np.diff(offsets) < 0) or offsets[-1] != diffs.size):
-        raise CorruptDataError(
-            f"{path}: offsets must hold {item_i.size + 1} non-decreasing "
-            f"entries from 0 to {diffs.size}")
-    out = {}
-    for a, (i, j) in enumerate(zip(item_i.tolist(), item_j.tolist())):
-        out[(i, j)] = diffs[offsets[a]:offsets[a + 1]]
-    if len(out) != item_i.size:
-        raise CorruptDataError(f"{path}: an item pair is listed twice")
-    return PairComparisons(out)
+        arrays = {name: z[name] for name in _PAIR_ARRAYS}
+    try:
+        return PairComparisons(**arrays)
+    except CorruptDataError as exc:
+        raise CorruptDataError(f"{path}: {exc}") from None

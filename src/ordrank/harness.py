@@ -61,11 +61,21 @@ CSV_COLUMNS = ["scenario", "link", "pattern", "beta", "n", "K", "L",
                "gamma_or_w", "metric", "estimate", "se", "ci_lo", "ci_hi",
                "reps", "seed"]
 
+
+def _whole(value) -> int:
+    """An int field's value; a bool or a non-integral number is refused
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 # Config field types (as annotated) and how JSON values are coerced to them.
 _COERCE = {
-    "int": int,
+    "int": _whole,
     "float": float,
-    "tuple[int, ...]": lambda v: tuple(int(x) for x in v),
+    "tuple[int, ...]": lambda v: tuple(_whole(x) for x in v),
     "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
 }
 
@@ -98,7 +108,10 @@ class ExperimentConfig:
                 if kind == f.type:
                     raise ConfigError(f"config field {f.name} may not be null")
             elif kind in _COERCE:
-                object.__setattr__(self, f.name, _COERCE[kind](value))
+                try:
+                    object.__setattr__(self, f.name, _COERCE[kind](value))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"config field {f.name}: {exc}") from None
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         grid = self.L_grid

@@ -379,6 +379,14 @@ class TestInputBoundaries:
         assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 2
         assert "theta must be a JSON list" in capsys.readouterr().err
 
+    def test_non_finite_rating_is_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "u.data"
+        raw.write_text("1\t10\tnan\t100\n1\t20\tinf\t101\n", encoding="utf-8")
+        out = tmp_path / "pairs.npz"
+        assert run_cli("ingest", "--path", str(raw), "--out", str(out)) == 2
+        assert "line 1: rating 'nan' is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theta_object_form_accepted(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")

@@ -2,9 +2,12 @@
 protocol, and the paired t-test."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordrank.data import (
     PairComparisons,
@@ -18,12 +21,77 @@ from ordrank.data import (
     student_t_cdf,
     synthetic_ratings,
     _split_accuracy,
+    _split_keys,
 )
 from ordrank.model import CorruptDataError
 
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def make_pairs(runs: dict) -> PairComparisons:
+    """PairComparisons from {(i, j): differences}, pairs in dict order."""
+    keys = list(runs)
+    return PairComparisons(
+        item_i=np.array([k[0] for k in keys], dtype=np.int64),
+        item_j=np.array([k[1] for k in keys], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(runs[k]) for k in keys]),
+        diffs=np.concatenate([np.asarray(runs[k], dtype=float) for k in keys]
+                             + [np.empty(0)]))
+
+
+def as_dict(pairs: PairComparisons) -> dict:
+    """{(i, j): differences} of a PairComparisons."""
+    bounds = zip(pairs.offsets[:-1].tolist(), pairs.offsets[1:].tolist())
+    return {(i, j): pairs.diffs[a:b] for i, j, (a, b) in
+            zip(pairs.item_i.tolist(), pairs.item_j.tolist(), bounds)}
+
+
+def reference_pairs(rows, min_ratings: int):
+    """Pair arrays from (user, item, rating, timestamp) rows by the plain
+    loops: the latest row per (user, item), later rows winning ties, then
+    every user's sorted items differenced pair by pair."""
+    best = {}
+    for row in rows:
+        key = (row[0], row[1])
+        if key not in best or row[3] >= best[key][3]:
+            best[key] = row
+    table = sorted(best.values())
+    counts = Counter(r[1] for r in table)
+    by_user: dict[int, list] = {}
+    for u, it, r, _ in table:
+        if counts[it] >= min_ratings:
+            by_user.setdefault(u, []).append((it, r))
+    acc: dict[tuple[int, int], list[float]] = {}
+    for rated in by_user.values():
+        rated.sort()
+        for a in range(len(rated)):
+            i, ri = rated[a]
+            for b in range(a + 1, len(rated)):
+                j, rj = rated[b]
+                d = ri - rj
+                if d != 0:
+                    acc.setdefault((i, j), []).append(d)
+    keys = sorted(acc)
+    return (np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.cumsum([0] + [len(acc[k]) for k in keys]),
+            np.array([d for k in keys for d in acc[k]], dtype=float))
+
+
+def split_accuracy_loop(diffs: np.ndarray, n_train: int) -> tuple[float, float]:
+    """One pair's split scored directly: the first ``n_train`` comparisons
+    train, the rest are held out."""
+    train, test_signs = diffs[:n_train], np.sign(diffs[n_train:])
+    out = []
+    for aggregate in (float(train.sum()), float(np.sign(train).sum())):
+        if aggregate == 0.0:
+            out.append(0.5)
+        else:
+            pred = 1.0 if aggregate > 0 else -1.0
+            out.append(float(np.mean(test_signs == pred)))
+    return out[0], out[1]
 
 
 @pytest.fixture
@@ -77,6 +145,18 @@ class TestLoadRatings:
         with pytest.raises(ValueError):
             load_ratings(movielens_file, format="parquet")
 
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("format,text", [
+        ("movielens-100k-tab", "1\t10\t5\t100\n1\t20\t{}\t101\n"),
+        ("generic-csv", "user,item,rating\n1,20,{}\n1,10,5\n"),
+    ], ids=["tab", "csv"])
+    def test_non_finite_rating_reports_line(self, tmp_path, format, text,
+                                            rating):
+        path = tmp_path / "ratings"
+        path.write_text(text.format(rating), encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: rating .* not finite"):
+            load_ratings(path, format=format)
+
 
 class TestBuildPairComparisons:
     def test_zero_differences_dropped(self, tmp_path):
@@ -85,7 +165,7 @@ class TestBuildPairComparisons:
             "1\t0\t5\t1\n1\t1\t3\t2\n2\t0\t4\t3\n2\t1\t4\t4\n",
             encoding="utf-8")
         pairs = build_pair_comparisons(load_ratings(path), 1)
-        assert pairs.diffs[(0, 1)].tolist() == [2.0]
+        assert as_dict(pairs)[(0, 1)].tolist() == [2.0]
 
     def test_threshold_filters_everything(self, movielens_file):
         pairs = build_pair_comparisons(load_ratings(movielens_file), 100)
@@ -101,31 +181,49 @@ class TestBuildPairComparisons:
         pairs2 = build_pair_comparisons(
             RatingsTable(swapped.users, flipped_items, swapped.ratings,
                          swapped.timestamps), 1)
-        for (i, j), d in pairs.diffs.items():
+        for (i, j), d in as_dict(pairs).items():
             a, b = relabel[i], relabel[j]
             expect = -d if a > b else d
-            got = pairs2.diffs[(min(a, b), max(a, b))]
+            got = as_dict(pairs2)[(min(a, b), max(a, b))]
             np.testing.assert_array_equal(np.sort(got), np.sort(expect))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from([-7, -1, 0, 2, 3, 2**40]),
+        st.sampled_from([-5, -2, 0, 1, 4, 10**12]),
+        st.integers(0, 20).map(lambda q: q / 4),
+        st.integers(0, 3)), min_size=1, max_size=40),
+        min_ratings=st.integers(1, 4))
+    def test_equals_reference_loops(self, tmp_path_factory, rows, min_ratings):
+        path = tmp_path_factory.mktemp("prop") / "r.csv"
+        path.write_text("user,item,rating,timestamp\n" + "".join(
+            f"{u},{i},{r!r},{t}\n" for u, i, r, t in rows), encoding="utf-8")
+        pairs = build_pair_comparisons(
+            load_ratings(path, format="generic-csv"), min_ratings)
+        got = (pairs.item_i, pairs.item_j, pairs.offsets, pairs.diffs)
+        for a, b in zip(got, reference_pairs(rows, min_ratings)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_orientation_enforced(self):
         with pytest.raises(ValueError):
-            PairComparisons({(2, 1): np.array([1.0])})
+            make_pairs({(2, 1): np.array([1.0])})
 
 
 class TestOrdinalHistogram:
     def test_counts(self):
-        pairs = PairComparisons({(0, 1): np.array([1.0, -1.0, 1.0, 2.0])})
+        pairs = make_pairs({(0, 1): np.array([1.0, -1.0, 1.0, 2.0])})
         hist = ordinal_histogram(pairs)
         assert hist == {1.0: 3, 2.0: 1}
 
     def test_empty_bins_present(self):
-        pairs = PairComparisons({(0, 1): np.array([1.0, 1.0, 3.0])})
+        pairs = make_pairs({(0, 1): np.array([1.0, 1.0, 3.0])})
         with pytest.warns(UserWarning):
             hist = ordinal_histogram(pairs)
         assert hist[2.0] == 0
 
     def test_explicit_edges(self):
-        pairs = PairComparisons({(0, 1): np.array([0.5, -0.5, 1.5])})
+        pairs = make_pairs({(0, 1): np.array([0.5, -0.5, 1.5])})
         counts, edges = ordinal_histogram(pairs, bins=[0.0, 1.0, 2.0])
         assert counts.tolist() == [2, 1]
 
@@ -144,27 +242,34 @@ class TestOrdinalHistogram:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-class _FixedOrder:
-    def permutation(self, n):
-        return np.arange(n)
-
-
 class TestSplitAccuracy:
     def test_abstention_scores_half(self):
-        acc_ord, acc_bin = _split_accuracy(
-            np.array([1.0, -1.0, 2.0, -2.0]), 2, _FixedOrder())
+        (acc_ord,), (acc_bin,) = _split_accuracy(
+            np.array([1.0, -1.0, 2.0, -2.0]), np.array([0, 4]), np.array([2]))
         assert acc_ord == 0.5  # train (+1, -1) sums to zero
         assert acc_bin == 0.5
 
     def test_plain_split(self):
-        acc_ord, acc_bin = _split_accuracy(
-            np.array([2.0, 1.0, 1.0, -1.0]), 2, _FixedOrder())
+        (acc_ord,), (acc_bin,) = _split_accuracy(
+            np.array([2.0, 1.0, 1.0, -1.0]), np.array([0, 4]), np.array([2]))
         assert acc_ord == 0.5 and acc_bin == 0.5  # pred +, test (+1, -1)
+
+    def test_batched_equals_per_pair_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            sizes = rng.integers(2, 13, size=int(rng.integers(1, 20)))
+            diffs = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], sizes.sum())
+            offsets = np.cumsum(np.r_[0, sizes])
+            n_train = rng.integers(1, sizes)
+            got = _split_accuracy(diffs, offsets, n_train)
+            want = [split_accuracy_loop(diffs[a:b], n) for a, b, n in
+                    zip(offsets[:-1], offsets[1:], n_train)]
+            np.testing.assert_array_equal(np.transpose(got), want)
 
 
 class TestEvaluateProtocol:
     def test_all_positive_pair_scores_one(self):
-        pairs = PairComparisons({(0, 1): np.full(10, 2.0)})
+        pairs = make_pairs({(0, 1): np.full(10, 2.0)})
         rep = evaluate_pair_protocol(pairs, repetitions=5, min_pair_count=5)
         assert rep.mean_ordinal == 1.0
         assert rep.mean_binary == 1.0
@@ -173,7 +278,7 @@ class TestEvaluateProtocol:
     def test_outlier_flips_ordinal_only(self):
         # one large negative among three positives: the raw sum is negative
         # for every train subset, the sign sum is positive in three of four
-        pairs = PairComparisons({(0, 1): np.array([1.0, 1.0, 1.0, -4.0])})
+        pairs = make_pairs({(0, 1): np.array([1.0, 1.0, 1.0, -4.0])})
         rep = evaluate_pair_protocol(pairs, train_frac=0.75, repetitions=40,
                                      min_pair_count=2, seed=11)
         assert rep.mean_ordinal == 0.0
@@ -187,18 +292,24 @@ class TestEvaluateProtocol:
         np.testing.assert_array_equal(a.ordinal_acc, b.ordinal_acc)
         np.testing.assert_array_equal(a.binary_acc, b.binary_acc)
 
+    def test_first_repetition_does_not_reuse_the_seed_stream(self):
+        # default_rng([7, 0, 0]) is default_rng(7): per-cell keys built that
+        # way re-drew the stream that generated criterion 10's input
+        keys = next(_split_keys(7, 3, 500))
+        assert not np.array_equal(keys, np.random.default_rng(7).random(500))
+
     def test_negating_differences_preserves_accuracy(self):
         rng = np.random.default_rng(6)
         diffs = rng.choice([-3, -2, -1, 1, 2, 3], size=30).astype(float)
         base = evaluate_pair_protocol(
-            PairComparisons({(0, 1): diffs}), repetitions=10, min_pair_count=5)
+            make_pairs({(0, 1): diffs}), repetitions=10, min_pair_count=5)
         flipped = evaluate_pair_protocol(
-            PairComparisons({(0, 1): -diffs}), repetitions=10, min_pair_count=5)
+            make_pairs({(0, 1): -diffs}), repetitions=10, min_pair_count=5)
         np.testing.assert_array_equal(base.ordinal_acc, flipped.ordinal_acc)
         np.testing.assert_array_equal(base.binary_acc, flipped.binary_acc)
 
     def test_small_pairs_skipped(self):
-        pairs = PairComparisons({
+        pairs = make_pairs({
             (0, 1): np.full(20, 1.0),
             (0, 2): np.array([1.0, -1.0]),
         })
@@ -206,12 +317,12 @@ class TestEvaluateProtocol:
         assert rep.pair_order == ((0, 1),)
 
     def test_no_eligible_pairs(self):
-        pairs = PairComparisons({(0, 1): np.array([1.0, -1.0])})
+        pairs = make_pairs({(0, 1): np.array([1.0, -1.0])})
         with pytest.raises(ValueError):
             evaluate_pair_protocol(pairs, repetitions=3, min_pair_count=10)
 
     def test_single_repetition_flags_degenerate_ttest(self):
-        pairs = PairComparisons({(0, 1): np.full(12, 1.0),
+        pairs = make_pairs({(0, 1): np.full(12, 1.0),
                                  (0, 2): np.full(12, -2.0)})
         rep = evaluate_pair_protocol(pairs, repetitions=1, min_pair_count=10)
         assert rep.ttest.degenerate
@@ -308,9 +419,24 @@ class TestPairsSerialization:
         save_pairs(pairs, path)
         assert path.exists()  # written verbatim, no .npz suffix surprises
         again = load_pairs(path)
-        assert set(again.diffs) == set(pairs.diffs)
-        for key, d in pairs.diffs.items():
-            np.testing.assert_array_equal(again.diffs[key], d)
+        assert set(as_dict(again)) == set(as_dict(pairs))
+        for key, d in as_dict(pairs).items():
+            np.testing.assert_array_equal(as_dict(again)[key], d)
+
+    def test_shuffled_archive_loads_equal_to_sorted(self, tmp_path):
+        pairs = build_pair_comparisons(
+            synthetic_ratings(n_items=5, users_per_pair=12, seed=8), 1)
+        runs = as_dict(pairs)
+        order = np.random.default_rng(2).permutation(pairs.n_pairs())
+        keys = [list(runs)[p] for p in order]
+        path = tmp_path / "pairs.npz"
+        self.write_archive(path, np.cumsum([0] + [runs[k].size for k in keys]),
+                           [k[0] for k in keys], [k[1] for k in keys],
+                           np.concatenate([runs[k] for k in keys]))
+        again = load_pairs(path)
+        for name in ("item_i", "item_j", "offsets", "diffs"):
+            np.testing.assert_array_equal(getattr(again, name),
+                                          getattr(pairs, name))
 
     @staticmethod
     def write_archive(path, offsets, item_i=(0, 1), item_j=(1, 2),
@@ -327,15 +453,19 @@ class TestPairsSerialization:
         {"offsets": [0, 2, 5], "item_j": (1,)},  # unequal item arrays
         {"offsets": [0, 2, 5], "item_i": (0.0, 1.0)},  # non-integer items
         {"offsets": [0, 2, 5], "item_i": (0, 0), "item_j": (1, 1)},  # duplicate
+        {"offsets": [0, 2, 5], "diffs": (1.0, math.nan, 3.0, 1.0, 2.0)},
+        {"offsets": [0, 2, 5], "diffs": (1.0, -2.0, 3.0, -math.inf, 2.0)},
+        {"offsets": [0, 2, 5], "diffs": (1.0, 0.0, 3.0, 1.0, 2.0)},
+        {"offsets": [0, 2, 5], "item_i": (2, 1)},  # not oriented i < j
     ])
     def test_corrupt_archive_rejected(self, tmp_path, kwargs):
         path = tmp_path / "pairs.npz"
         self.write_archive(path, **kwargs)
-        with pytest.raises(CorruptDataError):
+        with pytest.raises(CorruptDataError, match="pairs.npz: "):
             load_pairs(path)
 
     def test_valid_archive_loads(self, tmp_path):
         path = tmp_path / "pairs.npz"
         self.write_archive(path, [0, 2, 5])
         pairs = load_pairs(path)
-        assert pairs.diffs[(1, 2)].tolist() == [3.0, 1.0, 2.0]
+        assert as_dict(pairs)[(1, 2)].tolist() == [3.0, 1.0, 2.0]

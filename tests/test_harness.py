@@ -69,6 +69,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n may not be null"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key,value", [
+        ("K", 2.7), ("replications", 99.9), ("L_grid", [100.5, 200.9]),
+        ("K", True),
+    ])
+    def test_int_fields_refuse_truncation(self, key, value):
+        d = {**default_config("scenario1").to_dict(), key: value}
+        with pytest.raises(ConfigError, match=f"config field {key}: "):
+            ExperimentConfig.from_dict(d)
+
     def test_theta_length_must_match_n(self):
         with pytest.raises(ConfigError, match="theta"):
             default_config("scenario1", theta=(0.2, 0.0, -0.2))  # n=10
