@@ -7,7 +7,7 @@ pulls ahead, and the limits say by how much.
 """
 
 from ordrank import OrdinalModel, PatternDistribution, StrengthLink, asymptotic_two_item
-from ordrank.harness import default_config, run_two_item
+from ordrank.harness import default_config, run_experiment
 
 GAMMA = 0.15
 BETA = 0.1
@@ -20,7 +20,7 @@ config = default_config(
     replications=20000,
     base_seed=2,
 )
-result = run_two_item(config)
+result = run_experiment(config)
 
 model = OrdinalModel(StrengthLink("identity"),
                      PatternDistribution.from_family("abs", BETA, config.K))

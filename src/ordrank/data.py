@@ -87,8 +87,9 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
     ``movielens-100k-tab`` rows are tab-separated ``user item rating
     timestamp`` with integer 1-5 ratings.  ``generic-csv`` expects a header
     with ``user,item,rating`` and an optional ``timestamp`` column; ratings
-    may be fractional.  A rating must be finite.  Duplicate (user, item)
-    entries keep the latest timestamp (row order breaks ties).
+    may be fractional.  A rating must be finite and the integer fields must
+    fit in int64.  Duplicate (user, item) entries keep the latest timestamp
+    (row order breaks ties).
     """
     users, items, ratings, stamps = [], [], [], []
 
@@ -102,6 +103,11 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
         if not math.isfinite(rating):
             raise ValueError(f"{path}: line {lineno}: rating {fields[2]!r} "
                              f"is not finite")
+        # chained compares: a min()/max() pair costs about 5x more per row
+        if not (-2**63 <= user < 2**63 and -2**63 <= item < 2**63
+                and -2**63 <= ts < 2**63):
+            raise ValueError(f"{path}: line {lineno}: an integer in {raw!r} "
+                             f"lies outside int64")
         users.append(user)
         items.append(item)
         ratings.append(rating)

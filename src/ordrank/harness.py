@@ -1,10 +1,18 @@
 """Deterministic Monte-Carlo harness for the simulation scenarios.
 
-Four experiment kinds are supported: ``two_item`` estimates the probabilities
-that the raw-sum and sign-sum metrics rank a single pair correctly over a
-(gamma, beta, L) grid; ``scenario1`` traces both n-item ranking errors over
-L; ``scenario2`` relates the ordinal-minus-binary error gap to the magnitude
-SNR over a beta grid; ``scenario3`` tracks the error ratio as L grows.
+``run_experiment`` runs all four scenarios through one loop over grid points.
+A scenario adds only its grid rows (params, beta, pair gaps), a
+per-replication statistic and its metrics, and it reads only these fields:
+
+- ``two_item``: both metrics' success probabilities for one pair over
+  (beta, gamma, L); ``gammas``, and ``betas`` or ``pattern.beta``;
+- ``scenario1``, ``scenario3``: both n-item ranking errors, and in scenario3
+  their ratio, over ``L_grid`` at ``pattern.beta``;
+- ``scenario2``: the ordinal-minus-binary error gap against the magnitude
+  SNR over ``betas``, at the single L of ``L_grid``.
+
+The ranking scenarios also read ``n`` and ``theta`` or ``theta_gap``.  A
+field that the scenario does not read is refused with a ``ConfigError``.
 
 The counting scores read only each pair's raw sum and sign sum over its L
 rounds, and both are linear in the pair's outcome counts.  So a replication
@@ -23,7 +31,6 @@ import dataclasses
 import io
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,10 +47,6 @@ __all__ = [
     "GridPointResult",
     "ExperimentResult",
     "run_experiment",
-    "run_two_item",
-    "run_scenario1",
-    "run_scenario2",
-    "run_scenario3",
     "default_config",
 ]
 
@@ -121,20 +124,31 @@ class ExperimentConfig:
             raise ConfigError("replication count must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("CI level must lie in (0, 1)")
+        if not (isinstance(self.link, dict) and isinstance(self.pattern, dict)):
+            raise ConfigError("config link and pattern must be JSON objects")
         if self.scenario == "two_item":
             if not self.gammas:
                 raise ConfigError("two_item needs a gamma grid")
             if any(g <= 0 for g in self.gammas):
                 raise ConfigError("two_item gammas must be positive")
+            if self.n != 2 or self.theta is not None or self.theta_gap is not None:
+                raise ConfigError("two_item reads no n, theta or theta_gap")
         else:
+            if self.gammas is not None:
+                raise ConfigError(f"{self.scenario} reads no gammas")
             if self.theta is None and self.theta_gap is None:
                 raise ConfigError("ranking scenarios need theta or theta_gap")
             if self.theta is not None and len(self.theta) != self.n:
                 raise ConfigError(f"theta has {len(self.theta)} items but n={self.n}")
-        if self.scenario == "scenario2" and not self.betas:
-            raise ConfigError("scenario2 needs a beta grid")
-        if not (isinstance(self.link, dict) and isinstance(self.pattern, dict)):
-            raise ConfigError("config link and pattern must be JSON objects")
+        if self.scenario == "scenario2":
+            if not self.betas:
+                raise ConfigError("scenario2 needs a beta grid")
+            if len(self.L_grid) != 1:
+                raise ConfigError("scenario2 uses a single L")
+        elif self.scenario != "two_item" and self.betas is not None:
+            raise ConfigError(f"{self.scenario} runs at pattern.beta and reads no betas")
+        if self.betas is not None and "beta" in self.pattern:
+            raise ConfigError("beta given both as pattern.beta and in betas")
         # built once, so a malformed config fails before any run
         try:
             object.__setattr__(self, "_link", StrengthLink.from_dict(self.link))
@@ -209,7 +223,6 @@ class GridPointResult:
     params: dict
     metrics: dict[str, MetricEstimate]
     reps: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -238,31 +251,18 @@ class ExperimentResult:
                 ])
         return buf.getvalue()
 
-    def to_dict(self, annotate: bool = False) -> dict:
-        points = []
-        for p in self.points:
-            entry = {
-                "grid_id": p.grid_id,
-                "params": p.params,
-                "reps": p.reps,
-                "metrics": {
-                    k: {"estimate": v.estimate, "se": v.se,
-                        "ci_lo": v.ci_lo, "ci_hi": v.ci_hi, "flagged": v.flagged}
-                    for k, v in p.metrics.items()
-                },
-            }
-            if annotate:
-                entry["elapsed_s"] = p.elapsed
-            points.append(entry)
+    def to_dict(self) -> dict:
+        points = [{"grid_id": p.grid_id, "params": p.params, "reps": p.reps,
+                   "metrics": {k: dataclasses.asdict(v)
+                               for k, v in p.metrics.items()}}
+                  for p in self.points]
         return {"config": self.config.to_dict(),
                 "seed_lineage": self.seed_lineage,
                 "points": points}
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
+    return "" if v is None else repr(float(v))
 
 
 def _bernoulli_metric(hits: np.ndarray, z: float) -> MetricEstimate:
@@ -301,152 +301,95 @@ def _replicate(config: ExperimentConfig, grid_id: int, L: int,
     return np.concatenate(blocks)
 
 
-# -- experiment drivers ----------------------------------------------------
+# -- experiment runner -----------------------------------------------------
 
 
-def run_two_item(config: ExperimentConfig) -> ExperimentResult:
-    if config.scenario != "two_item":
-        raise ConfigError("config is not a two_item experiment")
-    link = config.make_link()
-    z = float(ndtri(0.5 + config.ci_level / 2.0))
-    points = []
-    grid = itertools.product(config.pattern_betas(), config.gammas, config.L_grid)
-    for grid_id, (beta, gamma, L) in enumerate(grid):
-        t0 = time.perf_counter()
-        support, probs = OrdinalModel(link, config._patterns[beta]).pmf_table(gamma)
-        hits = _replicate(config, grid_id, L, support, probs[None],
-                          lambda raw, sign: np.column_stack([raw[:, 0] > 0,
-                                                             sign[:, 0] > 0]))
-        # the two hit indicators share draws, so the gap gets its own paired
-        # standard error
-        gap = hits[:, 1].astype(float) - hits[:, 0].astype(float)
-        metrics = {
-            "p_raw_positive": _bernoulli_metric(hits[:, 0], z),
+# Each scenario's metrics of one grid point, from its per-replication rows.
+
+def _two_item_metrics(hits, pattern: PatternDistribution, z: float) -> dict:
+    # the two hit indicators share draws, so the gap gets its own paired
+    # standard error
+    gap = hits[:, 1].astype(float) - hits[:, 0].astype(float)
+    return {"p_raw_positive": _bernoulli_metric(hits[:, 0], z),
             "p_sign_positive": _bernoulli_metric(hits[:, 1], z),
-            "p_sign_minus_raw": _sample_metric(gap, z, clip01=False),
-        }
-        params = {"L": L, "gamma": gamma}
-        if beta is not None:
-            params["beta"] = beta
-        points.append(GridPointResult(grid_id, params, metrics,
-                                      config.replications,
-                                      time.perf_counter() - t0))
-    return _finish(config, points)
+            "p_sign_minus_raw": _sample_metric(gap, z, clip01=False)}
 
 
-def _run_tau_grid(config: ExperimentConfig,
-                  grid: list[tuple[int, float | None]],
-                  extra: Callable[[np.ndarray, PatternDistribution, float], dict]
-                  ) -> ExperimentResult:
-    link = config.make_link()
-    theta = config.make_theta()
-    z = float(ndtri(0.5 + config.ci_level / 2.0))
-    first, second = np.triu_indices(theta.n, k=1)
-    gaps = theta.gaps()[first, second]
-    # pair p = (i, j) adds its sums to item i and subtracts them from item j
-    incidence = np.zeros((gaps.size, theta.n), dtype=np.int64)
-    incidence[np.arange(gaps.size), first] = 1
-    incidence[np.arange(gaps.size), second] = -1
-
-    def stat(raw, sign):
-        return np.column_stack([kendall_tau(raw @ incidence, theta),
-                                kendall_tau(sign @ incidence, theta)])
-
-    points = []
-    for grid_id, (L, beta) in enumerate(grid):
-        t0 = time.perf_counter()
-        pattern = config._patterns[beta]
-        model = OrdinalModel(link, pattern)
-        support, probs = model.pmf_table(gaps)
-        taus = _replicate(config, grid_id, L, support, probs, stat)
-        metrics = {
-            "tau_ordinal": _sample_metric(taus[:, 0], z),
-            "tau_binary": _sample_metric(taus[:, 1], z),
-        }
-        metrics.update(extra(taus, pattern, z))
-        params = {"L": L, "w": config.theta_gap}
-        if beta is not None:
-            params["beta"] = beta
-        points.append(GridPointResult(grid_id, params, metrics,
-                                      config.replications,
-                                      time.perf_counter() - t0))
-    return _finish(config, points)
+def _scenario1_metrics(taus, pattern: PatternDistribution, z: float) -> dict:
+    return {"tau_ordinal": _sample_metric(taus[:, 0], z),
+            "tau_binary": _sample_metric(taus[:, 1], z)}
 
 
-def run_scenario1(config: ExperimentConfig) -> ExperimentResult:
-    """Ranking error of both counting scores over the L grid."""
-    if config.scenario != "scenario1":
-        raise ConfigError("config is not a scenario1 experiment")
-    beta = config.pattern_betas()[0]
-    grid = [(L, beta) for L in config.L_grid]
-    return _run_tau_grid(config, grid, lambda taus, pat, z: {})
+def _scenario2_metrics(taus, pattern: PatternDistribution, z: float) -> dict:
+    gap = taus[:, 0] - taus[:, 1]  # paired per replication
+    snr = MetricEstimate(snr_of_pattern(pattern).snr, 0.0, None, None)
+    return {**_scenario1_metrics(taus, pattern, z),
+            "tau_gap": _sample_metric(gap, z, clip01=False), "snr_exact": snr}
 
 
-def run_scenario2(config: ExperimentConfig) -> ExperimentResult:
-    """Error gap (ordinal minus binary) against the magnitude SNR over the
-    beta grid; L is fixed to the single grid entry."""
-    if config.scenario != "scenario2":
-        raise ConfigError("config is not a scenario2 experiment")
-    if len(config.L_grid) != 1:
-        raise ConfigError("scenario2 uses a single L")
-    L = config.L_grid[0]
-
-    def extra(taus, pattern, z):
-        gap = taus[:, 0] - taus[:, 1]  # paired per replication
-        return {
-            "tau_gap": _sample_metric(gap, z, clip01=False),
-            "snr_exact": MetricEstimate(snr_of_pattern(pattern).snr, 0.0,
-                                        None, None),
-        }
-
-    grid = [(L, beta) for beta in config.betas]
-    return _run_tau_grid(config, grid, extra)
-
-
-def run_scenario3(config: ExperimentConfig) -> ExperimentResult:
-    """Binary-to-ordinal error ratio over the L grid; points where the
-    ordinal error estimate is zero are flagged (ratio undefined at finite
-    replication count)."""
-    if config.scenario != "scenario3":
-        raise ConfigError("config is not a scenario3 experiment")
-    beta = config.pattern_betas()[0]
-
-    def extra(taus, pattern, z):
-        mean_ord = float(np.mean(taus[:, 0]))
-        mean_bin = float(np.mean(taus[:, 1]))
-        if mean_ord == 0.0:
-            return {"tau_ratio": MetricEstimate(None, None, None, None,
-                                                flagged=True)}
-        ratio = mean_bin / mean_ord
-        reps = taus.shape[0]
-        cov = np.cov(taus[:, 1], taus[:, 0], ddof=1) if reps > 1 else np.zeros((2, 2))
-        var = (cov[0, 0] / mean_ord**2
-               + mean_bin**2 * cov[1, 1] / mean_ord**4
-               - 2.0 * mean_bin * cov[0, 1] / mean_ord**3) / reps
-        se = float(np.sqrt(max(var, 0.0)))
-        return {"tau_ratio": MetricEstimate(ratio, se, max(0.0, ratio - z * se),
-                                            ratio + z * se)}
-
-    grid = [(L, beta) for L in config.L_grid]
-    return _run_tau_grid(config, grid, extra)
+def _scenario3_metrics(taus, pattern: PatternDistribution, z: float) -> dict:
+    # the ratio is undefined at a finite replication count where the
+    # ordinal error estimate is zero, so that point is flagged
+    metrics = _scenario1_metrics(taus, pattern, z)
+    mean_ord = float(np.mean(taus[:, 0]))
+    mean_bin = float(np.mean(taus[:, 1]))
+    if mean_ord == 0.0:
+        metrics["tau_ratio"] = MetricEstimate(None, None, None, None, flagged=True)
+        return metrics
+    ratio = mean_bin / mean_ord
+    reps = taus.shape[0]
+    cov = np.cov(taus[:, 1], taus[:, 0], ddof=1) if reps > 1 else np.zeros((2, 2))
+    var = (cov[0, 0] / mean_ord**2
+           + mean_bin**2 * cov[1, 1] / mean_ord**4
+           - 2.0 * mean_bin * cov[0, 1] / mean_ord**3) / reps
+    se = float(np.sqrt(max(var, 0.0)))
+    metrics["tau_ratio"] = MetricEstimate(ratio, se, max(0.0, ratio - z * se),
+                                          ratio + z * se)
+    return metrics
 
 
-_RUNNERS = {
-    "two_item": run_two_item,
-    "scenario1": run_scenario1,
-    "scenario2": run_scenario2,
-    "scenario3": run_scenario3,
-}
+_METRICS = {"two_item": _two_item_metrics, "scenario1": _scenario1_metrics,
+            "scenario2": _scenario2_metrics, "scenario3": _scenario3_metrics}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return _RUNNERS[config.scenario](config)
+    """Run every grid point of the config's scenario through one loop."""
+    z = float(ndtri(0.5 + config.ci_level / 2.0))
+    betas = config.pattern_betas()
+    if config.scenario == "two_item":
+        grid = [({"L": L, "gamma": gamma}, beta, np.array([gamma]))
+                for beta, gamma, L in itertools.product(betas, config.gammas,
+                                                        config.L_grid)]
 
+        def stat(raw, sign):
+            return np.column_stack([raw[:, 0] > 0, sign[:, 0] > 0])
+    else:
+        theta = config.make_theta()
+        first, second = np.triu_indices(theta.n, k=1)
+        gaps = theta.gaps()[first, second]
+        # pair p = (i, j) adds its sums to item i and subtracts them from item j
+        incidence = np.zeros((gaps.size, theta.n), dtype=np.int64)
+        incidence[np.arange(gaps.size), first] = 1
+        incidence[np.arange(gaps.size), second] = -1
+        grid = [({"L": L, "w": config.theta_gap}, beta, gaps)
+                for beta, L in itertools.product(betas, config.L_grid)]
 
-def _finish(config: ExperimentConfig, points: list[GridPointResult]) -> ExperimentResult:
+        def stat(raw, sign):
+            return np.column_stack([kendall_tau(raw @ incidence, theta),
+                                    kendall_tau(sign @ incidence, theta)])
+    metrics = _METRICS[config.scenario]
+    points = []
+    for grid_id, (params, beta, pair_gaps) in enumerate(grid):
+        pattern = config._patterns[beta]
+        support, probs = OrdinalModel(config.make_link(), pattern).pmf_table(pair_gaps)
+        values = _replicate(config, grid_id, params["L"], support, probs, stat)
+        if beta is not None:
+            params["beta"] = beta
+        points.append(GridPointResult(grid_id, params, metrics(values, pattern, z),
+                                      config.replications))
     lineage = {"base_seed": config.base_seed,
                "scheme": ("default_rng([base_seed, grid_id]); multinomial outcome "
-                         f"counts per pair in blocks of {_BLOCK} replications")}
+                          f"counts per pair in blocks of {_BLOCK} replications")}
     return ExperimentResult(config, tuple(points), lineage)
 
 

@@ -275,6 +275,8 @@ def dataset_from_csv(text: str, n: int | None = None) -> ComparisonDataset:
             raise ValueError(f"line {lineno}: rounds are one-based, got {l}")
         if i > j:
             i, j, y = j, i, -y
+        if not -2**63 <= min(i, j, l, y) <= max(i, j, l, y) < 2**63:
+            raise ValueError(f"line {lineno}: an integer in {row!r} lies outside int64")
         rounds = per_pair.setdefault((i, j), {})
         if l in rounds:
             raise ValueError(f"line {lineno}: duplicate round {l} for pair ({i},{j})")

@@ -387,6 +387,21 @@ class TestInputBoundaries:
         assert "line 1: rating 'nan' is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,name,text", [
+        ("ingest", "u.data", "1\t10\t5\t100\n99999999999999999999\t20\t4\t101\n"),
+        ("rank", "data.csv", "i,j,l,y\n0,1,1,99999999999999999999\n"),
+    ], ids=["ingest", "rank"])
+    def test_integer_outside_int64_is_exit_2(self, tmp_path, capsys, command,
+                                             name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.5, -0.5]", encoding="utf-8")
+        args = {"ingest": ("--path", str(path), "--out", str(tmp_path / "p.npz")),
+                "rank": ("--input", str(path), "--theta", str(theta))}[command]
+        assert run_cli(command, *args) == 2
+        assert "outside int64" in capsys.readouterr().err
+
     def test_theta_object_form_accepted(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")

@@ -157,6 +157,25 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match="line 2: rating .* not finite"):
             load_ratings(path, format=format)
 
+    @pytest.mark.parametrize("format,text", [
+        ("movielens-100k-tab", "1\t10\t5\t100\n99999999999999999999\t20\t4\t101\n"),
+        ("movielens-100k-tab", "1\t10\t5\t100\n1\t20\t4\t-9223372036854775809\n"),
+        ("generic-csv", "user,item,rating\n1,99999999999999999999,3\n1,10,5\n"),
+    ], ids=["tab-user", "tab-timestamp", "csv-item"])
+    def test_integer_outside_int64_reports_line(self, tmp_path, format, text):
+        path = tmp_path / "ratings"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: .* outside int64"):
+            load_ratings(path, format=format)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text(f"{2**63 - 1}\t{-2**63}\t5\t{2**63 - 1}\n",
+                        encoding="utf-8")
+        table = load_ratings(path)
+        assert table.users.tolist() == [2**63 - 1]
+        assert table.items.tolist() == [-2**63]
+
 
 class TestBuildPairComparisons:
     def test_zero_differences_dropped(self, tmp_path):

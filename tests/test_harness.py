@@ -15,10 +15,6 @@ from ordrank.harness import (
     ExperimentConfig,
     default_config,
     run_experiment,
-    run_scenario1,
-    run_scenario2,
-    run_scenario3,
-    run_two_item,
 )
 from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
 
@@ -102,20 +98,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             default_config("scenario2", betas=None)
 
-    def test_runner_scenario_mismatch(self):
-        with pytest.raises(ConfigError):
-            run_scenario1(small_two_item())
+    @pytest.mark.parametrize("scenario,overrides,match", [
+        ("scenario1", {"betas": [0.1, 0.9]}, "scenario1 runs at pattern.beta"),
+        ("scenario3", {"betas": [0.5]}, "scenario3 runs at pattern.beta"),
+        ("two_item", {"n": 7}, "two_item reads no n"),
+        ("two_item", {"theta": [0.1, -0.1]}, "two_item reads no n, theta"),
+        ("two_item", {"theta_gap": 0.05}, "two_item reads no n, theta"),
+        ("scenario1", {"gammas": [0.1]}, "scenario1 reads no gammas"),
+        ("scenario2", {"gammas": [0.1]}, "scenario2 reads no gammas"),
+        ("two_item", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
+        ("scenario2", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
+        ("scenario2", {"L_grid": [100, 200]}, "single L"),
+    ])
+    def test_fields_the_scenario_does_not_read_rejected(self, scenario,
+                                                        overrides, match):
+        d = {**default_config(scenario).to_dict(), **overrides}
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(d)
+
+    def test_two_item_with_pattern_beta_and_no_grid(self):
+        cfg = small_two_item(pattern={"family": "abs", "beta": 0.3}, betas=None)
+        assert [p.params["beta"] for p in run_experiment(cfg).points] == [0.3, 0.3]
 
 
 class TestDeterminism:
     def test_rerun_identical(self):
         cfg = small_two_item(replications=300)
-        assert run_two_item(cfg).to_csv() == run_two_item(cfg).to_csv()
+        assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
 
     def test_scenario1_rerun_identical(self):
         cfg = default_config("scenario1", n=4, L_grid=(20, 40),
                              replications=100)
-        assert run_scenario1(cfg).to_csv() == run_scenario1(cfg).to_csv()
+        assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
 
     @pytest.mark.parametrize("cfg", [
         small_two_item(betas=(0.1, 0.9), gammas=(0.1, 0.2)),
@@ -136,24 +150,24 @@ class TestDeterminism:
     def test_replications_above_block_size(self, monkeypatch):
         reps = harness._BLOCK + 3
         cfg = default_config("scenario1", n=4, L_grid=(20,), replications=reps)
-        text = run_scenario1(cfg).to_csv()
+        text = run_experiment(cfg).to_csv()
         rows = text.splitlines()[1:]
         assert rows and all(row.split(",")[-2] == str(reps) for row in rows)
-        assert run_scenario1(cfg).to_csv() == text
+        assert run_experiment(cfg).to_csv() == text
         # blocks continue one stream: the block size does not change output
         monkeypatch.setattr(harness, "_BLOCK", 5)
-        assert run_scenario1(cfg).to_csv() == text
+        assert run_experiment(cfg).to_csv() == text
 
     def test_seed_changes_output(self):
-        a = run_two_item(small_two_item(replications=300))
-        b = run_two_item(small_two_item(replications=300, base_seed=43))
+        a = run_experiment(small_two_item(replications=300))
+        b = run_experiment(small_two_item(replications=300, base_seed=43))
         assert a.to_csv() != b.to_csv()
 
 
 class TestTwoItem:
     def test_saturated_regime(self):
         cfg = small_two_item(gammas=(10.0,), L_grid=(50,), replications=500)
-        res = run_two_item(cfg)
+        res = run_experiment(cfg)
         for name in ("p_raw_positive", "p_sign_positive"):
             assert res.points[0].metrics[name].estimate > 0.999
 
@@ -161,14 +175,14 @@ class TestTwoItem:
         # K=1: the raw sum is the sign sum, so both hit on the same draws
         cfg = small_two_item(pattern={"K": 1, "weights": ["1"]}, K=1,
                              betas=None, replications=500)
-        for point in run_two_item(cfg).points:
+        for point in run_experiment(cfg).points:
             assert point.metrics["p_sign_minus_raw"].estimate == 0.0
 
     def test_matches_enumeration_within_band(self):
         cfg = small_two_item(replications=20000)
         model = OrdinalModel(cfg.make_link(), cfg.make_pattern(0.3))
         values, probs = model.pmf_table(0.25)
-        res = run_two_item(cfg)
+        res = run_experiment(cfg)
         for point in res.points:
             L = point.params["L"]
             exact_raw = exact_sign = 0.0
@@ -185,7 +199,7 @@ class TestTwoItem:
                 assert abs(est - exact) < band
 
     def test_estimates_in_unit_interval(self):
-        res = run_two_item(small_two_item(replications=200))
+        res = run_experiment(small_two_item(replications=200))
         for point in res.points:
             for name, m in point.metrics.items():
                 if name == "p_sign_minus_raw":  # a difference, not a probability
@@ -194,7 +208,7 @@ class TestTwoItem:
                 assert 0.0 <= m.ci_lo <= m.estimate <= m.ci_hi <= 1.0
 
     def test_bernoulli_se_formula(self):
-        res = run_two_item(small_two_item(replications=400))
+        res = run_experiment(small_two_item(replications=400))
         m = res.points[0].metrics["p_raw_positive"]
         p = m.estimate
         assert m.se == pytest.approx(math.sqrt(p * (1 - p) / 400), rel=1e-12)
@@ -202,7 +216,7 @@ class TestTwoItem:
     def test_grid_expansion_order(self):
         cfg = small_two_item(betas=(0.1, 0.9), gammas=(0.1, 0.2), L_grid=(4,),
                              replications=10)
-        res = run_two_item(cfg)
+        res = run_experiment(cfg)
         combos = [(p.params.get("beta"), p.params["gamma"]) for p in res.points]
         assert combos == [(0.1, 0.1), (0.1, 0.2), (0.9, 0.1), (0.9, 0.2)]
         assert [p.grid_id for p in res.points] == [0, 1, 2, 3]
@@ -214,7 +228,7 @@ class TestScenario1:
             "scenario1", n=2, K=3, theta_gap=0.3, L_grid=(30,),
             replications=200,
             pattern={"K": 3, "weights": ["0", "0", "1"]})
-        res = run_scenario1(cfg)
+        res = run_experiment(cfg)
         point = res.points[0]
         assert point.metrics["tau_ordinal"].estimate == pytest.approx(
             point.metrics["tau_binary"].estimate, abs=0.0)
@@ -223,7 +237,7 @@ class TestScenario1:
         cfg = default_config("scenario1", n=8, L_grid=(50, 400),
                              replications=300,
                              pattern={"family": "abs", "beta": 0.9}, K=4)
-        res = run_scenario1(cfg)
+        res = run_experiment(cfg)
         first, last = res.points[0], res.points[-1]
         for name in ("tau_ordinal", "tau_binary"):
             assert last.metrics[name].estimate < first.metrics[name].estimate
@@ -232,7 +246,7 @@ class TestScenario1:
         cfg = default_config("scenario1", n=10, L_grid=(500,),
                              replications=500,
                              pattern={"family": "abs", "beta": 1.0}, K=5)
-        point = run_scenario1(cfg).points[0]
+        point = run_experiment(cfg).points[0]
         assert (point.metrics["tau_binary"].estimate
                 < point.metrics["tau_ordinal"].estimate)
 
@@ -243,7 +257,7 @@ class TestScenario2:
             "scenario2", n=10, K=5, L_grid=(100,), replications=400,
             pattern={"family": "sq"},
             betas=(0.1, 0.4, 0.7, 1.0))
-        res = run_scenario2(cfg)
+        res = run_experiment(cfg)
         snrs = [p.metrics["snr_exact"].estimate for p in res.points]
         gaps = [p.metrics["tau_gap"].estimate for p in res.points]
         assert all(b > a for a, b in zip(snrs, snrs[1:]))
@@ -256,14 +270,14 @@ class TestScenario2:
 
     def test_single_l_required(self):
         with pytest.raises(ConfigError):
-            run_scenario2(default_config("scenario2", L_grid=(100, 200)))
+            run_experiment(default_config("scenario2", L_grid=(100, 200)))
 
     def test_degenerate_endpoint_gap_is_zero(self):
         # K=1 magnitude law: signs carry all information, gap exactly zero
         cfg = default_config("scenario2", n=4, K=1, L_grid=(40,),
                              replications=50, betas=(0.5,),
                              pattern={"family": "abs"})
-        point = run_scenario2(cfg).points[0]
+        point = run_experiment(cfg).points[0]
         assert point.metrics["tau_gap"].estimate == 0.0
         assert point.metrics["snr_exact"].estimate == math.inf
 
@@ -273,7 +287,7 @@ class TestScenario3:
         cfg = default_config("scenario3", n=4, theta_gap=2.0, K=2,
                              L_grid=(50, 100), replications=50,
                              pattern={"family": "abs", "beta": 0.5})
-        res = run_scenario3(cfg)
+        res = run_experiment(cfg)
         for point in res.points:
             assert point.metrics["tau_ratio"].flagged
             assert point.metrics["tau_ratio"].estimate is None
@@ -282,7 +296,7 @@ class TestScenario3:
         cfg = default_config("scenario3", n=10, K=4,
                              pattern={"family": "abs", "beta": 0.9},
                              L_grid=(100, 400), replications=300)
-        res = run_scenario3(cfg)
+        res = run_experiment(cfg)
         first = res.points[0].metrics["tau_ratio"]
         last = res.points[-1].metrics["tau_ratio"]
         assert not first.flagged and not last.flagged
@@ -292,21 +306,19 @@ class TestScenario3:
 
 class TestResultPayloads:
     def test_csv_header_and_rows(self):
-        res = run_two_item(small_two_item(replications=50))
+        res = run_experiment(small_two_item(replications=50))
         lines = res.to_csv().splitlines()
         assert lines[0] == ("scenario,link,pattern,beta,n,K,L,gamma_or_w,"
                             "metric,estimate,se,ci_lo,ci_hi,reps,seed")
         assert len(lines) == 1 + 3 * len(res.points)
 
     def test_json_payload_deterministic(self):
-        res = run_two_item(small_two_item(replications=50))
+        res = run_experiment(small_two_item(replications=50))
         d = res.to_dict()
         assert "elapsed_s" not in json.dumps(d)
-        annotated = res.to_dict(annotate=True)
-        assert "elapsed_s" in json.dumps(annotated)
 
     def test_seed_lineage_echo(self):
-        res = run_two_item(small_two_item(replications=10))
+        res = run_experiment(small_two_item(replications=10))
         assert res.seed_lineage["base_seed"] == 42
 
 
@@ -347,7 +359,7 @@ class TestModelPartsAtConstruction:
         real = PatternDistribution.from_family
         monkeypatch.setattr(PatternDistribution, "from_family",
                             lambda *a: calls.append(a) or real(*a))
-        run_two_item(cfg)
+        run_experiment(cfg)
         assert calls == []
         assert cfg.make_link() is cfg.make_link()
 
@@ -358,6 +370,6 @@ class TestModelPartsAtConstruction:
                             ({"kind": "tanh-sigmoid"}, "tanhsig"),
                             ({"kind": "cubic", "scale": 3.0}, "cubic:3.0")]:
             cfg = small_two_item(link=link, replications=10)
-            rows = run_two_item(cfg).to_csv().splitlines()[1:]
+            rows = run_experiment(cfg).to_csv().splitlines()[1:]
             assert {row.split(",")[1] for row in rows} == {label}
             assert cfg.make_link() == StrengthLink.from_spec(label)

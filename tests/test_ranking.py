@@ -375,6 +375,13 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="line 3"):
             dataset_from_csv("i,j,l,y\n0,1,1,2\n0,1,x,1\n")
 
+    @pytest.mark.parametrize("row", ["0,1,2,99999999999999999999",
+                                     "1,0,2,-9223372036854775808"])
+    def test_integer_outside_int64_reports_line(self, row):
+        # the second row flips orientation, so y = -(-2**63) leaves int64
+        with pytest.raises(ValueError, match="line 3: .* outside int64"):
+            dataset_from_csv(f"i,j,l,y\n0,1,1,2\n{row}\n")
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             dataset_from_csv("a,b,c,d\n0,1,1,2\n")
