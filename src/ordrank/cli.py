@@ -11,8 +11,8 @@ Spec strings on flags:
             min-unconstrained | min-monotone, plus ``,K=<k>`` or ``--K``;
             every K given, weight count included, must agree
 
-``--out`` and ``--threads`` (ignored) go on every subcommand, ``--annotate``
-on the JSON ones, ``--seed`` on ``evaluate``.
+``--out`` and ``--threads`` (ignored) go on every subcommand, ``--seed`` on
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _json_out(obj, args) -> None:
-    if args.annotate:
-        import time
-        obj = {**obj, "annotations": {"unix_time": time.time()}}
     _emit(json.dumps(obj, indent=2), args.out)
 
 
@@ -117,15 +114,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     parser.subparsers = sub.choices  # name -> subparser
 
-    def add(name, run, help_text, json_output=True):
+    def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored: every command runs in one thread")
-        if json_output:
-            p.add_argument("--annotate", action="store_true",
-                           help="include wall-clock annotations in JSON output")
         return p
 
     p = add("snr", _cmd_snr, "signal-to-noise report for a magnitude pattern")
@@ -149,13 +143,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--factor", type=float, default=10.0)
 
     p = add("simulate", _cmd_simulate,
-            "run a Monte-Carlo experiment from a config file", json_output=False)
+            "run a Monte-Carlo experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--paper-scale", action="store_true",
                    help="restore the full-scale replication counts")
 
-    p = add("ingest", _cmd_ingest, "parse ratings and write pairwise comparisons",
-            json_output=False)
+    p = add("ingest", _cmd_ingest, "parse ratings and write pairwise comparisons")
     p.add_argument("--format", default="movielens-100k-tab",
                    choices=["movielens-100k-tab", "generic-csv"])
     p.add_argument("--path", required=True)

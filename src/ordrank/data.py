@@ -32,7 +32,6 @@ __all__ = [
     "ordinal_histogram",
     "evaluate_pair_protocol",
     "paired_t_test",
-    "student_t_cdf",
     "synthetic_ratings",
     "save_pairs",
     "load_pairs",
@@ -218,37 +217,24 @@ def build_pair_comparisons(table: RatingsTable,
                            np.r_[starts, keys.size], diffs)
 
 
-def ordinal_histogram(pairs: PairComparisons, bins=None):
-    """Histogram of comparison magnitudes |difference|.
-
-    With ``bins=None`` (the default for integer-valued ratings) the result is
-    a dict magnitude -> count, with zero-count integer magnitudes kept up to
-    the maximum.  With explicit edges it defers to numpy and returns
-    (counts, edges).  An increase of frequency with magnitude is unusual for
-    preference data and only warned about.
+def ordinal_histogram(pairs: PairComparisons) -> dict[float, int]:
+    """Histogram of comparison magnitudes |difference|, as a dict
+    magnitude -> count.  When every magnitude is an integer, the zero-count
+    integer magnitudes up to the maximum are kept.  An increase of frequency
+    with magnitude is unusual for preference data and only warned about.
     """
     if pairs.n_pairs() == 0:
         raise ValueError("no comparisons to histogram")
-    mags = np.abs(pairs.diffs)
-    if bins is not None:
-        counts, edges = np.histogram(mags, bins=bins)
-        _warn_if_increasing(counts.astype(float))
-        return counts, edges
-    values, counts = np.unique(mags, return_counts=True)
+    values, counts = np.unique(np.abs(pairs.diffs), return_counts=True)
     out: dict[float, int] = {}
     if np.all(values == np.round(values)):
         top = int(values.max())
         out = {float(k): 0 for k in range(1, top + 1)}
     for v, c in zip(values.tolist(), counts.tolist()):
         out[float(v)] = int(c)
-    _warn_if_increasing(np.array([out[k] for k in sorted(out)]))
+    if np.any(np.diff([out[k] for k in sorted(out)]) > 0):
+        warnings.warn("magnitude histogram is not non-increasing", stacklevel=2)
     return out
-
-
-def _warn_if_increasing(counts: np.ndarray) -> None:
-    if counts.size >= 2 and np.any(np.diff(counts) > 0):
-        warnings.warn("magnitude histogram is not non-increasing",
-                      stacklevel=3)
 
 
 class TTestResult(NamedTuple):
@@ -278,16 +264,6 @@ def paired_t_test(a, b) -> TTestResult:
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t, p)
-
-
-def student_t_cdf(t: float, df: int) -> float:
-    """CDF of Student's t via the regularized incomplete beta function."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if t == 0.0:
-        return 0.5
-    tail = 0.5 * float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return 1.0 - tail if t > 0 else tail
 
 
 @dataclass(frozen=True)

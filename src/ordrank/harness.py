@@ -11,8 +11,10 @@ per-replication statistic and its metrics, and it reads only these fields:
 - ``scenario2``: the ordinal-minus-binary error gap against the magnitude
   SNR over ``betas``, at the single L of ``L_grid``.
 
-The ranking scenarios also read ``n`` and ``theta`` or ``theta_gap``.  A
-field that the scenario does not read is refused with a ``ConfigError``.
+The ranking scenarios also read ``n`` and exactly one of ``theta`` and
+``theta_gap``.  ``pattern`` is ``{family[, beta]}``, ``{weights}`` or
+``{psi}``, with an optional ``K`` equal to the config's.  Any other field or
+key is refused with a ``ConfigError``.
 
 The counting scores read only each pair's raw sum and sign sum over its L
 rounds, and both are linear in the pair's outcome counts.  So a replication
@@ -126,6 +128,12 @@ class ExperimentConfig:
             raise ConfigError("CI level must lie in (0, 1)")
         if not (isinstance(self.link, dict) and isinstance(self.pattern, dict)):
             raise ConfigError("config link and pattern must be JSON objects")
+        keys = set(self.pattern) - {"K"}
+        if keys not in ({"family"}, {"family", "beta"}, {"weights"}, {"psi"}):
+            raise ConfigError(f"pattern keys {sorted(keys)} are not one of "
+                              "{family[, beta]}, {weights} or {psi}")
+        if self.pattern.get("K", self.K) != self.K:
+            raise ConfigError(f"pattern.K={self.pattern['K']} but K={self.K}")
         if self.scenario == "two_item":
             if not self.gammas:
                 raise ConfigError("two_item needs a gamma grid")
@@ -136,8 +144,8 @@ class ExperimentConfig:
         else:
             if self.gammas is not None:
                 raise ConfigError(f"{self.scenario} reads no gammas")
-            if self.theta is None and self.theta_gap is None:
-                raise ConfigError("ranking scenarios need theta or theta_gap")
+            if (self.theta is None) == (self.theta_gap is None):
+                raise ConfigError("ranking scenarios need exactly one of theta, theta_gap")
             if self.theta is not None and len(self.theta) != self.n:
                 raise ConfigError(f"theta has {len(self.theta)} items but n={self.n}")
         if self.scenario == "scenario2":
@@ -196,10 +204,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of ``to_dict``; keys that name no field are ignored."""
+        """Inverse of ``to_dict``; a key that names no field is refused."""
         try:
-            return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
-                          if f.name in d})
+            if unknown := sorted(set(d) - {f.name for f in dataclasses.fields(cls)}):
+                raise ConfigError(f"config keys {unknown} name no field")
+            return cls(**d)
         except TypeError as exc:  # a missing key or a value of the wrong kind
             raise ConfigError(f"bad config: {exc}") from None
 
@@ -393,9 +402,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, tuple(points), lineage)
 
 
-def default_config(scenario: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
-    """Desk-scale defaults for the standard experiment grids; the
-    paper-scale switch sets the counts of ``PAPER_REPS``."""
+def default_config(scenario: str, **overrides) -> ExperimentConfig:
+    """Desk-scale defaults for the standard experiment grids."""
     if scenario == "two_item":
         base = dict(
             scenario=scenario,
@@ -428,7 +436,5 @@ def default_config(scenario: str, paper_scale: bool = False, **overrides) -> Exp
             base["L_grid"] = tuple(100 * i for i in range(1, 11))
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    if paper_scale:
-        base["replications"] = PAPER_REPS[scenario]
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, log_ndtr
@@ -48,7 +48,7 @@ _SMALL_ARG = 1.0
 LINK_NAMES = {"cubic": ("cubic", None), "identity": ("identity", None),
               "tanhsig": ("tanh-sigmoid", None),
               "logitnorm": ("logit-of-cdf", "standard-normal")}
-LINK_KINDS = (*dict.fromkeys(kind for kind, _ in LINK_NAMES.values()), "custom")
+LINK_KINDS = tuple(dict.fromkeys(kind for kind, _ in LINK_NAMES.values()))
 BASE_CDFS = ("logistic", "standard-normal")
 
 
@@ -85,7 +85,6 @@ class StrengthLink:
     kind: str = "identity"
     scale: float = 1.0
     base_cdf: str | None = None
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
@@ -100,10 +99,6 @@ class StrengthLink:
                 object.__setattr__(self, "base_cdf", None)
         elif self.base_cdf is not None:
             raise ValueError("base_cdf only applies to logit-of-cdf links")
-        if self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom link needs a callable")
-            self.validate()
 
     def __call__(self, x):
         """Evaluate the link; accepts scalars or arrays, returns the same."""
@@ -115,23 +110,11 @@ class StrengthLink:
         elif self.kind == "tanh-sigmoid":
             # (1 - e^-x) / (1 + e^-x) == tanh(x / 2), exactly odd in floats
             out = self.scale * np.tanh(arr / 2.0)
-        elif self.kind == "logit-of-cdf":
+        else:  # logit-of-cdf on the standard normal
             out = self.scale * (log_ndtr(arr) - log_ndtr(-arr))
-        else:
-            out = self.scale * np.asarray(self.fn(arr), dtype=float)
         if np.ndim(x) == 0:
             return float(out)
         return out
-
-    def validate(self, grid: np.ndarray | None = None, tol: float = 1e-12) -> None:
-        """Check monotonicity and origin antisymmetry on a test grid."""
-        if grid is None:
-            grid = np.linspace(-6.0, 6.0, 241)
-        vals = self(grid)
-        if not np.all(np.diff(vals) > 0):
-            raise ValueError(f"link {self.kind!r} is not strictly increasing")
-        if np.max(np.abs(vals + self(-grid))) > tol or self(0.0) != 0.0:
-            raise ValueError(f"link {self.kind!r} is not origin-antisymmetric")
 
     @classmethod
     def from_spec(cls, spec: str) -> "StrengthLink":
@@ -148,14 +131,11 @@ class StrengthLink:
     @property
     def spec(self) -> str:
         """The ``name[:scale]`` string that ``from_spec`` reads back."""
-        for name, form in LINK_NAMES.items():
-            if form == (self.kind, self.base_cdf):
-                return name if self.scale == 1.0 else f"{name}:{self.scale!r}"
-        raise ValueError("custom links have no spec")
+        name = next(name for name, form in LINK_NAMES.items()
+                    if form == (self.kind, self.base_cdf))
+        return name if self.scale == 1.0 else f"{name}:{self.scale!r}"
 
     def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom links are not serializable")
         d = {"kind": self.kind, "scale": self.scale}
         if self.base_cdf is not None:
             d["base_cdf"] = self.base_cdf
@@ -268,13 +248,14 @@ class PatternDistribution:
     @classmethod
     def from_dict(cls, d: dict) -> "PatternDistribution":
         if "weights" in d:
-            w = [float(v) for v in d["weights"]]
-            if "K" in d and int(d["K"]) != len(w):
-                raise InvalidPatternError("K does not match weight count")
-            return cls(tuple(w))
-        if "psi" in d:
-            return cls.from_psi([float(v) for v in d["psi"]])
-        raise InvalidPatternError("pattern dict needs 'weights' or 'psi'")
+            pattern = cls(tuple(float(v) for v in d["weights"]))
+        elif "psi" in d:
+            pattern = cls.from_psi([float(v) for v in d["psi"]])
+        else:
+            raise InvalidPatternError("pattern dict needs 'weights' or 'psi'")
+        if "K" in d and int(d["K"]) != pattern.K:
+            raise InvalidPatternError(f"K={d['K']} but the pattern has {pattern.K} levels")
+        return pattern
 
 
 class ModelMoments(NamedTuple):

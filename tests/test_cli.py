@@ -216,12 +216,6 @@ class TestModelInfo:
         assert payload["at_gamma"]["prob_positive"] == pytest.approx(
             0.5 * (1 + math.erf(0.4 / math.sqrt(2))), abs=1e-10)
 
-    def test_annotate_adds_wall_clock(self, capsys):
-        assert run_cli("model-info", "--link", "identity", "--pattern",
-                       "uniform,K=2", "--annotate") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "annotations" in payload
-
     def test_default_output_has_no_timestamps(self, capsys):
         assert run_cli("model-info", "--link", "identity", "--pattern",
                        "uniform,K=2") == 0
@@ -235,8 +229,8 @@ class TestParserReuse:
     CALLS = [
         ("snr", "--K", "4", "--psi", "abs:0.1", "--bogus"),  # usage error
         ("rates", "--link", "identity", "--pattern", "abs:0.1,K=4", "--gamma", "0.15"),
-        ("model-info", "--link", "identity", "--pattern", "uniform,K=2", "--annotate"),
-        ("model-info", "--link", "identity", "--pattern", "uniform,K=2"),
+        ("snr-min", "--K", "4", "--monotone"),
+        ("snr-min", "--K", "4"),  # the flag of the call before must not leak
     ]
 
     @staticmethod
@@ -247,19 +241,15 @@ class TestParserReuse:
                 _build_parser.cache_clear()
             code = run_cli(*argv)
             captured = capsys.readouterr()
-            out = captured.out
-            if "annotations" in out:  # the wall clock differs between runs
-                payload = json.loads(out)
-                payload["annotations"] = "<stamp>"
-                out = json.dumps(payload)
-            results.append((code, out, captured.err))
+            results.append((code, captured.out, captured.err))
         return results
 
     def test_reuse_matches_fresh_parser(self, capsys):
         fresh = self.run_all(capsys, fresh=True)
         reused = self.run_all(capsys, fresh=False)
         assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
-        assert "<stamp>" in fresh[2][1] and "annotations" not in fresh[3][1]
+        assert json.loads(fresh[2][1])["constraint"] == "non-increasing"
+        assert json.loads(fresh[3][1])["constraint"] == "none"
         assert reused == fresh
         assert _build_parser() is _build_parser()
 
@@ -323,8 +313,25 @@ class TestSpecRules:
 
 
 class TestFlagsWhereTheyAct:
-    """``--seed`` goes on ``evaluate`` only and ``--annotate`` on the JSON
-    commands; ``--out`` and ``--threads`` on every subcommand."""
+    """``--seed`` goes on ``evaluate`` only; ``--out`` and ``--threads`` on
+    every subcommand.  ``OPTIONS`` lists every option each subcommand
+    accepts, so a flag is added here in the same change that adds it."""
+
+    OPTIONS = {
+        "snr": ("--out", "--threads", "--K", "--psi"),
+        "snr-min": ("--out", "--threads", "--K", "--monotone"),
+        "rank": ("--out", "--threads", "--input", "--theta"),
+        "rates": ("--out", "--threads", "--link", "--pattern", "--gamma", "--K",
+                  "--factor"),
+        "simulate": ("--out", "--threads", "--config", "--paper-scale"),
+        "ingest": ("--out", "--threads", "--format", "--path",
+                   "--min-item-ratings"),
+        "evaluate": ("--out", "--threads", "--pairs", "--train-frac", "--reps",
+                     "--min-pair-count", "--pairing", "--seed"),
+        "histogram": ("--out", "--threads", "--pairs"),
+        "model-info": ("--out", "--threads", "--link", "--pattern", "--K",
+                       "--gamma"),
+    }
 
     @staticmethod
     def commands_with(flag) -> set:
@@ -335,9 +342,16 @@ class TestFlagsWhereTheyAct:
         every = set(_build_parser().subparsers)
         assert len(every) == 9
         assert self.commands_with("--seed") == {"evaluate"}
-        assert self.commands_with("--annotate") == every - {"simulate", "ingest"}
+        assert self.commands_with("--annotate") == set()
         assert self.commands_with("--out") == every
         assert self.commands_with("--threads") == every
+
+    def test_options_table_matches_parser(self):
+        parsed = {name: {s for a in p._actions for s in a.option_strings}
+                  - {"-h", "--help"}
+                  for name, p in _build_parser().subparsers.items()}
+        assert parsed == {name: set(opts) for name, opts in self.OPTIONS.items()}
+        assert sum(map(len, self.OPTIONS.values())) == 45
 
     def test_simulate_rejects_seed(self, tmp_path, capsys):
         cfg = default_config("two_item", L_grid=(4,), gammas=(0.3,), betas=(0.5,),
@@ -418,3 +432,10 @@ class TestInputBoundaries:
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         assert "JSON objects" in capsys.readouterr().err
+
+    def test_unknown_simulate_config_key_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1").to_dict(), "ci_levle": 0.5}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "ci_levle" in capsys.readouterr().err

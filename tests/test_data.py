@@ -18,16 +18,11 @@ from ordrank.data import (
     ordinal_histogram,
     paired_t_test,
     save_pairs,
-    student_t_cdf,
     synthetic_ratings,
     _split_accuracy,
     _split_keys,
 )
 from ordrank.model import CorruptDataError
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def make_pairs(runs: dict) -> PairComparisons:
@@ -241,11 +236,6 @@ class TestOrdinalHistogram:
             hist = ordinal_histogram(pairs)
         assert hist[2.0] == 0
 
-    def test_explicit_edges(self):
-        pairs = make_pairs({(0, 1): np.array([0.5, -0.5, 1.5])})
-        counts, edges = ordinal_histogram(pairs, bins=[0.0, 1.0, 2.0])
-        assert counts.tolist() == [2, 1]
-
     def test_decreasing_magnitude_law_yields_clean_histogram(self):
         import warnings
 
@@ -396,20 +386,6 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-class TestStudentTCdf:
-    def test_matches_normal_at_high_df(self):
-        for z in np.linspace(-4, 4, 33):
-            assert student_t_cdf(float(z), 200) == pytest.approx(
-                normal_cdf(float(z)), abs=1e-3)
-
-    def test_cauchy_df1(self):
-        assert student_t_cdf(1.0, 1) == pytest.approx(0.75, rel=1e-12)
-
-    def test_symmetry(self):
-        assert student_t_cdf(1.3, 5) + student_t_cdf(-1.3, 5) == pytest.approx(
-            1.0, abs=1e-14)
 
 
 class TestSyntheticFixture:

@@ -76,7 +76,8 @@ class TestConfig:
 
     def test_theta_length_must_match_n(self):
         with pytest.raises(ConfigError, match="theta"):
-            default_config("scenario1", theta=(0.2, 0.0, -0.2))  # n=10
+            default_config("scenario1", theta_gap=None,
+                           theta=(0.2, 0.0, -0.2))  # n=10
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -109,12 +110,32 @@ class TestConfig:
         ("two_item", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
         ("scenario2", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
         ("scenario2", {"L_grid": [100, 200]}, "single L"),
+        ("scenario1", {"ci_levle": 0.5}, r"config keys \['ci_levle'\] name no field"),
+        ("scenario1", {"n": 3, "theta": [0.9, 0.0, -0.9]},
+         "exactly one of theta, theta_gap"),
+        ("scenario1", {"K": 2, "pattern": {"K": 2, "weights": ["0.5", "0.5"],
+                                           "beta": 0.3}},
+         r"pattern keys \['beta', 'weights'\]"),
+        ("scenario1", {"pattern": {"family": "abs", "beta": 1.0, "weights": [0.2, 0.8]}},
+         r"pattern keys \['beta', 'family', 'weights'\]"),
+        ("scenario1", {"pattern": {"beta": 1.0}}, r"pattern keys \['beta'\]"),
+        ("scenario1", {"pattern": {"K": 4, "family": "abs", "beta": 1.0}},
+         "pattern.K=4 but K=5"),
+        ("scenario1", {"pattern": {"psi": [0.0, -1.0, -2.0]}},
+         "K=5 but the pattern has 3 levels"),
     ])
     def test_fields_the_scenario_does_not_read_rejected(self, scenario,
                                                         overrides, match):
         d = {**default_config(scenario).to_dict(), **overrides}
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(d)
+
+    def test_every_pattern_form_loads(self):
+        for pattern in ({"family": "abs", "beta": 1.0},
+                        {"K": 5, "family": "sq", "beta": 0.2},
+                        {"weights": [0.2] * 5},
+                        {"K": 5, "psi": [0.0, -1.0, -2.0, -3.0, -4.0]}):
+            assert default_config("scenario1", pattern=pattern).make_pattern().K == 5
 
     def test_two_item_with_pattern_beta_and_no_grid(self):
         cfg = small_two_item(pattern={"family": "abs", "beta": 0.3}, betas=None)
