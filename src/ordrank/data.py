@@ -219,17 +219,18 @@ def build_pair_comparisons(table: RatingsTable,
 
 def ordinal_histogram(pairs: PairComparisons) -> dict[float, int]:
     """Histogram of comparison magnitudes |difference|, as a dict
-    magnitude -> count.  When every magnitude is an integer, the zero-count
-    integer magnitudes up to the maximum are kept.  An increase of frequency
-    with magnitude is unusual for preference data and only warned about.
+    magnitude -> count.  When every magnitude is an integer and the largest
+    is at most the number of comparisons, the zero-count integer magnitudes
+    up to it are kept; otherwise only the magnitudes that occur are listed,
+    so the output never outgrows the data.  An increase of frequency with
+    magnitude is unusual for preference data and only warned about.
     """
-    if pairs.n_pairs() == 0:
+    if pairs.total_comparisons() == 0:
         raise ValueError("no comparisons to histogram")
     values, counts = np.unique(np.abs(pairs.diffs), return_counts=True)
     out: dict[float, int] = {}
-    if np.all(values == np.round(values)):
-        top = int(values.max())
-        out = {float(k): 0 for k in range(1, top + 1)}
+    if np.all(values == np.round(values)) and values[-1] <= pairs.diffs.size:
+        out = {float(k): 0 for k in range(1, int(values[-1]) + 1)}
     for v, c in zip(values.tolist(), counts.tolist()):
         out[float(v)] = int(c)
     if np.any(np.diff([out[k] for k in sorted(out)]) > 0):
@@ -323,6 +324,20 @@ def _split_keys(seed: int, repetitions: int, size: int):
         yield np.random.default_rng(child).random(size)
 
 
+def _split_order(keys: np.ndarray, pair_id: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, pair_id))`` for a non-decreasing ``pair_id``: by
+    key within each pair, ties to the earlier position.  Sorting the keys'
+    ranks offset by ``pair_id * keys.size`` is one integer argsort; the
+    stable key sort runs only when two keys are equal."""
+    by_key = np.argsort(keys)
+    ranked = keys[by_key]
+    if np.any(ranked[1:] == ranked[:-1]):
+        by_key = np.argsort(keys, kind="stable")
+    rank = np.empty_like(by_key)
+    rank[by_key] = np.arange(keys.size)
+    return np.argsort(pair_id * keys.size + rank)
+
+
 def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
                     n_train: np.ndarray) -> np.ndarray:
     """Rows (ordinal, binary) of per-pair accuracies of one split: segment
@@ -348,6 +363,10 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
 
     Pairs with fewer than ``min_pair_count`` comparisons are skipped; each
     repetition splits all others with one generator spawned from ``seed``.
+    It draws one uniform key per comparison and orders each pair's
+    comparisons by key, ties to the earlier position; the first
+    ``train_frac`` share of them, at least one and at most all but one,
+    train.
     The closing paired t-test compares binary against ordinal accuracy; the
     pairing unit is the repetition mean by default, or per-pair means with
     ``pairing='pair'``.
@@ -370,7 +389,7 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
     ord_acc, bin_acc = np.empty((2, repetitions, sizes.size))
     for rep, keys in enumerate(_split_keys(seed, repetitions, diffs.size)):
         ord_acc[rep], bin_acc[rep] = _split_accuracy(
-            diffs[np.lexsort((keys, pair_id))], offsets, n_train)
+            diffs[_split_order(keys, pair_id)], offsets, n_train)
     axis = 1 if pairing == "repetition" else 0
     binary, ordinal = bin_acc.mean(axis=axis), ord_acc.mean(axis=axis)
     if binary.size < 2:  # a single pairing unit has no paired variance

@@ -143,6 +143,10 @@ class StrengthLink:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrengthLink":
+        """Inverse of ``to_dict``; a key other than ``kind``, ``scale`` and
+        ``base_cdf`` is refused."""
+        if unknown := sorted(set(d) - {"kind", "scale", "base_cdf"}):
+            raise ValueError(f"link keys {unknown} are not kind, scale or base_cdf")
         return cls(kind=d["kind"], scale=float(d.get("scale", 1.0)),
                    base_cdf=d.get("base_cdf"))
 

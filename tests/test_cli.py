@@ -439,3 +439,11 @@ class TestInputBoundaries:
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         assert "ci_levle" in capsys.readouterr().err
+
+    def test_unknown_simulate_link_key_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1").to_dict(),
+             "link": {"kind": "identity", "scael": 3.0}}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "scael" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from ordrank.data import (
     synthetic_ratings,
     _split_accuracy,
     _split_keys,
+    _split_order,
 )
 from ordrank.model import CorruptDataError
 
@@ -236,6 +237,21 @@ class TestOrdinalHistogram:
             hist = ordinal_histogram(pairs)
         assert hist[2.0] == 0
 
+    def test_fill_reaches_the_comparison_count(self):
+        pairs = make_pairs({(0, 1): np.array([1.0, -3.0, 3.0])})
+        with pytest.warns(UserWarning):
+            hist = ordinal_histogram(pairs)
+        assert hist == {1.0: 1, 2.0: 0, 3.0: 2}
+
+    def test_fill_beyond_the_comparison_count_lists_only_seen(self):
+        pairs = make_pairs({(0, 1): np.array([1.0, -300000.0]),
+                            (1, 2): np.array([4.0, 1.0])})
+        assert ordinal_histogram(pairs) == {1.0: 2, 4.0: 1, 300000.0: 1}
+
+    def test_no_comparisons_rejected(self):
+        with pytest.raises(ValueError, match="no comparisons"):
+            ordinal_histogram(make_pairs({(0, 1): []}))
+
     def test_decreasing_magnitude_law_yields_clean_histogram(self):
         import warnings
 
@@ -274,6 +290,48 @@ class TestSplitAccuracy:
             want = [split_accuracy_loop(diffs[a:b], n) for a, b, n in
                     zip(offsets[:-1], offsets[1:], n_train)]
             np.testing.assert_array_equal(np.transpose(got), want)
+
+
+def segment_ids(sizes) -> np.ndarray:
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+class TestSplitOrder:
+    """``_split_order`` is exactly ``lexsort((keys, pair_id))``, ties
+    included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(2, 40), min_size=1,
+                                          max_size=30),
+           grid=st.sampled_from([None, 2, 4, 16]))
+    def test_equals_lexsort(self, data, sizes, grid):
+        n = sum(sizes)
+        if grid is None:
+            keys = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                      min_size=n, max_size=n))
+        else:  # a coarse grid makes ties inside a pair likely
+            keys = data.draw(st.lists(st.integers(0, grid - 1).map(
+                lambda k: k / grid), min_size=n, max_size=n))
+        keys, pair_id = np.array(keys, dtype=float), segment_ids(sizes)
+        np.testing.assert_array_equal(_split_order(keys, pair_id),
+                                      np.lexsort((keys, pair_id)))
+
+    @pytest.mark.parametrize("n_pairs", [50, 70_000])
+    def test_coarse_keys_tie_inside_pairs(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        pair_id = segment_ids(rng.integers(2, 9, n_pairs))
+        keys = np.round(rng.random(pair_id.size), 1)
+        tied = (np.diff(pair_id) == 0) & (np.diff(keys) == 0)
+        assert tied.sum() > 0  # ties inside a pair are certain
+        np.testing.assert_array_equal(_split_order(keys, pair_id),
+                                      np.lexsort((keys, pair_id)))
+
+    def test_uniform_keys_over_many_pairs(self):
+        rng = np.random.default_rng(4)
+        pair_id = segment_ids(rng.integers(2, 6, 70_000))
+        keys = rng.random(pair_id.size)
+        np.testing.assert_array_equal(_split_order(keys, pair_id),
+                                      np.lexsort((keys, pair_id)))
 
 
 class TestEvaluateProtocol:

@@ -364,6 +364,7 @@ class TestModelPartsAtConstruction:
         ("pattern", {"family": "cube", "beta": 1.0}),
         ("pattern", {"family": "abs"}),  # no beta and no beta grid
         ("pattern", {"weights": ["0.5", "0.4"]}),
+        ("link", {"kind": "identity", "scael": 3.0}),  # a key from_dict does not read
     ])
     def test_parts_that_do_not_construct_rejected(self, key, value):
         d = {**default_config("scenario1").to_dict(), key: value}

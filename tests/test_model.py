@@ -123,6 +123,18 @@ class TestLinkSpec:
                                        "base_cdf": "logistic"})
         assert link == StrengthLink("identity", 0.5)
 
+    @pytest.mark.parametrize("name", sorted(LINK_NAMES))
+    def test_json_form_round_trips(self, name):
+        link = StrengthLink.from_spec(f"{name}:0.5")
+        assert StrengthLink.from_dict(link.to_dict()) == link
+
+    @pytest.mark.parametrize("d", [{"kind": "identity", "scael": 3.0},
+                                   {"kind": "cubic", "scale": 2.0, "fn": None}])
+    def test_unknown_json_key_rejected(self, d):
+        (bad,) = set(d) - {"kind", "scale"}
+        with pytest.raises(ValueError, match=bad):
+            StrengthLink.from_dict(d)
+
     @pytest.mark.parametrize("spec", ["quartic", "cubic:x", "cubic:-1",
                                       "identity:inf", "tanhsig:0",
                                       "logitnorm:nan", "logit-of-cdf"])
