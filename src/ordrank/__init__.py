@@ -18,7 +18,6 @@ from .model import (
     OrdinalModel,
     PatternDistribution,
     StrengthLink,
-    binarize,
     model_from_json,
     model_to_json,
 )
@@ -31,7 +30,6 @@ from .ranking import (
     count_scores,
     expected_scores,
     kendall_tau,
-    two_item_metrics,
 )
 from .rates import (
     RateResult,

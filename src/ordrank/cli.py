@@ -192,7 +192,7 @@ def _cmd_snr_min(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    dataset = dataset_from_csv(Path(args.input).read_text(encoding="utf-8"))
+    text = Path(args.input).read_text(encoding="utf-8")
     spec = json.loads(Path(args.theta).read_text(encoding="utf-8"))
     spec = spec if isinstance(spec, dict) else {"theta": spec}
     values = spec.get("theta")
@@ -202,7 +202,7 @@ def _cmd_rank(args) -> int:
                          "or an object holding one under 'theta'")
     theta = PreferenceVector(tuple(values),
                              centered=bool(spec.get("centered", False)))
-    scores = count_scores(dataset)
+    scores = count_scores(dataset_from_csv(text, n=theta.n))
     _json_out({
         "scores": scores.to_dict(),
         "tau_ordinal": kendall_tau(scores.ordinal_scores, theta),

@@ -458,7 +458,10 @@ def save_pairs(pairs: PairComparisons, path) -> None:
 def load_pairs(path) -> PairComparisons:
     """Read a ``save_pairs`` archive, its pairs in any order; raises
     CorruptDataError, naming ``path``, for an invalid layout."""
-    with np.load(path) as z:
+    z = np.load(path)
+    if isinstance(z, np.ndarray):  # a .npy file holds one bare array
+        raise CorruptDataError(f"{path}: one array, not a save_pairs archive")
+    with z:
         arrays = {name: z[name] for name in _PAIR_ARRAYS}
     try:
         return PairComparisons(**arrays)

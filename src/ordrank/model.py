@@ -31,7 +31,6 @@ __all__ = [
     "PatternDistribution",
     "ModelMoments",
     "OrdinalModel",
-    "binarize",
     "log_cosh",
     "sech2",
     "model_to_json",
@@ -171,8 +170,6 @@ class PatternDistribution:
         total = w.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise InvalidPatternError(f"weights sum to {total!r}, expected 1")
-        if not np.any(w > 0):
-            raise InvalidPatternError("at least one weight must be positive")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
     @property
@@ -307,31 +304,20 @@ class OrdinalModel:
         K = self.K
         return np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
 
-    def _check_outcome(self, k: int) -> int:
-        k = int(k)
-        if k == 0 or abs(k) > self.K:
-            raise ValueError(f"outcome {k} outside {{-K..-1, 1..K}} with K={self.K}")
-        return k
-
     def prob_positive(self, gamma: float) -> float:
         """P(Y > 0) = sigmoid(2 * phi(gamma)); does not depend on the
         magnitude pattern."""
         return float(expit(2.0 * self.link(gamma)))
 
-    def pmf(self, gamma: float, k: int) -> float:
-        """P(Y = k) = w_{|k|} * sigmoid(2 * sign(k) * phi(gamma))."""
-        k = self._check_outcome(k)
-        sign = 1.0 if k > 0 else -1.0
-        return float(self.pattern.weights[abs(k) - 1]
-                     * expit(2.0 * sign * self.link(gamma)))
-
     def pmf_table(self, gamma) -> tuple[np.ndarray, np.ndarray]:
-        """Support values and their probabilities, ordered -K..-1, 1..K; an
-        array of gammas gives one row of probabilities per gamma."""
+        """Support values k and their probabilities
+        P(Y = k) = w_|k| * sigmoid(2 * sign(k) * phi(gamma)), ordered
+        -K..-1, 1..K; an array of gammas gives one row per gamma.  Each sign
+        takes its own sigmoid, so negating gamma mirrors a row exactly."""
         w = np.asarray(self.pattern.weights)
-        p_pos = expit(2.0 * self.link(gamma))
-        probs = np.concatenate([np.multiply.outer(1.0 - p_pos, w[::-1]),
-                                np.multiply.outer(p_pos, w)], axis=-1)
+        two_phi = 2.0 * self.link(gamma)
+        probs = np.concatenate([np.multiply.outer(expit(-two_phi), w[::-1]),
+                                np.multiply.outer(expit(two_phi), w)], axis=-1)
         return self.support, probs
 
     def moments(self, gamma: float) -> ModelMoments:
@@ -428,14 +414,6 @@ class OrdinalModel:
     def from_dict(cls, d: dict) -> "OrdinalModel":
         return cls(link=StrengthLink.from_dict(d["link"]),
                    pattern=PatternDistribution.from_dict(d["pattern"]))
-
-
-def binarize(outcomes) -> np.ndarray:
-    """Elementwise sign of ordinal outcomes; zeros are corrupt data."""
-    arr = np.asarray(outcomes)
-    if arr.size and np.any(arr == 0):
-        raise CorruptDataError("zero outcome found; comparison data admits no ties")
-    return np.sign(arr).astype(np.int64)
 
 
 def model_to_json(model: OrdinalModel, **kwargs) -> str:

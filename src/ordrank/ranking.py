@@ -24,13 +24,11 @@ __all__ = [
     "PreferenceVector",
     "ComparisonDataset",
     "ScorePair",
-    "two_item_metrics",
     "count_scores",
     "kendall_tau",
     "expected_scores",
     "asymptotic_two_item",
     "asymptotic_tau",
-    "dataset_to_csv",
     "dataset_from_csv",
 ]
 
@@ -97,9 +95,6 @@ class ComparisonDataset:
             cleaned[(i, j)] = arr
         object.__setattr__(self, "outcomes", cleaned)
 
-    def is_complete(self) -> bool:
-        return len(self.outcomes) == self.n * (self.n - 1) // 2
-
 
 @dataclass(frozen=True)
 class ScorePair:
@@ -131,35 +126,26 @@ class ScorePair:
         }
 
 
-def two_item_metrics(outcomes) -> tuple[float, float]:
-    """Mean outcome and mean outcome sign for a single pair's rounds."""
-    arr = np.asarray(outcomes, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("need at least one outcome")
-    if np.any(arr == 0):
-        raise CorruptDataError("zero outcome in comparison sequence")
-    return float(arr.mean()), float(np.sign(arr).mean())
-
-
 def count_scores(data: ComparisonDataset) -> ScorePair:
     """Per-item score sums; the reverse orientation of each stored pair
-    enters with the opposite sign."""
-    raw = np.zeros(data.n, dtype=np.int64)
-    signed = np.zeros(data.n, dtype=np.int64)
+    enters with the opposite sign.  Raw sums are taken in Python ints,
+    since int64 outcomes can sum past the int64 range."""
+    raw = [0] * data.n
+    signed = [0] * data.n
     for (i, j), ys in data.outcomes.items():
-        s = int(ys.sum())
+        s = sum(ys.tolist())
         b = int(np.sign(ys).sum())
         raw[i] += s
         raw[j] -= s
         signed[i] += b
         signed[j] -= b
-    return ScorePair(tuple(int(v) for v in raw), tuple(int(v) for v in signed),
-                     data.rounds)
+    return ScorePair(tuple(raw), tuple(signed), data.rounds)
 
 
 def kendall_tau(scores, theta: PreferenceVector):
     """Fraction of item pairs ordered differently by the scores than by
-    theta; pairs with equal scores count as errors.
+    theta; pairs with equal scores count as errors.  Theta must order every
+    pair: a tie has no right order, so it is refused.
 
     One score vector gives a float; a (reps, n) array gives one fraction per
     row.
@@ -168,8 +154,12 @@ def kendall_tau(scores, theta: PreferenceVector):
     if s.ndim not in (1, 2) or s.shape[-1] != theta.n:
         raise ValueError(f"got scores of shape {s.shape} for {theta.n} items")
     i, j = np.triu_indices(theta.n, k=1)
-    bad = np.count_nonzero((s[..., i] - s[..., j]) * theta.gaps()[i, j] <= 0,
-                           axis=-1)
+    gaps = theta.gaps()[i, j]
+    if not gaps.all():
+        k = np.flatnonzero(gaps == 0)[0]
+        raise ValueError(f"theta ties items {i[k]} and {j[k]}; "
+                         "the ranking error needs strict preferences")
+    bad = np.count_nonzero((s[..., i] - s[..., j]) * gaps <= 0, axis=-1)
     tau = 2.0 * bad / (theta.n * (theta.n - 1))
     return float(tau) if s.ndim == 1 else tau
 
@@ -242,17 +232,6 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
         tau_ordinal = float(np.mean(ndtr(-scale * d_bar / np.sqrt(inv_snr + spread))))
         tau_binary = float(np.mean(ndtr(-scale * d_bar / np.sqrt(spread))))
     return tau_ordinal, tau_binary
-
-
-def dataset_to_csv(data: ComparisonDataset) -> str:
-    """Wire format: header ``i,j,l,y``; items zero-based, rounds one-based."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "j", "l", "y"])
-    for (i, j) in sorted(data.outcomes):
-        for l, y in enumerate(data.outcomes[(i, j)], start=1):
-            writer.writerow([i, j, l, int(y)])
-    return buf.getvalue()
 
 
 def dataset_from_csv(text: str, n: int | None = None) -> ComparisonDataset:

@@ -91,6 +91,13 @@ class TestExitCodes:
         assert run_cli(command, "--pairs", str(path)) == 2
         assert "offsets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "histogram"])
+    def test_npy_pairs_file_is_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "pairs.npy"
+        np.save(path, np.arange(5))
+        assert run_cli(command, "--pairs", str(path)) == 2
+        assert f"{path}: one array, not a save_pairs archive" in capsys.readouterr().err
+
 
 class TestSnrCommands:
     def test_snr_value(self, capsys):
@@ -112,17 +119,57 @@ class TestSnrCommands:
 
 
 class TestRankCommand:
-    def test_scores_and_taus(self, tmp_path, capsys):
+    THREE_ITEMS = "i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,2,1\n1,2,1,-3\n1,2,2,1\n"
+
+    @staticmethod
+    def rank(tmp_path, csv_text, theta) -> int:
         data = tmp_path / "data.csv"
-        data.write_text("i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,2,1\n"
-                        "1,2,1,-3\n1,2,2,1\n", encoding="utf-8")
-        theta = tmp_path / "theta.json"
-        theta.write_text("[0.3, 0.2, 0.1]", encoding="utf-8")
-        assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 0
+        data.write_text(csv_text, encoding="utf-8")
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta), encoding="utf-8")
+        return run_cli("rank", "--input", str(data), "--theta", str(path))
+
+    def test_scores_and_taus(self, tmp_path, capsys):
+        assert self.rank(tmp_path, self.THREE_ITEMS, [0.3, 0.2, 0.1]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scores"]["ordinal_scores"][0] == pytest.approx(2.5)
         assert 0.0 <= payload["tau_ordinal"] <= 1.0
         assert 0.0 <= payload["tau_binary"] <= 1.0
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1,1,2\n1,1,1,2\n", "line 3: self-comparison 1"),
+        ("0,1,0,2\n", "line 2: rounds are one-based, got 0"),
+        ("0,1,1,2\n1,0,1,-1\n", "line 3: duplicate round 1 for pair (0,1)"),
+        ("0,1,1,2\n0,1,2,1\n0,2,1,1\n", "pairs carry unequal round counts: [1, 2]"),
+        ("0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,3,1\n", "pair (0, 2) rounds are not 1..2"),
+    ], ids=["self-comparison", "round-0", "duplicate-round", "unequal-rounds",
+            "rounds-not-1-to-L"])
+    def test_csv_refusals_are_exit_2(self, tmp_path, capsys, rows, message):
+        assert self.rank(tmp_path, "i,j,l,y\n" + rows, [0.3, 0.2, 0.1]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_scores_exact_past_int64(self, tmp_path, capsys):
+        # the raw sum 2**63 leaves int64 and once wrapped to -2**63
+        big = 2**62
+        assert self.rank(tmp_path, f"i,j,l,y\n0,1,1,{big}\n0,1,2,{big}\n", [0.2, 0.1]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scores"]["ordinal_scores"] == [float(big), -float(big)]
+        assert payload["tau_ordinal"] == 0.0
+
+    def test_item_without_comparisons_scores_zero(self, tmp_path, capsys):
+        # theta names four items; item 3, the top one, is in no row
+        assert self.rank(tmp_path, self.THREE_ITEMS, [0.3, 0.2, 0.1, 0.4]) == 0
+        scores = json.loads(capsys.readouterr().out)["scores"]
+        assert scores["ordinal_scores"] == [2.5, -2.5, 0.0, 0.0]
+        assert scores["binary_scores"] == [2.0, -1.0, -1.0, 0.0]
+
+    def test_theta_shorter_than_items_is_exit_2(self, tmp_path, capsys):
+        assert self.rank(tmp_path, self.THREE_ITEMS, [0.3, 0.2]) == 2
+        assert "bad pair (0, 2) for n=2" in capsys.readouterr().err
+
+    def test_tied_theta_is_exit_2(self, tmp_path, capsys):
+        assert self.rank(tmp_path, self.THREE_ITEMS, [0.3, 0.3, 0.1]) == 2
+        assert "theta ties items 0 and 1" in capsys.readouterr().err
 
 
 class TestRatesCommand:
@@ -439,6 +486,14 @@ class TestInputBoundaries:
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         assert "ci_levle" in capsys.readouterr().err
+
+    def test_zero_theta_gap_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1", replications=5, L_grid=(100,)).to_dict(),
+             "theta_gap": 0}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "theta ties items 0 and 1" in capsys.readouterr().err
 
     def test_unknown_simulate_link_key_is_exit_2(self, tmp_path, capsys):
         d = {**default_config("scenario1").to_dict(),
