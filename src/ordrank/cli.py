@@ -38,7 +38,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1, not argparse's default 2
-        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+        raise UsageError(message)  # parse_and_dispatch prints one usage
 
 
 def parse_link_spec(spec: str) -> StrengthLink:
@@ -296,9 +296,8 @@ def parse_and_dispatch(argv) -> int:
         return args.run(args)
     except UsageError as exc:
         print(f"ordrank: {exc}", file=sys.stderr)
-        if argv and argv[0] in parser.subparsers:
-            print(parser.subparsers[argv[0]].format_usage().rstrip(),
-                  file=sys.stderr)
+        sub = parser.subparsers.get(argv[0]) if argv else None
+        (sub or parser).print_usage(sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"ordrank: {exc}", file=sys.stderr)

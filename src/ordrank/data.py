@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -456,14 +458,21 @@ def save_pairs(pairs: PairComparisons, path) -> None:
 
 
 def load_pairs(path) -> PairComparisons:
-    """Read a ``save_pairs`` archive, its pairs in any order; raises
-    CorruptDataError, naming ``path``, for an invalid layout."""
-    z = np.load(path)
-    if isinstance(z, np.ndarray):  # a .npy file holds one bare array
-        raise CorruptDataError(f"{path}: one array, not a save_pairs archive")
-    with z:
-        arrays = {name: z[name] for name in _PAIR_ARRAYS}
+    """Read a ``save_pairs`` archive, its pairs in any order.  Any other file
+    raises CorruptDataError naming ``path``; one that cannot be opened, OSError."""
+    try:
+        z = np.load(path)
+        if isinstance(z, np.ndarray):  # a .npy file holds one bare array
+            raise CorruptDataError("one array")
+        with z:
+            if missing := [name for name in _PAIR_ARRAYS if name not in z.files]:
+                raise CorruptDataError(f"no {missing[0]} array")
+            arrays = {name: z[name] for name in _PAIR_ARRAYS}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        # text, pickled or object data, an empty file, a broken zip or member
+        fault = exc if isinstance(exc, CorruptDataError) else "unreadable as numpy data"
+        raise CorruptDataError(f"{path}: {fault}, not a save_pairs archive") from None
     try:
         return PairComparisons(**arrays)
-    except CorruptDataError as exc:
+    except ValueError as exc:  # a layout fault, or an archive member of raw bytes
         raise CorruptDataError(f"{path}: {exc}") from None

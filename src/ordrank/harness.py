@@ -157,44 +157,34 @@ class ExperimentConfig:
             raise ConfigError(f"{self.scenario} runs at pattern.beta and reads no betas")
         if self.betas is not None and "beta" in self.pattern:
             raise ConfigError("beta given both as pattern.beta and in betas")
-        # built once, so a malformed config fails before any run
+        # built once, so a malformed config or a tied theta fails before any
+        # run: one model per grid beta (None for a pattern that is not a
+        # family), and the ranking scenarios' preferences
         try:
-            object.__setattr__(self, "_link", StrengthLink.from_dict(self.link))
-            object.__setattr__(self, "_patterns", {
-                beta: self.make_pattern(beta) for beta in self.pattern_betas()})
+            link = StrengthLink.from_dict(self.link)
+            spec = {**self.pattern, "K": self.K}
+            if "family" in spec:
+                if not (self.betas or "beta" in spec):
+                    raise ConfigError("pattern family needs a beta")
+                patterns = [(b, PatternDistribution.from_family(spec["family"], b, self.K))
+                            for b in self.betas or (float(spec["beta"]),)]
+            elif self.betas:
+                raise ConfigError("beta grid given but pattern is not a family")
+            else:
+                patterns = [(None, PatternDistribution.from_dict(spec))]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad link or pattern: {exc}") from None
-
-    # -- model construction ------------------------------------------------
-
-    def make_link(self) -> StrengthLink:
-        return self._link
-
-    def make_pattern(self, beta: float | None = None) -> PatternDistribution:
-        spec = self.pattern
-        if "family" in spec:
-            b = beta if beta is not None else spec.get("beta")
-            if b is None:
-                raise ConfigError("pattern family needs a beta")
-            return PatternDistribution.from_family(spec["family"], float(b), self.K)
-        if beta is not None:
-            raise ConfigError("beta grid given but pattern is not a family")
-        return PatternDistribution.from_dict({**spec, "K": self.K})
-
-    def make_theta(self) -> PreferenceVector:
-        if self.theta is not None:
-            return PreferenceVector(tuple(self.theta))
-        return PreferenceVector.equally_spaced(self.n, self.theta_gap)
-
-    def pattern_label(self) -> str:
-        return self.pattern.get("family", "weights")
-
-    def pattern_betas(self) -> tuple[float | None, ...]:
-        if self.betas:
-            return self.betas
-        if "family" in self.pattern and "beta" in self.pattern:
-            return (float(self.pattern["beta"]),)
-        return (None,)
+        object.__setattr__(self, "models", tuple((b, OrdinalModel(link, pattern))
+                                                 for b, pattern in patterns))
+        theta = None
+        if self.scenario != "two_item":
+            try:
+                theta = (PreferenceVector(self.theta) if self.theta is not None
+                         else PreferenceVector.equally_spaced(self.n, self.theta_gap))
+                theta.pairs()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "preferences", theta)
 
     def to_dict(self) -> dict:
         """JSON-ready fields; optional fields left unset are omitted."""
@@ -242,7 +232,7 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         cfg = self.config
-        link_label = cfg.make_link().spec
+        link_label = cfg.models[0][1].link.spec
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -252,7 +242,7 @@ class ExperimentResult:
             for name in sorted(point.metrics):
                 m = point.metrics[name]
                 writer.writerow([
-                    cfg.scenario, link_label, cfg.pattern_label(),
+                    cfg.scenario, link_label, cfg.pattern.get("family", "weights"),
                     _fmt(beta), cfg.n, cfg.K, point.params.get("L", ""),
                     _fmt(gamma_or_w), name,
                     _fmt(m.estimate), _fmt(m.se), _fmt(m.ci_lo), _fmt(m.ci_hi),
@@ -364,37 +354,35 @@ _METRICS = {"two_item": _two_item_metrics, "scenario1": _scenario1_metrics,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every grid point of the config's scenario through one loop."""
     z = float(ndtri(0.5 + config.ci_level / 2.0))
-    betas = config.pattern_betas()
     if config.scenario == "two_item":
-        grid = [({"L": L, "gamma": gamma}, beta, np.array([gamma]))
-                for beta, gamma, L in itertools.product(betas, config.gammas,
-                                                        config.L_grid)]
+        grid = [({"L": L, "gamma": gamma}, beta, model, np.array([gamma]))
+                for (beta, model), gamma, L in itertools.product(
+                    config.models, config.gammas, config.L_grid)]
 
         def stat(raw, sign):
             return np.column_stack([raw[:, 0] > 0, sign[:, 0] > 0])
     else:
-        theta = config.make_theta()
-        first, second = np.triu_indices(theta.n, k=1)
-        gaps = theta.gaps()[first, second]
+        theta = config.preferences
+        first, second, gaps = theta.pairs()
         # pair p = (i, j) adds its sums to item i and subtracts them from item j
         incidence = np.zeros((gaps.size, theta.n), dtype=np.int64)
         incidence[np.arange(gaps.size), first] = 1
         incidence[np.arange(gaps.size), second] = -1
-        grid = [({"L": L, "w": config.theta_gap}, beta, gaps)
-                for beta, L in itertools.product(betas, config.L_grid)]
+        grid = [({"L": L, "w": config.theta_gap}, beta, model, gaps)
+                for (beta, model), L in itertools.product(config.models, config.L_grid)]
 
         def stat(raw, sign):
             return np.column_stack([kendall_tau(raw @ incidence, theta),
                                     kendall_tau(sign @ incidence, theta)])
     metrics = _METRICS[config.scenario]
     points = []
-    for grid_id, (params, beta, pair_gaps) in enumerate(grid):
-        pattern = config._patterns[beta]
-        support, probs = OrdinalModel(config.make_link(), pattern).pmf_table(pair_gaps)
+    for grid_id, (params, beta, model, pair_gaps) in enumerate(grid):
+        support, probs = model.pmf_table(pair_gaps)
         values = _replicate(config, grid_id, params["L"], support, probs, stat)
         if beta is not None:
             params["beta"] = beta
-        points.append(GridPointResult(grid_id, params, metrics(values, pattern, z),
+        points.append(GridPointResult(grid_id, params,
+                                      metrics(values, model.pattern, z),
                                       config.replications))
     lineage = {"base_seed": config.base_seed,
                "scheme": ("default_rng([base_seed, grid_id]); multinomial outcome "

@@ -67,6 +67,17 @@ class PreferenceVector:
         th = np.asarray(self.theta)
         return th[:, None] - th[None, :]
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays of the item pairs i < j and their gaps theta_i -
+        theta_j.  A tie orders no pair, so it is refused."""
+        i, j = np.triu_indices(self.n, k=1)
+        gaps = self.gaps()[i, j]
+        if not gaps.all():
+            k = np.flatnonzero(gaps == 0)[0]
+            raise ValueError(f"theta ties items {i[k]} and {j[k]}; "
+                             "the ranking error needs strict preferences")
+        return i, j, gaps
+
 
 @dataclass(frozen=True)
 class ComparisonDataset:
@@ -153,12 +164,7 @@ def kendall_tau(scores, theta: PreferenceVector):
     s = np.asarray(scores, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != theta.n:
         raise ValueError(f"got scores of shape {s.shape} for {theta.n} items")
-    i, j = np.triu_indices(theta.n, k=1)
-    gaps = theta.gaps()[i, j]
-    if not gaps.all():
-        k = np.flatnonzero(gaps == 0)[0]
-        raise ValueError(f"theta ties items {i[k]} and {j[k]}; "
-                         "the ranking error needs strict preferences")
+    i, j, gaps = theta.pairs()
     bad = np.count_nonzero((s[..., i] - s[..., j]) * gaps <= 0, axis=-1)
     tau = 2.0 * bad / (theta.n * (theta.n - 1))
     return float(tau) if s.ndim == 1 else tau
@@ -234,13 +240,13 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
     return tau_ordinal, tau_binary
 
 
-def dataset_from_csv(text: str, n: int | None = None) -> ComparisonDataset:
+def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
+    """The outcomes of CSV rows ``i,j,l,y`` among ``n`` items."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "j", "l", "y"]:
         raise ValueError("expected CSV header 'i,j,l,y'")
     per_pair: dict[tuple[int, int], dict[int, int]] = {}
-    max_item = -1
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -260,7 +266,6 @@ def dataset_from_csv(text: str, n: int | None = None) -> ComparisonDataset:
         if l in rounds:
             raise ValueError(f"line {lineno}: duplicate round {l} for pair ({i},{j})")
         rounds[l] = y
-        max_item = max(max_item, j)
     if not per_pair:
         raise ValueError("no comparison rows found")
     counts = {len(r) for r in per_pair.values()}
@@ -272,5 +277,4 @@ def dataset_from_csv(text: str, n: int | None = None) -> ComparisonDataset:
         if sorted(rounds) != list(range(1, L + 1)):
             raise ValueError(f"pair {pair} rounds are not 1..{L}")
         outcomes[pair] = np.array([rounds[l] for l in range(1, L + 1)], dtype=np.int64)
-    n_items = n if n is not None else max_item + 1
-    return ComparisonDataset(n=n_items, rounds=L, outcomes=outcomes)
+    return ComparisonDataset(n=n, rounds=L, outcomes=outcomes)

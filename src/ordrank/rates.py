@@ -13,7 +13,7 @@ binarization win at large L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,16 +42,7 @@ class RateResult:
     boundary: bool = False  # gamma == 0: the event has probability ~1/2
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "argmin_lambda": self.argmin_lambda,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "boundary": self.boundary,
-        }
-
-
-_MAX_DOUBLINGS = 64
+        return asdict(self)
 
 
 def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateResult:
@@ -59,9 +50,8 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
 
     The objective is convex with slope sum_t mults[t] * tilted_mean(gammas[t],
     mults[t] * lam), positive at lam = 0 for an oriented pair, so the argmin
-    is the root of the slope on [-B, 0].  B starts at max |phi| and doubles
-    until the slope changes sign; brentq then finds the root.  ``iterations``
-    counts brentq iterations plus doublings.
+    is the root of the slope on [-B, 0]; brentq finds it.  ``iterations``
+    counts brentq iterations plus the doubling below.
     """
     def slope(lam: float) -> float:
         return float(mults @ model.tilted_mean(gammas, mults * lam))
@@ -69,16 +59,17 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
     B = float(np.max(np.abs(model.link(gammas))))
     if B == 0.0:  # the link underflowed: every term is flat at lam = 0
         return RateResult(0.0, 0.0, 0, True)
-    doublings = 0
-    while slope(-B) > 0:
-        if doublings == _MAX_DOUBLINGS:
-            return RateResult(-float(np.sum(model.log_mgf(gammas, -B * mults))),
-                              -B, doublings, False)
+    # With B = max |phi| and every mults[t] * k >= 1, each tilted term
+    # phi_t + mults[t] * lam * k is <= 0 at lam = -B, so the slope there is
+    # <= 0.  It is 0 only when all weight sits on magnitude 1 and the root
+    # is -B itself, where rounding may read it positive; at -2B every term
+    # is < 0, so one doubling always brackets the root.
+    doubled = slope(-B) > 0
+    if doubled:
         B *= 2.0
-        doublings += 1
     lam, info = brentq(slope, -B, 0.0, xtol=1e-12 * B, full_output=True, disp=False)
     rate = -float(np.sum(model.log_mgf(gammas, lam * mults)))
-    return RateResult(rate, lam, info.iterations + doublings, info.converged)
+    return RateResult(rate, lam, info.iterations + doubled, info.converged)
 
 
 def rate_at_zero_binary(model: OrdinalModel, gamma: float) -> RateResult:

@@ -75,6 +75,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--psi" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("snr", "--K", "x", "--psi", "abs:0.1"),
+        ("snr", "--K", "4", "--psi", "abs:0.1", "--bogus"),
+        ("bogus",),
+    ])
+    def test_usage_printed_once(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.count("usage:") == 1
+
     def test_missing_config_file(self, capsys):
         assert run_cli("simulate", "--config", "missing.json") == 2
         assert "missing.json" in capsys.readouterr().err
@@ -97,6 +106,41 @@ class TestExitCodes:
         np.save(path, np.arange(5))
         assert run_cli(command, "--pairs", str(path)) == 2
         assert f"{path}: one array, not a save_pairs archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "histogram"])
+    def test_text_pairs_file_is_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "x.npz"
+        path.write_text("hello\n", encoding="utf-8")
+        assert run_cli(command, "--pairs", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unreadable as numpy data, not a save_pairs archive" in err
+        assert "pickle" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "histogram"])
+    def test_pairs_archive_missing_an_array_is_exit_2(self, tmp_path, capsys,
+                                                      command):
+        path = tmp_path / "pairs.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, item_i=np.array([0, 1]))
+        assert run_cli(command, "--pairs", str(path)) == 2
+        assert (f"{path}: no item_j array, not a save_pairs archive"
+                in capsys.readouterr().err)
+
+    def test_corrupt_compressed_pairs_file_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pairs.npz"
+        np.savez_compressed(path, item_i=np.arange(1000), item_j=np.arange(1000) + 1,
+                            offsets=np.arange(1001), diffs=np.ones(1000))
+        raw = bytearray(path.read_bytes())
+        raw[200:260] = bytes(b ^ 0x55 for b in raw[200:260])  # inside item_i's data
+        path.write_bytes(bytes(raw))
+        assert run_cli("histogram", "--pairs", str(path)) == 2
+        assert (f"{path}: unreadable as numpy data, not a save_pairs archive"
+                in capsys.readouterr().err)
+
+    def test_missing_pairs_file_keeps_os_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.npz"
+        assert run_cli("histogram", "--pairs", str(path)) == 2
+        assert f"No such file or directory: '{path}'" in capsys.readouterr().err
 
 
 class TestSnrCommands:

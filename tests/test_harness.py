@@ -16,7 +16,7 @@ from ordrank.harness import (
     default_config,
     run_experiment,
 )
-from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
+from ordrank.model import PatternDistribution, StrengthLink
 
 
 def small_two_item(**overrides) -> ExperimentConfig:
@@ -79,6 +79,15 @@ class TestConfig:
             default_config("scenario1", theta_gap=None,
                            theta=(0.2, 0.0, -0.2))  # n=10
 
+    @pytest.mark.parametrize("overrides", [
+        {"theta_gap": 0.0},
+        {"n": 3, "theta_gap": None, "theta": (0.4, 0.4, -0.8)},
+    ])
+    def test_tied_theta_refused_at_load(self, overrides):
+        # refused before run_experiment draws any outcome counts
+        with pytest.raises(ConfigError, match="theta ties items 0 and 1"):
+            default_config("scenario1", **overrides)
+
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
             small_two_item(L_grid=(6, 4))
@@ -135,7 +144,7 @@ class TestConfig:
                         {"K": 5, "family": "sq", "beta": 0.2},
                         {"weights": [0.2] * 5},
                         {"K": 5, "psi": [0.0, -1.0, -2.0, -3.0, -4.0]}):
-            assert default_config("scenario1", pattern=pattern).make_pattern().K == 5
+            assert default_config("scenario1", pattern=pattern).models[0][1].pattern.K == 5
 
     def test_two_item_with_pattern_beta_and_no_grid(self):
         cfg = small_two_item(pattern={"family": "abs", "beta": 0.3}, betas=None)
@@ -201,7 +210,7 @@ class TestTwoItem:
 
     def test_matches_enumeration_within_band(self):
         cfg = small_two_item(replications=20000)
-        model = OrdinalModel(cfg.make_link(), cfg.make_pattern(0.3))
+        model = dict(cfg.models)[0.3]
         values, probs = model.pmf_table(0.25)
         res = run_experiment(cfg)
         for point in res.points:
@@ -383,7 +392,7 @@ class TestModelPartsAtConstruction:
                             lambda *a: calls.append(a) or real(*a))
         run_experiment(cfg)
         assert calls == []
-        assert cfg.make_link() is cfg.make_link()
+        assert cfg.models[0][1].link is cfg.models[1][1].link
 
     def test_csv_link_column_reads_spec(self):
         logistic = {"kind": "logit-of-cdf", "scale": 0.5, "base_cdf": "logistic"}
@@ -394,4 +403,4 @@ class TestModelPartsAtConstruction:
             cfg = small_two_item(link=link, replications=10)
             rows = run_experiment(cfg).to_csv().splitlines()[1:]
             assert {row.split(",")[1] for row in rows} == {label}
-            assert cfg.make_link() == StrengthLink.from_spec(label)
+            assert cfg.models[0][1].link == StrengthLink.from_spec(label)

@@ -338,14 +338,14 @@ class TestDatasetCsv:
         outcomes = {(i, j): rng.choice([-2, -1, 1, 2], size=3)
                     for i in range(4) for j in range(i + 1, 4)}
         data = ComparisonDataset(4, 3, outcomes)
-        again = dataset_from_csv(comparisons_csv(data.outcomes))
+        again = dataset_from_csv(comparisons_csv(data.outcomes), n=4)
         assert again.n == 4 and again.rounds == 3
         for pair, ys in outcomes.items():
             np.testing.assert_array_equal(again.outcomes[pair], ys)
 
     def test_reverse_orientation_rows(self):
         text = "i,j,l,y\n1,0,1,3\n0,1,2,-1\n"
-        data = dataset_from_csv(text)
+        data = dataset_from_csv(text, n=2)
         np.testing.assert_array_equal(data.outcomes[(0, 1)], [-3, -1])
 
     def test_missing_pairs_accepted(self):
@@ -355,15 +355,15 @@ class TestDatasetCsv:
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(ValueError, match="line 3"):
-            dataset_from_csv("i,j,l,y\n0,1,1,2\n0,1,x,1\n")
+            dataset_from_csv("i,j,l,y\n0,1,1,2\n0,1,x,1\n", n=2)
 
     @pytest.mark.parametrize("row", ["0,1,2,99999999999999999999",
                                      "1,0,2,-9223372036854775808"])
     def test_integer_outside_int64_reports_line(self, row):
         # the second row flips orientation, so y = -(-2**63) leaves int64
         with pytest.raises(ValueError, match="line 3: .* outside int64"):
-            dataset_from_csv(f"i,j,l,y\n0,1,1,2\n{row}\n")
+            dataset_from_csv(f"i,j,l,y\n0,1,1,2\n{row}\n", n=2)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):
-            dataset_from_csv("a,b,c,d\n0,1,1,2\n")
+            dataset_from_csv("a,b,c,d\n0,1,1,2\n", n=2)

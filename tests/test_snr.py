@@ -63,7 +63,7 @@ class TestUnconstrainedMinimum:
                                    rtol=1e-15)
 
     def test_construction_attains_value(self):
-        for K in range(2, 11):
+        for K in range(2, 65):
             value, pattern = minimal_snr_unconstrained(K)
             assert snr_of_pattern(pattern).snr == pytest.approx(value, abs=1e-12)
 
@@ -96,7 +96,7 @@ class TestMonotoneMinimum:
         assert report.second_moment == pytest.approx(10 / 3, rel=1e-13)
 
     def test_construction_attains_value(self):
-        for K in range(2, 11):
+        for K in range(2, 65):
             value, pattern = minimal_snr_monotone(K)
             assert snr_of_pattern(pattern).snr == pytest.approx(value, abs=1e-12)
             assert all(a >= b for a, b in zip(pattern.weights,
