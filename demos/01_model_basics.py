@@ -6,28 +6,24 @@ pmf, the win probability, moments and SNR, and the JSON descriptor round
 trip.
 """
 
+import json
+
 import numpy as np
 
-from ordrank import (
-    OrdinalModel,
-    PatternDistribution,
-    StrengthLink,
-    model_from_json,
-    model_to_json,
-)
+from ordrank import OrdinalModel, PatternDistribution, StrengthLink
 from ordrank.model import LINK_NAMES
 
-# The four stock links, by the spec names that the CLI flags and the CSV
-# `link` column use.  All are strictly increasing and odd; `:scale`
-# multiplies the output.  The logit-of-cdf link with the logistic base is
-# the identity link, so at scale 1/2 it reads back as `identity:0.5`, the
-# classical Bradley-Terry propensity x/2.
+# The four stock links, by the `name[:scale]` specs that the CLI flags,
+# simulate configs, model descriptors and the CSV `link` column all use.
+# All are strictly increasing and odd; `:scale` multiplies the output.
+# `logitnorm` is the logit of the normal CDF (Thurstone); the logit of the
+# logistic CDF is x itself, so `identity:0.5` is the classical
+# Bradley-Terry propensity x/2.
 links = {name: StrengthLink.from_spec(name) for name in LINK_NAMES}
 print("link values at x = 0.5:")
 for name, link in links.items():
     print(f"  {name:>13}: {link(0.5): .6f}   (oddness: {link(-0.5): .6f})")
-print("  logistic logit-of-cdf at scale 1/2 reads back as",
-      StrengthLink("logit-of-cdf", 0.5, "logistic").spec)
+print("  Bradley-Terry at scale 1/2 is", StrengthLink("identity", 0.5).spec)
 
 # Magnitude patterns: weights over |Y| in {1..K}, here from the exponential
 # families psi(k) = -beta*k and psi(k) = -beta*k^2.
@@ -57,8 +53,12 @@ print(f"  mean {mom.mean:.4f}, variance {mom.variance:.4f}, snr {mom.snr:.4f}")
 draws = model.sample(gamma, np.random.default_rng(7), 100000)
 print(f"\nempirical P(Y>0) from 1e5 draws: {np.mean(draws > 0):.4f}")
 
-# Models serialize to a compact JSON descriptor; weights survive bit-exactly.
-text = model_to_json(model)
+# Models serialize to a compact JSON descriptor, the one `model-info`
+# prints: the link spec and the pattern weights, which survive bit-exactly.
+text = json.dumps(model.to_dict())
 print("\nJSON descriptor:", text[:70], "...")
-assert model_from_json(text).pattern.weights == model.pattern.weights
-print("round trip: weights identical bit for bit")
+d = json.loads(text)
+again = OrdinalModel(StrengthLink.from_spec(d["link"]),
+                     PatternDistribution.from_dict(d["pattern"]))
+assert again == model
+print("round trip: link and weights identical bit for bit")

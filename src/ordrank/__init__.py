@@ -1,4 +1,4 @@
-"""Ordinal paired comparisons, binarization, and counting-based ranking.
+"""Ordinal paired comparisons and counting-based ranking.
 
 Library layout:
 
@@ -18,8 +18,6 @@ from .model import (
     OrdinalModel,
     PatternDistribution,
     StrengthLink,
-    model_from_json,
-    model_to_json,
 )
 from .ranking import (
     ComparisonDataset,

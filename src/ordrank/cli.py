@@ -4,7 +4,8 @@ Every capability is a subcommand emitting JSON (or CSV for ``simulate``) on
 stdout or to ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 usage error, 2 data or convergence error.
 
-Spec strings on flags:
+Spec strings on flags (the ``link`` of a simulate config and of the
+``model-info`` descriptor is the same string):
   link:     cubic | identity | tanhsig | logitnorm, optionally ``:scale``
             (read by ``StrengthLink.from_spec``, written by ``.spec``)
   pattern:  abs:<beta> | sq:<beta> | uniform | weights:w1,..,wK |
@@ -18,7 +19,6 @@ Spec strings on flags:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -145,8 +145,6 @@ def _build_parser() -> _Parser:
     p = add("simulate", _cmd_simulate,
             "run a Monte-Carlo experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="restore the full-scale replication counts")
 
     p = add("ingest", _cmd_ingest, "parse ratings and write pairwise comparisons")
     p.add_argument("--format", default="movielens-100k-tab",
@@ -233,9 +231,6 @@ def _cmd_rates(args) -> int:
 def _cmd_simulate(args) -> int:
     config = harness.ExperimentConfig.from_json(
         Path(args.config).read_text(encoding="utf-8"))
-    if args.paper_scale:
-        config = dataclasses.replace(
-            config, replications=harness.PAPER_REPS[config.scenario])
     _emit(harness.run_experiment(config).to_csv(), args.out)
     return 0
 

@@ -12,9 +12,11 @@ per-replication statistic and its metrics, and it reads only these fields:
   SNR over ``betas``, at the single L of ``L_grid``.
 
 The ranking scenarios also read ``n`` and exactly one of ``theta`` and
-``theta_gap``.  ``pattern`` is ``{family[, beta]}``, ``{weights}`` or
-``{psi}``, with an optional ``K`` equal to the config's.  Any other field or
-key is refused with a ``ConfigError``.
+``theta_gap``.  ``link`` is a ``name[:scale]`` string such as ``"identity"``
+or ``"cubic:3.0"``, read by ``StrengthLink.from_spec``.  ``pattern`` is
+``{family[, beta]}``, ``{weights}`` or ``{psi}``, with an optional ``K``
+equal to the config's.  Any other field or key is refused with a
+``ConfigError``.
 
 The counting scores read only each pair's raw sum and sign sum over its L
 rounds, and both are linear in the pair's outcome counts.  So a replication
@@ -33,7 +35,7 @@ import dataclasses
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,10 +55,6 @@ __all__ = [
 ]
 
 SCENARIOS = ("two_item", "scenario1", "scenario2", "scenario3")
-
-# Full-scale replication counts, restored by ``--paper-scale``.
-PAPER_REPS = {"two_item": 10**6, "scenario1": 1000, "scenario2": 1000,
-              "scenario3": 1000}
 
 # Replications per multinomial draw.  It bounds the count array at any
 # replication count: 1024 x 45 pairs x 10 outcomes is 3.7 MB at n=10, K=5.
@@ -92,7 +90,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
-    link: dict
+    link: str
     pattern: dict
     K: int
     L_grid: tuple[int, ...]
@@ -126,8 +124,9 @@ class ExperimentConfig:
             raise ConfigError("replication count must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("CI level must lie in (0, 1)")
-        if not (isinstance(self.link, dict) and isinstance(self.pattern, dict)):
-            raise ConfigError("config link and pattern must be JSON objects")
+        if not isinstance(self.pattern, dict):
+            raise ConfigError("config pattern must be one of the JSON objects "
+                              "{family[, beta]}, {weights} or {psi}")
         keys = set(self.pattern) - {"K"}
         if keys not in ({"family"}, {"family", "beta"}, {"weights"}, {"psi"}):
             raise ConfigError(f"pattern keys {sorted(keys)} are not one of "
@@ -161,7 +160,7 @@ class ExperimentConfig:
         # run: one model per grid beta (None for a pattern that is not a
         # family), and the ranking scenarios' preferences
         try:
-            link = StrengthLink.from_dict(self.link)
+            link = StrengthLink.from_spec(self.link)
             spec = {**self.pattern, "K": self.K}
             if "family" in spec:
                 if not (self.betas or "beta" in spec):
@@ -218,7 +217,6 @@ class MetricEstimate:
 
 @dataclass(frozen=True)
 class GridPointResult:
-    grid_id: int
     params: dict
     metrics: dict[str, MetricEstimate]
     reps: int
@@ -228,7 +226,6 @@ class GridPointResult:
 class ExperimentResult:
     config: ExperimentConfig
     points: tuple[GridPointResult, ...]
-    seed_lineage: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         cfg = self.config
@@ -249,15 +246,6 @@ class ExperimentResult:
                     point.reps, cfg.base_seed,
                 ])
         return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        points = [{"grid_id": p.grid_id, "params": p.params, "reps": p.reps,
-                   "metrics": {k: dataclasses.asdict(v)
-                               for k, v in p.metrics.items()}}
-                  for p in self.points]
-        return {"config": self.config.to_dict(),
-                "seed_lineage": self.seed_lineage,
-                "points": points}
 
 
 def _fmt(v) -> str:
@@ -381,13 +369,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         values = _replicate(config, grid_id, params["L"], support, probs, stat)
         if beta is not None:
             params["beta"] = beta
-        points.append(GridPointResult(grid_id, params,
-                                      metrics(values, model.pattern, z),
+        points.append(GridPointResult(params, metrics(values, model.pattern, z),
                                       config.replications))
-    lineage = {"base_seed": config.base_seed,
-               "scheme": ("default_rng([base_seed, grid_id]); multinomial outcome "
-                          f"counts per pair in blocks of {_BLOCK} replications")}
-    return ExperimentResult(config, tuple(points), lineage)
+    return ExperimentResult(config, tuple(points))
 
 
 def default_config(scenario: str, **overrides) -> ExperimentConfig:
@@ -395,7 +379,7 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
     if scenario == "two_item":
         base = dict(
             scenario=scenario,
-            link={"kind": "identity", "scale": 1.0},
+            link="identity",
             pattern={"family": "abs"},
             K=4,
             L_grid=tuple(range(50, 501, 50)),
@@ -407,7 +391,7 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
     elif scenario in ("scenario1", "scenario2", "scenario3"):
         base = dict(
             scenario=scenario,
-            link={"kind": "identity", "scale": 1.0},
+            link="identity",
             pattern={"family": "abs", "beta": 1.0},
             K=5,
             n=10,

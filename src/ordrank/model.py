@@ -16,13 +16,12 @@ overflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, log_ndtr
+from scipy.special import erf, expit, log_ndtr, ndtr
 
 __all__ = [
     "InvalidPatternError",
@@ -33,8 +32,6 @@ __all__ = [
     "OrdinalModel",
     "log_cosh",
     "sech2",
-    "model_to_json",
-    "model_from_json",
 ]
 
 _LOG2 = math.log(2.0)
@@ -42,13 +39,8 @@ _LOG2 = math.log(2.0)
 # the log-sum-exp forms, whose absolute error no longer swamps the result
 _SMALL_ARG = 1.0
 
-# The one link vocabulary: spec name -> (kind, base_cdf).  The logistic
-# logit-of-CDF link is the identity link, so it has no name of its own.
-LINK_NAMES = {"cubic": ("cubic", None), "identity": ("identity", None),
-              "tanhsig": ("tanh-sigmoid", None),
-              "logitnorm": ("logit-of-cdf", "standard-normal")}
-LINK_KINDS = tuple(dict.fromkeys(kind for kind, _ in LINK_NAMES.values()))
-BASE_CDFS = ("logistic", "standard-normal")
+# The links, by the names that ``name[:scale]`` specs use
+LINK_NAMES = ("cubic", "identity", "tanhsig", "logitnorm")
 
 
 class InvalidPatternError(ValueError):
@@ -71,33 +63,23 @@ class StrengthLink:
     """Monotone, origin-antisymmetric map from preference difference to
     propensity scale.
 
-    ``kind`` selects the functional form; ``scale`` is a positive multiplier.
-    ``logit-of-cdf`` builds the link as scale * log(F(x) / (1 - F(x))) for a
-    symmetric base CDF F.  For the logistic base this is exactly scale * x,
-    so construction folds it into the identity link; for the standard normal
-    it is evaluated through log_ndtr on both tails, which keeps the two log
-    terms accurate for |x| far beyond the point where 1 - F(x) underflows.
-    ``from_spec`` and ``spec`` read and write the ``name[:scale]`` strings
-    of ``LINK_NAMES``.
+    ``kind`` is a name from ``LINK_NAMES``; ``scale`` is a positive
+    multiplier.  ``logitnorm`` is scale * log(F(x) / (1 - F(x))) for the
+    standard normal CDF F (Thurstone): a log1p with no cancellation up to
+    |x| = _SMALL_ARG, and log_ndtr on both tails beyond, accurate far past
+    the point where 1 - F(x) underflows.  For the logistic CDF that logit
+    is x itself, so Bradley-Terry is ``identity``.  ``from_spec`` and
+    ``spec`` read and write the ``name[:scale]`` strings.
     """
 
     kind: str = "identity"
     scale: float = 1.0
-    base_cdf: str | None = None
 
     def __post_init__(self):
-        if self.kind not in LINK_KINDS:
-            raise ValueError(f"unknown link kind {self.kind!r}")
+        if self.kind not in LINK_NAMES:
+            raise ValueError(f"unknown link {self.kind!r}; choose from {'|'.join(LINK_NAMES)}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("link scale must be a positive finite real")
-        if self.kind == "logit-of-cdf":
-            if self.base_cdf not in BASE_CDFS:
-                raise ValueError(f"logit-of-cdf needs base_cdf in {BASE_CDFS}")
-            if self.base_cdf == "logistic":  # log(F / (1 - F)) == x
-                object.__setattr__(self, "kind", "identity")
-                object.__setattr__(self, "base_cdf", None)
-        elif self.base_cdf is not None:
-            raise ValueError("base_cdf only applies to logit-of-cdf links")
+            raise ValueError(f"link scale {self.scale!r} is not a positive finite real")
 
     def __call__(self, x):
         """Evaluate the link; accepts scalars or arrays, returns the same."""
@@ -106,48 +88,37 @@ class StrengthLink:
             out = self.scale * arr**3
         elif self.kind == "identity":
             out = self.scale * arr
-        elif self.kind == "tanh-sigmoid":
+        elif self.kind == "tanhsig":
             # (1 - e^-x) / (1 + e^-x) == tanh(x / 2), exactly odd in floats
             out = self.scale * np.tanh(arr / 2.0)
-        else:  # logit-of-cdf on the standard normal
-            out = self.scale * (log_ndtr(arr) - log_ndtr(-arr))
+        else:  # logitnorm: F(|x|) / F(-|x|) = 1 + erf(|x| / sqrt 2) / F(-|x|)
+            a = np.abs(arr)
+            with np.errstate(divide="ignore"):
+                near = np.sign(arr) * np.log1p(erf(a / math.sqrt(2.0)) / ndtr(-a))
+            out = self.scale * np.where(a <= _SMALL_ARG, near,
+                                        log_ndtr(arr) - log_ndtr(-arr))
         if np.ndim(x) == 0:
             return float(out)
         return out
 
     @classmethod
     def from_spec(cls, spec: str) -> "StrengthLink":
-        """The link named by ``name[:scale]``, a name from ``LINK_NAMES``."""
-        name, _, scale = spec.partition(":")
-        if name not in LINK_NAMES:
-            raise ValueError(f"unknown link {name!r}; choose from {'|'.join(LINK_NAMES)}")
-        kind, base_cdf = LINK_NAMES[name]
+        """The link named by ``name[:scale]``, a name from ``LINK_NAMES``;
+        a scale, when the colon is there, must be a number."""
+        if not isinstance(spec, str):
+            raise ValueError(f"a link is a name[:scale] string such as 'cubic:3.0', "
+                             f"not {spec!r}")
+        name, colon, scale = spec.partition(":")
         try:
-            return cls(kind, float(scale) if scale else 1.0, base_cdf)
-        except ValueError as exc:
-            raise ValueError(f"bad link scale {scale!r}: {exc}") from None
+            value = float(scale) if colon else 1.0
+        except ValueError:
+            raise ValueError(f"bad link scale {scale!r} in {spec!r}") from None
+        return cls(name, value)
 
     @property
     def spec(self) -> str:
         """The ``name[:scale]`` string that ``from_spec`` reads back."""
-        name = next(name for name, form in LINK_NAMES.items()
-                    if form == (self.kind, self.base_cdf))
-        return name if self.scale == 1.0 else f"{name}:{self.scale!r}"
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "scale": self.scale}
-        if self.base_cdf is not None:
-            d["base_cdf"] = self.base_cdf
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StrengthLink":
-        """Inverse of ``to_dict``; a key other than ``kind``, ``scale`` and
-        ``base_cdf`` is refused."""
-        if unknown := sorted(set(d) - {"kind", "scale", "base_cdf"}):
-            raise ValueError(f"link keys {unknown} are not kind, scale or base_cdf")
-        return cls(kind=d["kind"], scale=float(d.get("scale", 1.0)),
-                   base_cdf=d.get("base_cdf"))
+        return self.kind if self.scale == 1.0 else f"{self.kind}:{self.scale!r}"
 
 
 @dataclass(frozen=True)
@@ -408,17 +379,4 @@ class OrdinalModel:
         return self._tilted(gamma, lam, slope=True)
 
     def to_dict(self) -> dict:
-        return {"link": self.link.to_dict(), "pattern": self.pattern.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrdinalModel":
-        return cls(link=StrengthLink.from_dict(d["link"]),
-                   pattern=PatternDistribution.from_dict(d["pattern"]))
-
-
-def model_to_json(model: OrdinalModel, **kwargs) -> str:
-    return json.dumps(model.to_dict(), **kwargs)
-
-
-def model_from_json(text: str) -> OrdinalModel:
-    return OrdinalModel.from_dict(json.loads(text))
+        return {"link": self.link.spec, "pattern": self.pattern.to_dict()}

@@ -89,9 +89,9 @@ def test_criterion_03_binary_model_reductions():
     """With scale-1/2 logit-of-CDF links at K=1, the win probability is the
     logistic sigmoid (logistic base) or the normal CDF (normal base)."""
     grid = np.linspace(-4.0, 4.0, 100)
-    btl = OrdinalModel(StrengthLink("logit-of-cdf", 0.5, "logistic"),
+    btl = OrdinalModel(StrengthLink("identity", 0.5),
                        PatternDistribution.uniform(1))
-    tm = OrdinalModel(StrengthLink("logit-of-cdf", 0.5, "standard-normal"),
+    tm = OrdinalModel(StrengthLink("logitnorm", 0.5),
                       PatternDistribution.uniform(1))
     for g in grid:
         g = float(g)
@@ -145,7 +145,7 @@ def test_criterion_04_enumeration_oracle():
             assert _two_item_exact(model, gamma, L) == pytest.approx(
                 (exact_raw, exact_sign), rel=0.0, abs=1e-12)
             cfg = ExperimentConfig(
-                scenario="two_item", link={"kind": "identity", "scale": 1.0},
+                scenario="two_item", link="identity",
                 pattern=pattern.to_dict(), K=K, L_grid=(L,), gammas=(gamma,),
                 replications=reps, base_seed=1404)
             point = run_experiment(cfg).points[0]
@@ -200,13 +200,11 @@ def test_criterion_06_rate_ordering_fuzz():
     misranking rates satisfy binary > ordinal > 0 and the optimizer matches a
     dense lambda-grid oracle within 1e-6; likewise for the n-item rates."""
     rng = np.random.default_rng(606)
-    kinds = ["identity", "cubic", "tanh-sigmoid", "logit-of-cdf"]
+    kinds = ["identity", "cubic", "tanhsig", "logitnorm"]
     with timer(120.0):
         for _ in range(50):
             kind = str(rng.choice(kinds))
-            link = StrengthLink(kind, scale=float(rng.uniform(0.4, 1.5)),
-                                base_cdf="standard-normal"
-                                if kind == "logit-of-cdf" else None)
+            link = StrengthLink(kind, scale=float(rng.uniform(0.4, 1.5)))
             K = int(rng.integers(2, 7))
             model = OrdinalModel(link, PatternDistribution.from_psi(
                 rng.uniform(-1.5, 1.0, K)))
@@ -224,7 +222,7 @@ def test_criterion_06_rate_ordering_fuzz():
                 theta = PreferenceVector(tuple(np.sort(
                     rng.uniform(-0.7, 0.7, n))[::-1]))
                 model = OrdinalModel(
-                    StrengthLink(str(rng.choice(["identity", "tanh-sigmoid"]))),
+                    StrengthLink(str(rng.choice(["identity", "tanhsig"]))),
                     PatternDistribution.from_psi(
                         rng.uniform(-1.0, 0.5, int(rng.integers(2, 5)))))
                 i, j = sorted(rng.choice(n, 2, replace=False).tolist())
@@ -279,9 +277,9 @@ def test_criterion_07_nitem_dominance_and_ratio_trend():
 
 
 SETTINGS_C8 = [
-    ({"kind": "identity", "scale": 1.0}, {"family": "abs", "beta": 0.1}, 5),
-    ({"kind": "identity", "scale": 1.0}, {"family": "abs", "beta": 0.9}, 4),
-    ({"kind": "tanh-sigmoid", "scale": 1.0}, {"family": "sq", "beta": 0.5}, 5),
+    ("identity", {"family": "abs", "beta": 0.1}, 5),
+    ("identity", {"family": "abs", "beta": 0.9}, 4),
+    ("tanhsig", {"family": "sq", "beta": 0.5}, 5),
 ]
 
 
@@ -297,7 +295,7 @@ def test_criterion_08_asymptotic_tau_brackets_mc():
                                  base_seed=808)
             point = run_experiment(cfg).points[0]
             model = OrdinalModel(
-                StrengthLink.from_dict(link_spec),
+                StrengthLink.from_spec(link_spec),
                 PatternDistribution.from_family(
                     pattern_spec["family"], pattern_spec["beta"], K))
             limits = asymptotic_tau(
@@ -312,15 +310,13 @@ def test_criterion_09_expected_score_consistency():
     """Expected counting scores order items exactly as the true preferences
     for 200 randomized draws; zero failures allowed."""
     rng = np.random.default_rng(909)
-    kinds = ["identity", "cubic", "tanh-sigmoid", "logit-of-cdf"]
+    kinds = ["identity", "cubic", "tanhsig", "logitnorm"]
     failures = 0
     for _ in range(200):
         n = int(rng.integers(2, 12))
         theta = PreferenceVector(tuple(rng.normal(scale=0.8, size=n)))
         kind = str(rng.choice(kinds))
-        link = StrengthLink(kind, scale=float(rng.uniform(0.2, 2.0)),
-                            base_cdf="standard-normal"
-                            if kind == "logit-of-cdf" else None)
+        link = StrengthLink(kind, scale=float(rng.uniform(0.2, 2.0)))
         pattern = PatternDistribution.from_psi(
             rng.uniform(-2.0, 1.0, int(rng.integers(1, 8))))
         raw, signed = expected_scores(OrdinalModel(link, pattern), theta)

@@ -14,7 +14,7 @@ import pytest
 from ordrank.cli import _build_parser, parse_and_dispatch, parse_link_spec, parse_pattern_spec
 from ordrank.data import synthetic_ratings
 from ordrank.harness import default_config
-from ordrank.model import model_from_json
+from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
 
 
 def run_cli(*argv) -> int:
@@ -32,9 +32,9 @@ class TestSpecParsers:
     def test_link_specs(self):
         assert parse_link_spec("identity").kind == "identity"
         assert parse_link_spec("cubic:0.5").scale == 0.5
-        assert parse_link_spec("tanhsig").kind == "tanh-sigmoid"
+        assert parse_link_spec("tanhsig").kind == "tanhsig"
         link = parse_link_spec("logitnorm:0.5")
-        assert link.base_cdf == "standard-normal"
+        assert (link.kind, link.scale) == ("logitnorm", 0.5)
 
     def test_bad_link(self):
         from ordrank.cli import UsageError
@@ -255,15 +255,6 @@ class TestSimulateCommand:
                        "--threads", "8") == 0
         assert out1.read_bytes() == out8.read_bytes()
 
-    def test_paper_scale_overrides_replications(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.json"
-        cfg = default_config("scenario1", n=3, L_grid=(5,), replications=7)
-        cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
-        assert run_cli("simulate", "--config", str(cfg_path),
-                       "--paper-scale") == 0
-        out = capsys.readouterr().out
-        assert ",1000," in out  # reps column restored to full scale
-
 
 class TestIngestEvaluateHistogram:
     @pytest.fixture
@@ -301,9 +292,11 @@ class TestModelInfo:
         assert run_cli("model-info", "--link", "logitnorm:0.5", "--pattern",
                        "abs:0.3,K=3", "--gamma", "0.4") == 0
         out = capsys.readouterr().out
-        model = model_from_json(out)
-        assert model.K == 3
         payload = json.loads(out)
+        model = OrdinalModel(StrengthLink.from_spec(payload["link"]),
+                             PatternDistribution.from_dict(payload["pattern"]))
+        assert model.K == 3
+        assert payload["link"] == "logitnorm:0.5"
         assert payload["at_gamma"]["prob_positive"] == pytest.approx(
             0.5 * (1 + math.erf(0.4 / math.sqrt(2))), abs=1e-10)
 
@@ -361,13 +354,13 @@ class TestSpecRules:
     rejects one."""
 
     @pytest.mark.parametrize("spec", ["cubic:x", "cubic:-1", "identity:inf",
-                                      "tanhsig:0"])
+                                      "tanhsig:0", "identity:"])
     def test_bad_link_spec_exits_1(self, spec, capsys):
         assert run_cli("model-info", "--link", spec, "--pattern", "uniform,K=2") == 1
         assert "scale" in capsys.readouterr().err
 
     def test_parse_link_spec_is_from_spec(self):
-        from ordrank.model import LINK_NAMES, StrengthLink
+        from ordrank.model import LINK_NAMES
         for name in LINK_NAMES:
             assert parse_link_spec(f"{name}:0.5") == StrengthLink.from_spec(f"{name}:0.5")
 
@@ -414,7 +407,7 @@ class TestFlagsWhereTheyAct:
         "rank": ("--out", "--threads", "--input", "--theta"),
         "rates": ("--out", "--threads", "--link", "--pattern", "--gamma", "--K",
                   "--factor"),
-        "simulate": ("--out", "--threads", "--config", "--paper-scale"),
+        "simulate": ("--out", "--threads", "--config"),
         "ingest": ("--out", "--threads", "--format", "--path",
                    "--min-item-ratings"),
         "evaluate": ("--out", "--threads", "--pairs", "--train-frac", "--reps",
@@ -442,7 +435,7 @@ class TestFlagsWhereTheyAct:
                   - {"-h", "--help"}
                   for name, p in _build_parser().subparsers.items()}
         assert parsed == {name: set(opts) for name, opts in self.OPTIONS.items()}
-        assert sum(map(len, self.OPTIONS.values())) == 45
+        assert sum(map(len, self.OPTIONS.values())) == 44
 
     def test_simulate_rejects_seed(self, tmp_path, capsys):
         cfg = default_config("two_item", L_grid=(4,), gammas=(0.3,), betas=(0.5,),
@@ -515,7 +508,7 @@ class TestInputBoundaries:
         assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 0
         assert json.loads(capsys.readouterr().out)["tau_ordinal"] == 0.0
 
-    @pytest.mark.parametrize("key,value", [("link", "identity"), ("pattern", "abs"),
+    @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),
                                            ("pattern", [1, 2])])
     def test_malformed_simulate_config_is_exit_2(self, tmp_path, capsys, key, value):
         d = {**default_config("scenario1").to_dict(), key: value}
@@ -546,3 +539,20 @@ class TestInputBoundaries:
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         assert "scael" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("link", [{"kind": "identity", "scale": 1.0},
+                                      ["identity"], 1.0])
+    def test_non_string_simulate_link_is_exit_2(self, tmp_path, capsys, link):
+        d = {**default_config("scenario1").to_dict(), "link": link}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "link" in err and "name[:scale]" in err
+
+    def test_empty_link_scale_in_config_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1").to_dict(), "link": "identity:"}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "bad link scale ''" in capsys.readouterr().err

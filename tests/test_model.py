@@ -1,20 +1,19 @@
 """Tests for the generative comparison model: exact pmf values, moment
 formulas, sampling, binarization, and the log-MGF."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ordrank.harness import ConfigError, default_config
 from ordrank.model import (
-    LINK_KINDS,
     LINK_NAMES,
     InvalidPatternError,
     OrdinalModel,
     PatternDistribution,
     StrengthLink,
-    model_from_json,
-    model_to_json,
 )
 
 RNG_SEED = 20317
@@ -45,10 +44,10 @@ def pmf(model: OrdinalModel, gamma: float, k: int) -> float:
 
 
 def random_model(rng: np.random.Generator, max_k: int = 6) -> OrdinalModel:
-    kind = rng.choice(["identity", "cubic", "tanh-sigmoid", "logit-of-cdf"])
-    base = rng.choice(["logistic", "standard-normal"]) if kind == "logit-of-cdf" else None
-    link = StrengthLink(kind=str(kind), scale=float(rng.uniform(0.3, 2.0)),
-                        base_cdf=None if base is None else str(base))
+    kind = str(rng.choice(["identity", "cubic", "tanhsig", "logitnorm"]))
+    if kind == "logitnorm":  # logit of the logistic or of the normal CDF
+        kind = str(rng.choice(["identity", "logitnorm"]))
+    link = StrengthLink(kind=kind, scale=float(rng.uniform(0.3, 2.0)))
     K = int(rng.integers(1, max_k + 1))
     pattern = PatternDistribution.from_psi(rng.uniform(-2.0, 1.0, size=K))
     return OrdinalModel(link, pattern)
@@ -59,7 +58,7 @@ class TestStrengthLink:
         assert StrengthLink("identity")(0.0) == 0.0
 
     def test_logit_of_logistic_is_half_gamma(self):
-        link = StrengthLink("logit-of-cdf", scale=0.5, base_cdf="logistic")
+        link = StrengthLink("identity", scale=0.5)
         for gamma in (-3.0, -0.4, 0.7, 2.5):
             assert link(gamma) == pytest.approx(gamma / 2.0, abs=0.0)
 
@@ -69,18 +68,26 @@ class TestStrengthLink:
         assert link(-2.0) == -8.0
 
     @pytest.mark.parametrize("kind,base", [
-        ("cubic", None), ("identity", None), ("tanh-sigmoid", None),
-        ("logit-of-cdf", "logistic"), ("logit-of-cdf", "standard-normal"),
+        ("cubic", None), ("identity", None), ("tanhsig", None),
+        ("identity", "logistic"), ("logitnorm", "standard-normal"),
     ])
     def test_monotone_and_odd(self, kind, base):
-        link = StrengthLink(kind, base_cdf=base)
+        """Every link is increasing and odd; a link that is the logit of a
+        base CDF F equals log(F / (1 - F))."""
+        link = StrengthLink(kind)
         grid = np.linspace(-6.0, 6.0, 241)
         assert np.all(np.diff(link(grid)) > 0)
         assert np.max(np.abs(link(grid) + link(-grid))) <= 1e-12
         assert link(0.0) == 0.0
+        if base is not None:
+            cdf = {"logistic": lambda x: 1.0 / (1.0 + math.exp(-x)),
+                   "standard-normal": normal_cdf}[base]
+            for x in (-3.0, -0.4, 0.7, 2.5):
+                assert link(x) == pytest.approx(math.log(cdf(x) / (1.0 - cdf(x))),
+                                                rel=1e-12)
 
     def test_normal_logit_far_tail_is_finite_and_odd(self):
-        link = StrengthLink("logit-of-cdf", base_cdf="standard-normal")
+        link = StrengthLink("logitnorm")
         for x in (8.0, 20.0, 35.0):
             v = link(x)
             assert math.isfinite(v) and v > 0
@@ -94,10 +101,23 @@ class TestStrengthLink:
         with pytest.raises(ValueError):
             StrengthLink("identity", scale=0.0)
 
+    @pytest.mark.parametrize("x", [s * x for x in (1e-12, 1e-10, 1e-6, 1e-3, 0.05,
+                                                   0.5, 1.0, 3.0, 30.0)
+                                   for s in (1.0, -1.0)])
+    def test_normal_logit_full_precision(self, x):
+        """logitnorm against 50-digit log(F(x) / F(-x)), including tiny |x|,
+        where the difference of two log_ndtr values near log(1/2) cancels."""
+        mpmath = pytest.importorskip("mpmath")
+        link = StrengthLink("logitnorm")
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.ncdf(x) / mpmath.ncdf(-x))
+            assert abs((mpmath.mpf(link(x)) - exact) / exact) <= 1e-15
+        assert link(-x) == -link(x)
+
 
 class TestLinkSpec:
     """``from_spec`` and ``spec`` are inverses over the names of
-    ``LINK_NAMES``, and the logistic logit-of-CDF link is the identity."""
+    ``LINK_NAMES``; the logit of the logistic CDF is the identity link."""
 
     @pytest.mark.parametrize("name", sorted(LINK_NAMES))
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1, 3.0])
@@ -107,41 +127,44 @@ class TestLinkSpec:
         assert link.spec == s
         assert StrengthLink.from_spec(link.spec) == link
         assert link.scale == scale
-        assert (link.kind, link.base_cdf) == LINK_NAMES[name]
+        assert link.kind == name
 
     def test_names_cover_every_serializable_kind(self):
-        kinds = {kind for kind, _ in LINK_NAMES.values()}
-        assert kinds == set(LINK_KINDS)
+        for kind in LINK_NAMES:
+            assert StrengthLink(kind).spec == kind
+        with pytest.raises(ValueError, match="unknown link"):
+            StrengthLink("logit-of-cdf")
 
     def test_logistic_logit_folds_into_identity(self):
-        folded = StrengthLink("logit-of-cdf", 0.5, "logistic")
+        folded = StrengthLink.from_spec("identity:0.5")
         assert folded == StrengthLink("identity", 0.5)
-        assert (folded.kind, folded.base_cdf) == ("identity", None)
         assert folded.spec == "identity:0.5"
-        assert folded.to_dict() == {"kind": "identity", "scale": 0.5}
         grid = np.linspace(-5.0, 5.0, 41)
         assert np.array_equal(folded(grid), 0.5 * grid)
-
-    def test_json_form_with_logistic_base_still_parses(self):
-        link = StrengthLink.from_dict({"kind": "logit-of-cdf", "scale": 0.5,
-                                       "base_cdf": "logistic"})
-        assert link == StrengthLink("identity", 0.5)
 
     @pytest.mark.parametrize("name", sorted(LINK_NAMES))
     def test_json_form_round_trips(self, name):
         link = StrengthLink.from_spec(f"{name}:0.5")
-        assert StrengthLink.from_dict(link.to_dict()) == link
+        assert StrengthLink.from_spec(json.loads(json.dumps(link.spec))) == link
+        cfg = default_config("scenario1", link=link.spec)
+        assert cfg.models[0][1].link == link
+        assert cfg.to_dict()["link"] == link.spec
 
     @pytest.mark.parametrize("d", [{"kind": "identity", "scael": 3.0},
                                    {"kind": "cubic", "scale": 2.0, "fn": None}])
     def test_unknown_json_key_rejected(self, d):
+        """The old JSON-object form of a link is refused, and the refusal
+        shows the object, bad key included."""
         (bad,) = set(d) - {"kind", "scale"}
         with pytest.raises(ValueError, match=bad):
-            StrengthLink.from_dict(d)
+            StrengthLink.from_spec(d)
+        with pytest.raises(ConfigError, match=r"name\[:scale\]"):
+            default_config("scenario1", link=d)
 
     @pytest.mark.parametrize("spec", ["quartic", "cubic:x", "cubic:-1",
                                       "identity:inf", "tanhsig:0",
-                                      "logitnorm:nan", "logit-of-cdf"])
+                                      "logitnorm:nan", "logit-of-cdf",
+                                      "identity:", "cubic:"])
     def test_bad_specs(self, spec):
         with pytest.raises(ValueError):
             StrengthLink.from_spec(spec)
@@ -267,13 +290,13 @@ class TestProbPositive:
             assert random_model(rng).prob_positive(0.0) == 0.5
 
     def test_thurstone_branch_matches_normal_cdf(self):
-        link = StrengthLink("logit-of-cdf", scale=0.5, base_cdf="standard-normal")
+        link = StrengthLink("logitnorm", scale=0.5)
         m = OrdinalModel(link, PatternDistribution.uniform(2))
         assert m.prob_positive(0.3) == pytest.approx(normal_cdf(0.3), abs=1e-12)
 
     def test_independent_of_pattern(self):
         rng = np.random.default_rng(RNG_SEED + 4)
-        link = StrengthLink("tanh-sigmoid")
+        link = StrengthLink("tanhsig")
         for _ in range(30):
             gamma = float(rng.uniform(-2, 2))
             K = int(rng.integers(1, 7))
@@ -285,20 +308,21 @@ class TestProbPositive:
 
 
 class TestKOneReductions:
-    """Binary special cases: logistic and normal logit-of-cdf links with
-    scale 1/2 reproduce the classical win probabilities."""
+    """Binary special cases: the logits of the logistic and normal CDFs
+    (identity and logitnorm) at scale 1/2 reproduce the classical win
+    probabilities."""
 
     GRID = np.linspace(-4.0, 4.0, 100)
 
     def test_logistic_branch(self):
-        m = OrdinalModel(StrengthLink("logit-of-cdf", 0.5, "logistic"),
+        m = OrdinalModel(StrengthLink("identity", 0.5),
                          PatternDistribution.uniform(1))
         for g in self.GRID:
             sigma = 1.0 / (1.0 + math.exp(-g))
             assert m.prob_positive(float(g)) == pytest.approx(sigma, abs=1e-10)
 
     def test_normal_branch(self):
-        m = OrdinalModel(StrengthLink("logit-of-cdf", 0.5, "standard-normal"),
+        m = OrdinalModel(StrengthLink("logitnorm", 0.5),
                          PatternDistribution.uniform(1))
         for g in self.GRID:
             assert m.prob_positive(float(g)) == pytest.approx(normal_cdf(float(g)),
@@ -374,7 +398,7 @@ class TestSampling:
         assert abs(np.mean(draws > 0) - p) < band
 
     def test_empirical_pmf_converges(self):
-        m = OrdinalModel(StrengthLink("tanh-sigmoid"),
+        m = OrdinalModel(StrengthLink("tanhsig"),
                          PatternDistribution.from_family("abs", 0.4, 3))
         n = 200000
         draws = m.sample(0.8, np.random.default_rng(11), n)
@@ -453,18 +477,25 @@ class TestLogMgf:
             assert m.log_mgf(0.6, float(lam)) == pytest.approx(v, rel=1e-14)
 
 
+def model_from_descriptor(text: str) -> OrdinalModel:
+    """The model of a ``to_dict`` descriptor in JSON."""
+    d = json.loads(text)
+    return OrdinalModel(StrengthLink.from_spec(d["link"]),
+                        PatternDistribution.from_dict(d["pattern"]))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         m = OrdinalModel(
-            StrengthLink("logit-of-cdf", scale=0.5, base_cdf="standard-normal"),
+            StrengthLink("logitnorm", scale=0.5),
             PatternDistribution.from_psi([-0.1, -0.7, 0.3]))
-        again = model_from_json(model_to_json(m))
+        again = model_from_descriptor(json.dumps(m.to_dict()))
         assert again.link == m.link
         assert again.pattern.weights == m.pattern.weights
 
     def test_psi_descriptor_accepted(self):
-        m = model_from_json(
-            '{"link": {"kind": "identity", "scale": 1.0},'
+        m = model_from_descriptor(
+            '{"link": "identity",'
             ' "pattern": {"K": 2, "psi": [0.0, -1.0]}}')
         assert m.K == 2
         assert m.pattern.weights[0] > m.pattern.weights[1]

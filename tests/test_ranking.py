@@ -179,7 +179,7 @@ class TestExpectedScores:
 
     def test_order_consistency_fuzz(self):
         rng = np.random.default_rng(5)
-        kinds = ["identity", "cubic", "tanh-sigmoid"]
+        kinds = ["identity", "cubic", "tanhsig"]
         for _ in range(200):
             n = int(rng.integers(2, 9))
             theta = PreferenceVector(tuple(rng.normal(size=n)))
@@ -211,7 +211,7 @@ class TestAsymptoticTwoItem:
         for _ in range(100):
             K = int(rng.integers(2, 7))
             m = OrdinalModel(
-                StrengthLink(str(rng.choice(["identity", "tanh-sigmoid", "cubic"]))),
+                StrengthLink(str(rng.choice(["identity", "tanhsig", "cubic"]))),
                 PatternDistribution.from_psi(rng.uniform(-2, 1, K)))
             p_sign, p_raw = asymptotic_two_item(
                 m, float(rng.uniform(0.01, 1.5)), int(rng.integers(1, 400)))
@@ -269,7 +269,7 @@ class TestAsymptoticTau:
     def test_matches_literal_displays(self):
         """Row-sum shortcut agrees with the direct per-pair sums."""
         rng = np.random.default_rng(7)
-        m = OrdinalModel(StrengthLink("tanh-sigmoid"),
+        m = OrdinalModel(StrengthLink("tanhsig"),
                          PatternDistribution.from_family("abs", 0.7, 4))
         theta = np.sort(rng.normal(size=6))[::-1]
         n = theta.size

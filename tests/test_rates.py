@@ -93,7 +93,7 @@ class TestOrdinalRate:
         assert res.rate == pytest.approx(oracle, abs=1e-6)
 
     def test_argmin_matches_grid(self):
-        m = OrdinalModel(StrengthLink("tanh-sigmoid"),
+        m = OrdinalModel(StrengthLink("tanhsig"),
                          PatternDistribution.from_family("abs", 0.4, 4))
         res = rate_at_zero_ordinal(m, 0.8)
         lam, _ = grid_minimum(lambda ls: brute_log_mgf(m, 0.8, ls), -6, 6)
@@ -108,7 +108,7 @@ class TestOrdinalRate:
         for _ in range(15):
             K = int(rng.integers(2, 6))
             m = OrdinalModel(
-                StrengthLink(str(rng.choice(["identity", "cubic", "tanh-sigmoid"]))),
+                StrengthLink(str(rng.choice(["identity", "cubic", "tanhsig"]))),
                 PatternDistribution.from_psi(rng.uniform(-1.5, 1.0, K)))
             gamma = float(rng.uniform(0.05, 1.0))
             res = rate_at_zero_ordinal(m, gamma)
@@ -124,7 +124,7 @@ class TestRateOrdering:
         for _ in range(50):
             K = int(rng.integers(2, 7))
             m = OrdinalModel(
-                StrengthLink(str(rng.choice(["identity", "cubic", "tanh-sigmoid"])),
+                StrengthLink(str(rng.choice(["identity", "cubic", "tanhsig"])),
                              scale=float(rng.uniform(0.5, 1.5))),
                 PatternDistribution.from_psi(rng.uniform(-1.5, 1.0, K)))
             gamma = float(rng.uniform(0.05, 1.0))
@@ -167,7 +167,7 @@ class TestNItemRate:
                 continue
             K = int(rng.integers(2, 5))
             m = OrdinalModel(
-                StrengthLink(str(rng.choice(["identity", "tanh-sigmoid"]))),
+                StrengthLink(str(rng.choice(["identity", "tanhsig"]))),
                 PatternDistribution.from_psi(rng.uniform(-1.0, 0.5, K)))
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
             ordinal = rate_at_zero_nitem(m, theta, i, j, binarized=False)
