@@ -12,6 +12,7 @@ compares the two aggregation schemes with a paired t-test.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 import zipfile
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
+_PAIR_BATCH = 1 << 20  # index pairs differenced at once in build_pair_comparisons
 
 
 def _run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,27 +84,33 @@ def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
     return RatingsTable(users[keep], items[keep], ratings[keep], timestamps[keep])
 
 
-def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
-    """Parse a ratings file.
+_TAB_DTYPE = np.dtype([("user", np.int64), ("item", np.int64),
+                       ("rating", float), ("ts", np.int64)])
 
-    ``movielens-100k-tab`` rows are tab-separated ``user item rating
-    timestamp`` with integer 1-5 ratings.  ``generic-csv`` expects a header
-    with ``user,item,rating`` and an optional ``timestamp`` column; ratings
-    may be fractional.  A rating must be finite and the integer fields must
-    fit in int64.  Duplicate (user, item) entries keep the latest timestamp
-    (row order breaks ties).
-    """
+
+def _field(text, kind):
+    """``kind(text)`` for a ratings field: int() and float() also read
+    ``1_0`` and non-ASCII digits, so those are refused first."""
+    if not isinstance(text, str) or "_" in text or not text.strip().isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
+def _read_rows(path, format: str):
+    """The user, item, rating and timestamp columns of a ratings file, read
+    row by row; a bad row raises ValueError naming its line."""
     users, items, ratings, stamps = [], [], [], []
 
     def add(lineno: int, fields, raw) -> None:
         try:
-            user, item, rating, ts = (int(fields[0]), int(fields[1]),
-                                      float(fields[2]), int(fields[3]))
-        except (IndexError, TypeError, ValueError) as exc:
+            u, i, r, t = fields  # a tab row has exactly four fields
+            user, item, rating, ts = (_field(u, int), _field(i, int),
+                                      _field(r, float), _field(t, int))
+        except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: malformed row "
                              f"{raw!r}") from exc
         if not math.isfinite(rating):
-            raise ValueError(f"{path}: line {lineno}: rating {fields[2]!r} "
+            raise ValueError(f"{path}: line {lineno}: rating {r!r} "
                              f"is not finite")
         # chained compares: a min()/max() pair costs about 5x more per row
         if not (-2**63 <= user < 2**63 and -2**63 <= item < 2**63
@@ -119,7 +127,7 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
             for lineno, line in enumerate(fh, start=1):
                 if line := line.rstrip("\n"):
                     add(lineno, line.split("\t"), line)
-    elif format == "generic-csv":
+    else:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -129,15 +137,51 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
                 raise ValueError(f"{path}: header must contain {sorted(required)}")
             for lineno, rec in enumerate(reader, start=2):
                 add(lineno, (rec["user"], rec["item"], rec["rating"],
-                             rec.get("timestamp", lineno)), rec)
-    else:
-        raise ValueError(f"unknown ratings format {format!r}")
+                             rec.get("timestamp", str(lineno))), rec)
     if not users:
         raise ValueError(f"{path}: no ratings found")
-    return _dedup_latest(np.array(users, dtype=np.int64),
-                         np.array(items, dtype=np.int64),
-                         np.array(ratings, dtype=float),
-                         np.array(stamps, dtype=np.int64))
+    return (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+            np.array(ratings, dtype=float), np.array(stamps, dtype=np.int64))
+
+
+def _load_tab_array(path):
+    """The tab format's columns from one ``np.loadtxt`` parse, or None where
+    the row loop must decide: loadtxt refuses or warns, or finds no row or a
+    non-finite rating.  loadtxt refuses every other row the loop refuses."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            # a handle, not the path: numpy opens paths itself, and
+            # decompresses .gz names and fetches URLs on the way
+            text = io.StringIO(fh.read())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file only warns
+                # comments=None: the row loop refuses '#' lines
+                rows = np.loadtxt(text, dtype=_TAB_DTYPE, delimiter="\t",
+                                  comments=None, ndmin=1)
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    if rows.size == 0 or not np.isfinite(rows["rating"]).all():
+        return None
+    return tuple(rows[name] for name in _TAB_DTYPE.names)
+
+
+def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
+    """Parse a ratings file.
+
+    ``movielens-100k-tab`` rows are exactly four tab-separated fields,
+    ``user item rating timestamp``.  ``generic-csv`` expects a header with
+    ``user,item,rating`` and an optional ``timestamp`` column.  A rating is
+    any finite ASCII number, fractional ones included; user, item and
+    timestamp are an optional sign and ASCII digits that fit in int64.
+    Duplicate (user, item) entries keep the latest timestamp (row order
+    breaks ties).
+    """
+    if format not in ("movielens-100k-tab", "generic-csv"):
+        raise ValueError(f"unknown ratings format {format!r}")
+    columns = _load_tab_array(path) if format == "movielens-100k-tab" else None
+    if columns is None:
+        columns = _read_rows(path, format)
+    return _dedup_latest(*columns)
 
 
 @dataclass(frozen=True)
@@ -200,17 +244,27 @@ def build_pair_comparisons(table: RatingsTable,
     order = np.lexsort((ranks, users))
     users, ranks, ratings = users[order], ranks[order], ratings[order]
     starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
-    # a pair's key is rank_i * ids.size + rank_j, which cannot overflow
-    # whatever the item ids are; users go one at a time, because every
-    # user's index pairs at once cost more memory
-    blocks = [(ranks[:0], ratings[:0])]
-    for lo, hi in zip(starts.tolist(), np.r_[starts[1:], users.size].tolist()):
-        a, b = np.triu_indices(hi - lo, 1)
-        d = ratings[lo + a] - ratings[lo + b]
-        nz = d != 0
-        blocks.append((ranks[lo + a[nz]] * ids.size + ranks[lo + b[nz]], d[nz]))
-    keys, diffs = (np.concatenate(c) for c in zip(*blocks))
-    del blocks
+    sizes = np.diff(np.r_[starts, users.size])
+    # user u's index pairs fill keys[base[u]:base[u + 1]], so the arrays come
+    # out in user order whatever order the users are filled in; a pair's key
+    # is rank_i * ids.size + rank_j, which cannot overflow whatever the ids
+    base = np.r_[0, np.cumsum(sizes * (sizes - 1) // 2)]
+    keys = np.empty(base[-1], dtype=ranks.dtype)
+    diffs = np.empty(base[-1], dtype=ratings.dtype)
+    for s in np.unique(sizes[sizes > 1]).tolist():
+        a, b = np.triu_indices(s, 1)
+        of_size = np.flatnonzero(sizes == s)
+        # a bounded batch of users at a time: all users of a size at once
+        # would hold several index arrays over every pair in memory
+        step = max(1, _PAIR_BATCH // a.size)
+        for lo in range(0, of_size.size, step):
+            batch = of_size[lo:lo + step]
+            ia, ib = starts[batch, None] + a, starts[batch, None] + b
+            out = base[batch, None] + np.arange(a.size)
+            keys[out] = ranks[ia] * ids.size + ranks[ib]
+            diffs[out] = ratings[ia] - ratings[ib]
+    nz = diffs != 0
+    keys, diffs = keys[nz], diffs[nz]
     order = np.argsort(keys, kind="stable")  # differences stay in user order
     keys, diffs = keys[order], diffs[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))

@@ -133,10 +133,11 @@ def crossover_rounds(binary: RateResult, ordinal: RateResult,
                      factor: float = 10.0) -> int | None:
     """Heuristic smallest L at which the binarized error scale undercuts the
     ordinal one by ``factor``, from leading-order decay only.  None when the
-    rates do not separate in the right direction."""
+    rates do not separate in the right direction, or only by a few ulps:
+    equal rates (a one-point magnitude law) are solved that far apart."""
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
     gap = binary.rate - ordinal.rate
-    if gap <= 0:
+    if gap <= 4 * math.ulp(binary.rate):
         return None
     return max(1, math.ceil(math.log(factor) / gap))

@@ -485,6 +485,14 @@ class TestInputBoundaries:
         assert "line 1: rating 'nan' is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_misread_ratings_row_is_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "u.data"
+        raw.write_text("1\t10\t5\t100\n1_0\t20\t4\t101\n", encoding="utf-8")
+        out = tmp_path / "pairs.npz"
+        assert run_cli("ingest", "--path", str(raw), "--out", str(out)) == 2
+        assert "line 2: malformed row '1_0\\t20\\t4\\t101'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,name,text", [
         ("ingest", "u.data", "1\t10\t5\t100\n99999999999999999999\t20\t4\t101\n"),
         ("rank", "data.csv", "i,j,l,y\n0,1,1,99999999999999999999\n"),

@@ -2,6 +2,7 @@
 protocol, and the paired t-test."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordrank import data as data_mod
 from ordrank.data import (
     PairComparisons,
+    RatingsTable,
     build_pair_comparisons,
     evaluate_pair_protocol,
     load_pairs,
@@ -19,6 +22,9 @@ from ordrank.data import (
     paired_t_test,
     save_pairs,
     synthetic_ratings,
+    _dedup_latest,
+    _load_tab_array,
+    _read_rows,
     _split_accuracy,
     _split_keys,
     _split_order,
@@ -76,6 +82,31 @@ def reference_pairs(rows, min_ratings: int):
             np.array([d for k in keys for d in acc[k]], dtype=float))
 
 
+def per_user_pairs(table: RatingsTable, min_ratings: int):
+    """Pair arrays of ``build_pair_comparisons`` by one ``np.triu_indices``
+    per user, each user's non-zero differences appended in user order."""
+    ids, ranks, counts = np.unique(table.items, return_inverse=True,
+                                   return_counts=True)
+    kept = counts[ranks] >= min_ratings
+    users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
+    order = np.lexsort((ranks, users))
+    users, ranks, ratings = users[order], ranks[order], ratings[order]
+    starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
+    blocks = [(ranks[:0], ratings[:0])]
+    for lo, hi in zip(starts.tolist(), np.r_[starts[1:], users.size].tolist()):
+        a, b = np.triu_indices(hi - lo, 1)
+        d = ratings[lo + a] - ratings[lo + b]
+        nz = d != 0
+        blocks.append((ranks[lo + a[nz]] * ids.size + ranks[lo + b[nz]], d[nz]))
+    keys, diffs = (np.concatenate(c) for c in zip(*blocks))
+    order = np.argsort(keys, kind="stable")
+    keys, diffs = keys[order], diffs[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    pair = keys[starts]
+    return (ids[pair // ids.size], ids[pair % ids.size],
+            np.r_[starts, keys.size], diffs)
+
+
 def split_accuracy_loop(diffs: np.ndarray, n_train: int) -> tuple[float, float]:
     """One pair's split scored directly: the first ``n_train`` comparisons
     train, the rest are held out."""
@@ -88,6 +119,26 @@ def split_accuracy_loop(diffs: np.ndarray, n_train: int) -> tuple[float, float]:
             pred = 1.0 if aggregate > 0 else -1.0
             out.append(float(np.mean(test_signs == pred)))
     return out[0], out[1]
+
+
+# a tab ratings file from tokens: rows of four well-formed fields, plus at
+# most one line from tokens that int(), float() or loadtxt read differently
+INT_FIELD = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)).map(str)
+RATING_FIELD = st.one_of(st.sampled_from(["1", "2.5", "-0.5", "3.", ".5", "1e3", "+4"]),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr))
+PAD = st.sampled_from(["", "", " ", "\xa0"])
+TAB_ROW = st.tuples(PAD, INT_FIELD, INT_FIELD, RATING_FIELD, INT_FIELD, PAD).map(
+    lambda r: r[0] + "\t".join(r[1:5]) + r[5])
+TOKENS = ["0", "7", "-3", "+", "-", "_", "1_0", "\u0661", "\u0663", "\uff15",
+          "2.5", "1e3", "nan", "inf", "-inf", "NaN", " ", "\xa0", "\x0b", "#",
+          "\ufeff", "9" * 20, "\udcff"]  # \udcff writes the byte 0xff
+ODD_FIELD = st.lists(st.sampled_from(TOKENS), max_size=3).map("".join)
+ODD_LINE = st.one_of(
+    st.lists(ODD_FIELD, min_size=1, max_size=6).map("\t".join),
+    st.tuples(INT_FIELD, INT_FIELD, ODD_FIELD, INT_FIELD).map("\t".join),
+    st.tuples(INT_FIELD, ODD_FIELD, RATING_FIELD, INT_FIELD).map("\t".join),
+    st.sampled_from(["", " ", "\t", "#1\t2\t3\t4", "1\t2\t3\t4\t"]))
+LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", ""])
 
 
 @pytest.fixture
@@ -172,6 +223,70 @@ class TestLoadRatings:
         assert table.users.tolist() == [2**63 - 1]
         assert table.items.tolist() == [-2**63]
 
+    @pytest.mark.parametrize("format,text,line", [
+        ("movielens-100k-tab", "1\t10\t5\t100\n1_0\t20\t4\t101\n", 2),
+        ("movielens-100k-tab", "1\t10\t5\t100\n\u0661\t20\t4\t101\n", 2),
+        ("movielens-100k-tab", "1\t10\t5\t100\n1\t20\t4\t101\t7\n", 2),
+        ("movielens-100k-tab", "1\t10\t5\t100\n1\t20\t4\t101\t\n", 2),
+        ("movielens-100k-tab", "1\t10\t5\t100\n1\t20\t4_0\t101\n", 2),
+        ("generic-csv", "user,item,rating\n1,10,5\n1,2_0,4\n", 3),
+        ("generic-csv", "user,item,rating,timestamp\n1,10,5,\u0667\n", 2),
+    ], ids=["underscore", "arabic-indic-digit", "fifth-field", "trailing-tab",
+            "rating-underscore", "csv-underscore", "csv-arabic-indic-digit"])
+    def test_misread_field_reports_line(self, tmp_path, format, text, line):
+        # int() and float() would read these as numbers; loadtxt refuses them
+        path = tmp_path / "ratings"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line {line}: malformed row"):
+            load_ratings(path, format=format)
+
+    def test_tab_file_parses_as_one_array(self, movielens_file):
+        fast = _load_tab_array(movielens_file)
+        assert fast is not None
+        for a, b in zip(fast, _read_rows(movielens_file, "movielens-100k-tab")):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"],
+                             ids=["empty", "newline", "blank-lines"])
+    def test_empty_file_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "u.data"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no ratings found"):
+                load_ratings(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(TAB_ROW, max_size=6), odd=st.none() | ODD_LINE,
+           at=st.integers(0, 6), ends=st.lists(LINE_END, min_size=8, max_size=8))
+    def test_array_parse_equals_row_loop(self, tmp_path_factory, rows, odd, at,
+                                         ends):
+        lines = rows if odd is None else rows[:at] + [odd] + rows[at:]
+        path = tmp_path_factory.mktemp("diff") / "u.data"
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode(
+            "utf-8", "surrogateescape"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _load_tab_array(path)
+            try:
+                want = _read_rows(path, "movielens-100k-tab")
+            except ValueError as exc:
+                assert fast is None  # the array parse refuses it too
+                with pytest.raises(ValueError) as got:
+                    load_ratings(path)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                return
+            if fast is not None:
+                for a, b in zip(fast, want):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+            table, expect = load_ratings(path), _dedup_latest(*want)
+        for name in ("users", "items", "ratings", "timestamps"):
+            a, b = getattr(table, name), getattr(expect, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
 
 class TestBuildPairComparisons:
     def test_zero_differences_dropped(self, tmp_path):
@@ -192,7 +307,6 @@ class TestBuildPairComparisons:
         swapped = synthetic_ratings(n_items=4, users_per_pair=10, seed=3)
         relabel = {0: 3, 1: 2, 2: 1, 3: 0}
         flipped_items = np.array([relabel[i] for i in swapped.items.tolist()])
-        from ordrank.data import RatingsTable
         pairs2 = build_pair_comparisons(
             RatingsTable(swapped.users, flipped_items, swapped.ratings,
                          swapped.timestamps), 1)
@@ -219,6 +333,35 @@ class TestBuildPairComparisons:
         for a, b in zip(got, reference_pairs(rows, min_ratings)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def assert_per_user_equal(table, min_ratings):
+        pairs = build_pair_comparisons(table, min_ratings)
+        got = (pairs.item_i, pairs.item_j, pairs.offsets, pairs.diffs)
+        for a, b in zip(got, per_user_pairs(table, min_ratings)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("min_ratings", [1, 2])
+    def test_movielens_file_equals_per_user_loop(self, movielens_file, min_ratings):
+        self.assert_per_user_equal(load_ratings(movielens_file), min_ratings)
+
+    def test_criterion_10_fixture_equals_per_user_loop(self):
+        self.assert_per_user_equal(synthetic_ratings(seed=7), 100)
+
+    @pytest.mark.parametrize("min_ratings", [1, 2, 3])
+    def test_users_beyond_the_batch_bound(self, monkeypatch, min_ratings):
+        # at a bound of 8 index pairs, a 12-item user (66 pairs) is a batch
+        # of its own and 3-item users (3 pairs) go two to a batch
+        monkeypatch.setattr(data_mod, "_PAIR_BATCH", 8)
+        rng = np.random.default_rng(12)
+        sizes = [12, 3, 3, 1, 4, 3, 2, 5, 12, 3]
+        users = np.repeat(np.arange(len(sizes)) * 7 - 20, sizes)
+        items = np.concatenate([rng.choice(15, s, replace=False) * 3 - 9
+                                for s in sizes])
+        ratings = rng.integers(1, 6, users.size).astype(float)
+        self.assert_per_user_equal(
+            RatingsTable(users, items, ratings, np.arange(users.size)), min_ratings)
 
     def test_orientation_enforced(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,27 @@ class TestDecayPrediction:
         assert math.exp(-L0 * gap) <= 1.0 / 10.0
         assert math.exp(-(L0 - 1) * gap) > 1.0 / 10.0
 
+    @pytest.mark.parametrize("link", ["cubic", "identity", "tanhsig", "logitnorm"])
+    def test_crossover_over_the_rates_sweep(self, link):
+        # the perfbench ``rates`` sweep: a one-point law (uniform,K=1) has
+        # equal rates, solved up to 4 ulps apart, so no crossover; every
+        # other point keeps ceil(log(factor) / gap)
+        from ordrank.cli import parse_link_spec, parse_pattern_spec
+        patterns = ("abs:0.1,K=4", "abs:0.9,K=4", "sq:0.5,K=5",
+                    "min-unconstrained,K=4", "min-monotone,K=5", "uniform,K=3",
+                    "uniform,K=1")
+        for pattern in patterns:
+            m = OrdinalModel(parse_link_spec(link), parse_pattern_spec(pattern))
+            for gamma in (1e-4, 1e-3, 0.05, 0.15, 0.5, 1.5, 5.0):
+                binary = rate_at_zero_binary(m, gamma)
+                ordinal = rate_at_zero_ordinal(m, gamma)
+                got = crossover_rounds(binary, ordinal)
+                if pattern == "uniform,K=1":
+                    assert got is None, (pattern, gamma)
+                else:
+                    gap = binary.rate - ordinal.rate
+                    assert got == max(1, math.ceil(math.log(10.0) / gap)), (pattern, gamma)
+
     def test_requires_convergence(self):
         from ordrank.rates import RateResult
         bad = RateResult(0.1, 0.0, 200, converged=False)
