@@ -13,7 +13,7 @@ from ordrank.harness import default_config, run_experiment
 
 # -- Scenario 1: error curves over L ----------------------------------------
 cfg1 = default_config("scenario1", n=10, K=4, theta_gap=0.05,
-                      pattern={"family": "abs", "beta": 0.9},
+                      pattern="abs", betas=(0.9,),
                       L_grid=(100, 200, 300, 400, 500),
                       replications=400, base_seed=51)
 res1 = run_experiment(cfg1)
@@ -26,7 +26,7 @@ for p in res1.points:
 
 # -- Scenario 2: the gap follows the (inverse) SNR ---------------------------
 cfg2 = default_config("scenario2", n=10, K=5, L_grid=(100,),
-                      pattern={"family": "sq"},
+                      pattern="sq",
                       betas=(0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0),
                       replications=400, base_seed=52)
 res2 = run_experiment(cfg2)
@@ -41,7 +41,7 @@ print("SNR rises with beta while the gap falls: low SNR is where "
 
 # -- Scenario 3: the error ratio sinks with L --------------------------------
 cfg3 = default_config("scenario3", n=10, K=4, theta_gap=0.05,
-                      pattern={"family": "abs", "beta": 0.9},
+                      pattern="abs", betas=(0.9,),
                       L_grid=tuple(100 * i for i in range(1, 11)),
                       replications=400, base_seed=53)
 res3 = run_experiment(cfg3)

@@ -4,13 +4,14 @@ Every capability is a subcommand emitting JSON (or CSV for ``simulate``) on
 stdout or to ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 usage error, 2 data or convergence error.
 
-Spec strings on flags (the ``link`` of a simulate config and of the
-``model-info`` descriptor is the same string):
+Spec strings on flags, written the same way in a simulate config (where a
+family is a bare name, its betas in ``betas``, and ``K`` stands for --K):
   link:     cubic | identity | tanhsig | logitnorm, optionally ``:scale``
             (read by ``StrengthLink.from_spec``, written by ``.spec``)
   pattern:  abs:<beta> | sq:<beta> | uniform | weights:w1,..,wK |
             min-unconstrained | min-monotone, plus ``,K=<k>`` or ``--K``;
-            every K given, weight count included, must agree
+            every K given, weight count included, must agree (read by
+            ``PatternDistribution.from_spec``)
 
 ``--out`` and ``--threads`` (ignored) go on every subcommand, ``--seed`` on
 ``evaluate``.
@@ -21,12 +22,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import data as data_mod
 from . import harness, rates, snr
-from .model import OrdinalModel, PatternDistribution, StrengthLink
+from .model import InvalidPatternError, OrdinalModel, PatternDistribution, StrengthLink
 from .ranking import PreferenceVector, count_scores, dataset_from_csv, kendall_tau
 
 __all__ = ["main", "parse_and_dispatch", "parse_link_spec", "parse_pattern_spec"]
@@ -37,6 +39,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # before Python 3.13 argparse reads '-1e-4' as an option, not a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # exit 1, not argparse's default 2
         raise UsageError(message)  # parse_and_dispatch prints one usage
 
@@ -49,47 +56,14 @@ def parse_link_spec(spec: str) -> StrengthLink:
         raise UsageError(str(exc)) from None
 
 
-# Pattern families: how many numbers follow ``name:`` (None: a weight list,
-# whose length is K) and how the law is built from those numbers and K.
-_PATTERN_FAMILIES = {
-    "abs": (1, lambda args, K: PatternDistribution.from_family("abs", args[0], K)),
-    "sq": (1, lambda args, K: PatternDistribution.from_family("sq", args[0], K)),
-    "uniform": (0, lambda args, K: PatternDistribution.uniform(K)),
-    "weights": (None, lambda args, K: PatternDistribution.from_weights(args)),
-    "min-unconstrained": (0, lambda args, K: snr.minimal_snr_unconstrained(K)[1]),
-    "min-monotone": (0, lambda args, K: snr.minimal_snr_monotone(K)[1]),
-}
-
-
 def parse_pattern_spec(spec: str, K: int | None = None) -> PatternDistribution:
-    """The magnitude law of ``name[:args][,K=<k>]``.
-
-    Every K given (the ``K`` argument, each ``,K=`` part and the length of a
-    weight list) must agree, and there must be at least one.
-    """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    body = [p for p in parts if not p.upper().startswith("K=")]
-    if not body:
-        raise UsageError(f"empty pattern spec {spec!r}")
-    name, colon, first = body[0].partition(":")
-    if name not in _PATTERN_FAMILIES:
-        raise UsageError(f"unknown pattern {name!r}; choose from "
-                         f"{'|'.join(_PATTERN_FAMILIES)}")
-    arity, build = _PATTERN_FAMILIES[name]
+    """``PatternDistribution.from_spec``, with a bad spec as a usage error."""
     try:
-        Ks = {int(p[2:]) for p in parts if p not in body} | ({K} - {None})
-        args = [float(v) for v in ([first] if colon else []) + body[1:]]
-    except ValueError:
-        raise UsageError(f"bad number in pattern spec {spec!r}") from None
-    if arity is None and args:
-        Ks.add(len(args))
-    elif len(args) != arity:
-        wanted = {None: "a weight list", 0: "no argument", 1: "one number"}[arity]
-        raise UsageError(f"pattern {name!r} takes {wanted} in {spec!r}")
-    if len(Ks) != 1:
-        raise UsageError(f"pattern {name!r} needs one K (flag --K or ',K=<k>'), "
-                         f"got {sorted(Ks) or 'none'}")
-    return build(args, Ks.pop())
+        return PatternDistribution.from_spec(spec, K)
+    except InvalidPatternError:  # numbers that make no law: a data error
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -123,8 +97,8 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("snr", _cmd_snr, "signal-to-noise report for a magnitude pattern")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--psi", required=True, help="pattern spec, e.g. abs:0.1")
+    p.add_argument("--pattern", required=True)
+    p.add_argument("--K", type=int)
 
     p = add("snr-min", _cmd_snr_min, "minimal-SNR value and pattern for a given K")
     p.add_argument("--K", type=int, required=True)
@@ -174,9 +148,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_snr(args) -> int:
-    pattern = parse_pattern_spec(args.psi, args.K)
+    pattern = parse_pattern_spec(args.pattern, args.K)
     report = snr.snr_of_pattern(pattern)
-    _json_out({"K": pattern.K, "psi": args.psi, **report.to_dict()}, args)
+    _json_out({"K": pattern.K, "pattern": args.pattern, **report.to_dict()}, args)
     return 0
 
 
@@ -193,6 +167,8 @@ def _cmd_rank(args) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     spec = json.loads(Path(args.theta).read_text(encoding="utf-8"))
     spec = spec if isinstance(spec, dict) else {"theta": spec}
+    if unknown := sorted(set(spec) - {"theta", "centered"}):
+        raise ValueError(f"{args.theta}: unknown theta keys {unknown}")
     values = spec.get("theta")
     if not isinstance(values, list) or not all(isinstance(v, (int, float))
                                                for v in values):

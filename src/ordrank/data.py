@@ -53,7 +53,7 @@ def _run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RatingsTable:
-    """Column-oriented ratings; one row per (user, item) after dedup."""
+    """Column-oriented ratings, one row per (user, item), in that order."""
 
     users: np.ndarray
     items: np.ndarray
@@ -69,7 +69,10 @@ class RatingsTable:
         if self.timestamps is not None and self.timestamps.size != n:
             raise ValueError("ragged timestamp column")
         order = np.lexsort((self.items, self.users))
-        if not _run_starts(self.users[order], self.items[order]).all():
+        for name in ("users", "items", "ratings", "timestamps"):
+            if (column := getattr(self, name)) is not None:
+                object.__setattr__(self, name, column[order])
+        if not _run_starts(self.users, self.items).all():
             raise ValueError("duplicate (user, item) pair after dedup")
 
     def __len__(self) -> int:
@@ -240,9 +243,8 @@ def build_pair_comparisons(table: RatingsTable,
     ids, ranks, counts = np.unique(table.items, return_inverse=True,
                                    return_counts=True)
     kept = counts[ranks] >= min_ratings_per_item
+    # the table's (user, item) row order puts the kept rows in (user, rank) order
     users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
-    order = np.lexsort((ranks, users))
-    users, ranks, ratings = users[order], ranks[order], ratings[order]
     starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
     sizes = np.diff(np.r_[starts, users.size])
     # user u's index pairs fill keys[base[u]:base[u + 1]], so the arrays come

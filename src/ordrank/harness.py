@@ -5,18 +5,19 @@ A scenario adds only its grid rows (params, beta, pair gaps), a
 per-replication statistic and its metrics, and it reads only these fields:
 
 - ``two_item``: both metrics' success probabilities for one pair over
-  (beta, gamma, L); ``gammas``, and ``betas`` or ``pattern.beta``;
+  (beta, gamma, L); ``gammas``;
 - ``scenario1``, ``scenario3``: both n-item ranking errors, and in scenario3
-  their ratio, over ``L_grid`` at ``pattern.beta``;
+  their ratio, over (beta, L);
 - ``scenario2``: the ordinal-minus-binary error gap against the magnitude
   SNR over ``betas``, at the single L of ``L_grid``.
 
 The ranking scenarios also read ``n`` and exactly one of ``theta`` and
 ``theta_gap``.  ``link`` is a ``name[:scale]`` string such as ``"identity"``
-or ``"cubic:3.0"``, read by ``StrengthLink.from_spec``.  ``pattern`` is
-``{family[, beta]}``, ``{weights}`` or ``{psi}``, with an optional ``K``
-equal to the config's.  Any other field or key is refused with a
-``ConfigError``.
+or ``"cubic:3.0"``, read by ``StrengthLink.from_spec``.  ``pattern`` is a
+``--pattern`` spec such as ``"weights:0.5,0.5"``, read by
+``PatternDistribution.from_spec`` with the config's ``K``, or a bare family
+name (``"abs"``, ``"sq"``) that runs at each beta of ``betas``, which only a
+family takes.  Any other field is refused with a ``ConfigError``.
 
 The counting scores read only each pair's raw sum and sign sum over its L
 rounds, and both are linear in the pair's outcome counts.  So a replication
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .model import OrdinalModel, PatternDistribution, StrengthLink
+from .model import PATTERN_FAMILIES, OrdinalModel, PatternDistribution, StrengthLink
 from .ranking import PreferenceVector, kendall_tau
 from .snr import snr_of_pattern
 
@@ -91,7 +92,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     scenario: str
     link: str
-    pattern: dict
+    pattern: str
     K: int
     L_grid: tuple[int, ...]
     replications: int
@@ -124,15 +125,6 @@ class ExperimentConfig:
             raise ConfigError("replication count must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("CI level must lie in (0, 1)")
-        if not isinstance(self.pattern, dict):
-            raise ConfigError("config pattern must be one of the JSON objects "
-                              "{family[, beta]}, {weights} or {psi}")
-        keys = set(self.pattern) - {"K"}
-        if keys not in ({"family"}, {"family", "beta"}, {"weights"}, {"psi"}):
-            raise ConfigError(f"pattern keys {sorted(keys)} are not one of "
-                              "{family[, beta]}, {weights} or {psi}")
-        if self.pattern.get("K", self.K) != self.K:
-            raise ConfigError(f"pattern.K={self.pattern['K']} but K={self.K}")
         if self.scenario == "two_item":
             if not self.gammas:
                 raise ConfigError("two_item needs a gamma grid")
@@ -152,26 +144,22 @@ class ExperimentConfig:
                 raise ConfigError("scenario2 needs a beta grid")
             if len(self.L_grid) != 1:
                 raise ConfigError("scenario2 uses a single L")
-        elif self.scenario != "two_item" and self.betas is not None:
-            raise ConfigError(f"{self.scenario} runs at pattern.beta and reads no betas")
-        if self.betas is not None and "beta" in self.pattern:
-            raise ConfigError("beta given both as pattern.beta and in betas")
         # built once, so a malformed config or a tied theta fails before any
-        # run: one model per grid beta (None for a pattern that is not a
-        # family), and the ranking scenarios' preferences
+        # run: one model per grid beta (one model at beta None for a pattern
+        # that is not a family), and the ranking scenarios' preferences
         try:
             link = StrengthLink.from_spec(self.link)
-            spec = {**self.pattern, "K": self.K}
-            if "family" in spec:
-                if not (self.betas or "beta" in spec):
-                    raise ConfigError("pattern family needs a beta")
-                patterns = [(b, PatternDistribution.from_family(spec["family"], b, self.K))
-                            for b in self.betas or (float(spec["beta"]),)]
-            elif self.betas:
-                raise ConfigError("beta grid given but pattern is not a family")
-            else:
-                patterns = [(None, PatternDistribution.from_dict(spec))]
-        except (KeyError, TypeError, ValueError) as exc:
+            # a family is written as its bare name, and only a family has betas
+            family = PatternDistribution.split_spec(self.pattern)[0] in PATTERN_FAMILIES
+            if not family == (self.pattern in PATTERN_FAMILIES) == bool(self.betas):
+                raise ConfigError(
+                    f"a family pattern is its bare name ({'|'.join(PATTERN_FAMILIES)}) with its"
+                    " beta values in betas, and no other pattern takes betas; got pattern"
+                    f" {self.pattern!r} and betas {self.betas}")
+            patterns = ([(b, PatternDistribution.from_family(self.pattern, b, self.K))
+                         for b in self.betas] if self.betas
+                        else [(None, PatternDistribution.from_spec(self.pattern, self.K))])
+        except ValueError as exc:
             raise ConfigError(f"bad link or pattern: {exc}") from None
         object.__setattr__(self, "models", tuple((b, OrdinalModel(link, pattern))
                                                  for b, pattern in patterns))
@@ -230,6 +218,7 @@ class ExperimentResult:
     def to_csv(self) -> str:
         cfg = self.config
         link_label = cfg.models[0][1].link.spec
+        pattern_label = PatternDistribution.split_spec(cfg.pattern)[0]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -239,7 +228,7 @@ class ExperimentResult:
             for name in sorted(point.metrics):
                 m = point.metrics[name]
                 writer.writerow([
-                    cfg.scenario, link_label, cfg.pattern.get("family", "weights"),
+                    cfg.scenario, link_label, pattern_label,
                     _fmt(beta), cfg.n, cfg.K, point.params.get("L", ""),
                     _fmt(gamma_or_w), name,
                     _fmt(m.estimate), _fmt(m.se), _fmt(m.ci_lo), _fmt(m.ci_hi),
@@ -375,38 +364,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def default_config(scenario: str, **overrides) -> ExperimentConfig:
-    """Desk-scale defaults for the standard experiment grids."""
-    if scenario == "two_item":
-        base = dict(
-            scenario=scenario,
-            link="identity",
-            pattern={"family": "abs"},
-            K=4,
-            L_grid=tuple(range(50, 501, 50)),
-            gammas=(0.05, 0.1, 0.15),
-            betas=(0.1, 0.9),
-            replications=10**5,
-            base_seed=12345,
-        )
-    elif scenario in ("scenario1", "scenario2", "scenario3"):
-        base = dict(
-            scenario=scenario,
-            link="identity",
-            pattern={"family": "abs", "beta": 1.0},
-            K=5,
-            n=10,
-            theta_gap=0.05,
-            L_grid=tuple(range(100, 501, 50)),
-            replications=1000,
-            base_seed=12345,
-        )
-        if scenario == "scenario2":
-            base["L_grid"] = (100,)
-            base["betas"] = tuple(round(0.1 * i, 1) for i in range(1, 11))
-            base["pattern"] = {"family": "abs"}
-        if scenario == "scenario3":
-            base["L_grid"] = tuple(100 * i for i in range(1, 11))
-    else:
+    """Desk-scale defaults for the standard experiment grids, all with the
+    abs family under the identity link."""
+    ranking = dict(K=5, n=10, theta_gap=0.05, betas=(1.0,), replications=1000)
+    grids = {
+        "two_item": dict(K=4, L_grid=tuple(range(50, 501, 50)), gammas=(0.05, 0.1, 0.15),
+                         betas=(0.1, 0.9), replications=10**5),
+        "scenario1": dict(ranking, L_grid=tuple(range(100, 501, 50))),
+        "scenario2": dict(ranking, L_grid=(100,),
+                          betas=tuple(round(0.1 * i, 1) for i in range(1, 11))),
+        "scenario3": dict(ranking, L_grid=tuple(100 * i for i in range(1, 11))),
+    }
+    if scenario not in grids:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{"scenario": scenario, "link": "identity", "pattern": "abs",
+                               "base_seed": 12345, **grids[scenario], **overrides})

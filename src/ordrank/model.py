@@ -41,10 +41,15 @@ _SMALL_ARG = 1.0
 
 # The links, by the names that ``name[:scale]`` specs use
 LINK_NAMES = ("cubic", "identity", "tanhsig", "logitnorm")
+# The patterns, by the names that ``name[:args][,K=<k>]`` specs use, and how
+# many numbers follow ``name:`` (None: a weight list, whose length is K)
+_PATTERN_ARITY = {"abs": 1, "sq": 1, "uniform": 0, "weights": None,
+                  "min-unconstrained": 0, "min-monotone": 0}
+PATTERN_FAMILIES = ("abs", "sq")  # the names that take a beta
 
 
 class InvalidPatternError(ValueError):
-    """Raised when magnitude weights cannot form a probability distribution."""
+    """Raised when the given weights or parameters make no magnitude law."""
 
 
 class CorruptDataError(ValueError):
@@ -181,13 +186,66 @@ class PatternDistribution:
     @classmethod
     def from_family(cls, family: str, beta: float, K: int) -> "PatternDistribution":
         """Magnitude-penalty families: 'abs' is psi(k) = -beta*k and
-        'sq' is psi(k) = -beta*k^2."""
-        ks = np.arange(1, K + 1, dtype=float)
-        if family == "abs":
-            return cls.from_psi(-beta * ks)
-        if family == "sq":
-            return cls.from_psi(-beta * ks**2)
-        raise ValueError(f"unknown pattern family {family!r}")
+        'sq' is psi(k) = -beta*k^2.  A beta so large that some psi(k) leaves
+        float range puts all mass on the level that maximises psi."""
+        if family not in PATTERN_FAMILIES:
+            raise ValueError(f"unknown pattern family {family!r}")
+        if not (math.isfinite(beta) and K >= 1):
+            raise InvalidPatternError(f"pattern {family} needs a finite beta and "
+                                      f"K >= 1, got beta={beta!r} and K={K}")
+        ks = np.arange(1, K + 1, dtype=float) ** (1 if family == "abs" else 2)
+        with np.errstate(over="ignore"):
+            psi = -beta * ks
+        if np.isinf(psi).any():
+            psi = np.where(ks == (ks[0] if beta > 0 else ks[-1]), 0.0, -np.inf)
+        return cls.from_psi(psi)
+
+    @classmethod
+    def from_spec(cls, spec: str, K: int | None = None) -> "PatternDistribution":
+        """The law of ``name[:args][,K=<k>]``: abs:<beta>, sq:<beta>, uniform,
+        weights:w1,..,wK, min-unconstrained or min-monotone.  Every K given (``K``,
+        ``,K=`` parts, a weight count) must agree, and one must be given.  Other
+        specs raise ValueError; numbers that make no law raise InvalidPatternError."""
+        name, texts, K_texts = cls.split_spec(spec)
+        if name not in _PATTERN_ARITY:
+            raise ValueError(f"unknown pattern {name!r}; choose from "
+                             f"{'|'.join(_PATTERN_ARITY)}")
+        arity = _PATTERN_ARITY[name]
+        try:
+            Ks = {int(k) for k in K_texts} | ({K} - {None})
+            args = [float(v) for v in texts]
+        except ValueError:
+            raise ValueError(f"bad number in pattern spec {spec!r}") from None
+        if arity is None and args:
+            Ks.add(len(args))
+        elif len(args) != arity:
+            wanted = {None: "a weight list", 0: "no argument", 1: "one number"}[arity]
+            raise ValueError(f"pattern {name!r} takes {wanted} in {spec!r}")
+        if len(Ks) != 1:
+            raise ValueError(f"pattern {name!r} needs one K (flag --K or ',K=<k>'), "
+                             f"got {sorted(Ks) or 'none'}")
+        K = Ks.pop()
+        if name in PATTERN_FAMILIES:
+            return cls.from_family(name, args[0], K)
+        if name == "weights":
+            return cls.from_weights(args)
+        if name == "uniform":
+            return cls.uniform(K)
+        from . import snr  # snr imports this module
+        return getattr(snr, "minimal_snr_" + name.removeprefix("min-"))(K)[1]
+
+    @staticmethod
+    def split_spec(spec: str) -> tuple[str, list[str], list[str]]:
+        """The name, argument texts and ``K=`` values of a pattern spec."""
+        if not isinstance(spec, str):
+            raise ValueError("a pattern is a name[:args][,K=<k>] string such as "
+                             f"'abs:0.5,K=4' or 'weights:0.5,0.5', not {spec!r}")
+        parts = [p.strip() for p in spec.split(",") if p.strip()]
+        body = [p for p in parts if not p.upper().startswith("K=")]
+        if not body:
+            raise ValueError(f"empty pattern spec {spec!r}")
+        name, colon, first = body[0].partition(":")
+        return name, ([first] if colon else []) + body[1:], [p[2:] for p in parts if p not in body]
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -219,12 +277,9 @@ class PatternDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatternDistribution":
-        if "weights" in d:
-            pattern = cls(tuple(float(v) for v in d["weights"]))
-        elif "psi" in d:
-            pattern = cls.from_psi([float(v) for v in d["psi"]])
-        else:
-            raise InvalidPatternError("pattern dict needs 'weights' or 'psi'")
+        if "weights" not in d:
+            raise InvalidPatternError("pattern dict needs 'weights'")
+        pattern = cls(tuple(float(v) for v in d["weights"]))
         if "K" in d and int(d["K"]) != pattern.K:
             raise InvalidPatternError(f"K={d['K']} but the pattern has {pattern.K} levels")
         return pattern

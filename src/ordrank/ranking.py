@@ -46,7 +46,7 @@ class PreferenceVector:
         if th.ndim != 1 or th.size < 1 or not np.all(np.isfinite(th)):
             raise ValueError("theta must be a finite 1-d vector")
         if self.centered and abs(th.sum()) > 1e-10:
-            raise ValueError(f"centered theta sums to {th.sum()!r}")
+            raise ValueError(f"centered theta sums to {float(th.sum())!r}")
         object.__setattr__(self, "theta", tuple(float(v) for v in th))
 
     @classmethod

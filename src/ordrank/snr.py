@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .model import PatternDistribution
+from .model import InvalidPatternError, PatternDistribution
 
 __all__ = [
     "SnrReport",
@@ -52,7 +52,7 @@ def minimal_snr_unconstrained(K: int) -> tuple[float, PatternDistribution]:
     """
     K = int(K)
     if K < 2:
-        raise ValueError("minimal SNR needs K >= 2 (K=1 is degenerate)")
+        raise InvalidPatternError("minimal SNR needs K >= 2 (K=1 is degenerate)")
     value = 4.0 * K / (K - 1) ** 2
     weights = [0.0] * K
     weights[0] = K / (K + 1.0)
@@ -71,7 +71,7 @@ def minimal_snr_monotone(K: int) -> tuple[float, PatternDistribution]:
     """
     K = int(K)
     if K < 2:
-        raise ValueError("minimal SNR needs K >= 2 (K=1 is degenerate)")
+        raise InvalidPatternError("minimal SNR needs K >= 2 (K=1 is degenerate)")
     value = 24.0 * (K + 1) / (4.0 * K * K - 4.0 * K + 1.0)
     tail = 2.0 * (2 * K - 1) / (K * (K - 1) * (2 * K + 5.0))
     head = (2.0 * K * K + K + 2.0) / (2.0 * K * K + 5.0 * K)

@@ -56,9 +56,9 @@ class timer:
 def test_criterion_01_snr_fidelity(capsys):
     """CLI SNR reports reproduce the reference magnitude-law values."""
     with timer(1.0):
-        assert parse_and_dispatch(["snr", "--K", "4", "--psi", "abs:0.1"]) == 0
+        assert parse_and_dispatch(["snr", "--K", "4", "--pattern", "abs:0.1"]) == 0
         low_beta = json.loads(capsys.readouterr().out)
-        assert parse_and_dispatch(["snr", "--K", "4", "--psi", "abs:0.9"]) == 0
+        assert parse_and_dispatch(["snr", "--K", "4", "--pattern", "abs:0.9"]) == 0
         high_beta = json.loads(capsys.readouterr().out)
     assert low_beta["snr"] == pytest.approx(4.5523, abs=1e-3)
     assert high_beta["snr"] == pytest.approx(3.572, abs=1e-2)
@@ -144,10 +144,13 @@ def test_criterion_04_enumeration_oracle():
                     exact_sign += prob
             assert _two_item_exact(model, gamma, L) == pytest.approx(
                 (exact_raw, exact_sign), rel=0.0, abs=1e-12)
+            # the config builds the same law: uniform(1), or abs at beta
             cfg = ExperimentConfig(
                 scenario="two_item", link="identity",
-                pattern=pattern.to_dict(), K=K, L_grid=(L,), gammas=(gamma,),
-                replications=reps, base_seed=1404)
+                pattern="uniform" if K == 1 else "abs",
+                betas=None if K == 1 else (beta,), K=K, L_grid=(L,),
+                gammas=(gamma,), replications=reps, base_seed=1404)
+            assert cfg.models[0][1].pattern == pattern
             point = run_experiment(cfg).points[0]
             for name, exact in (("p_raw_positive", exact_raw),
                                 ("p_sign_positive", exact_sign)):
@@ -252,8 +255,7 @@ def test_criterion_07_nitem_dominance_and_ratio_trend():
     with timer(600.0):
         cfg = default_config("scenario1", n=10, K=4, theta_gap=0.05,
                              L_grid=(500,), replications=1000,
-                             pattern={"family": "abs", "beta": 0.9},
-                             base_seed=707)
+                             pattern="abs", betas=(0.9,), base_seed=707)
         point = run_experiment(cfg).points[0]
         tau_ord = point.metrics["tau_ordinal"]
         tau_bin = point.metrics["tau_binary"]
@@ -262,8 +264,7 @@ def test_criterion_07_nitem_dominance_and_ratio_trend():
         cfg3 = default_config("scenario3", n=10, K=4, theta_gap=0.05,
                               L_grid=tuple(100 * i for i in range(1, 11)),
                               replications=1000,
-                              pattern={"family": "abs", "beta": 0.9},
-                              base_seed=708)
+                              pattern="abs", betas=(0.9,), base_seed=708)
         res3 = run_experiment(cfg3)
     ls, ratios = [], []
     for p in res3.points:
@@ -277,9 +278,9 @@ def test_criterion_07_nitem_dominance_and_ratio_trend():
 
 
 SETTINGS_C8 = [
-    ("identity", {"family": "abs", "beta": 0.1}, 5),
-    ("identity", {"family": "abs", "beta": 0.9}, 4),
-    ("tanhsig", {"family": "sq", "beta": 0.5}, 5),
+    ("identity", "abs", 0.1, 5),
+    ("identity", "abs", 0.9, 4),
+    ("tanhsig", "sq", 0.5, 5),
 ]
 
 
@@ -288,16 +289,15 @@ def test_criterion_08_asymptotic_tau_brackets_mc():
     within twice the MC confidence half-width at three link/pattern
     settings (n=10, L=500)."""
     with timer(300.0):
-        for link_spec, pattern_spec, K in SETTINGS_C8:
+        for link_spec, family, beta, K in SETTINGS_C8:
             cfg = default_config("scenario1", n=10, K=K, theta_gap=0.015,
                                  L_grid=(500,), replications=1000,
-                                 link=link_spec, pattern=pattern_spec,
+                                 link=link_spec, pattern=family, betas=(beta,),
                                  base_seed=808)
             point = run_experiment(cfg).points[0]
             model = OrdinalModel(
                 StrengthLink.from_spec(link_spec),
-                PatternDistribution.from_family(
-                    pattern_spec["family"], pattern_spec["beta"], K))
+                PatternDistribution.from_family(family, beta, K))
             limits = asymptotic_tau(
                 model, PreferenceVector.equally_spaced(10, 0.015), 500)
             for name, limit in zip(("tau_ordinal", "tau_binary"), limits):

@@ -71,13 +71,13 @@ class TestExitCodes:
         assert "usage" in capsys.readouterr().err
 
     def test_unknown_flag_lists_usage(self, capsys):
-        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1", "--bogus") == 1
+        assert run_cli("snr", "--K", "4", "--pattern", "abs:0.1", "--bogus") == 1
         err = capsys.readouterr().err
-        assert "--psi" in err
+        assert "--pattern" in err
 
     @pytest.mark.parametrize("argv", [
-        ("snr", "--K", "x", "--psi", "abs:0.1"),
-        ("snr", "--K", "4", "--psi", "abs:0.1", "--bogus"),
+        ("snr", "--K", "x", "--pattern", "abs:0.1"),
+        ("snr", "--K", "4", "--pattern", "abs:0.1", "--bogus"),
         ("bogus",),
     ])
     def test_usage_printed_once(self, capsys, argv):
@@ -145,9 +145,17 @@ class TestExitCodes:
 
 class TestSnrCommands:
     def test_snr_value(self, capsys):
-        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1") == 0
+        assert run_cli("snr", "--K", "4", "--pattern", "abs:0.1") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["snr"] == pytest.approx(4.5523, abs=1e-3)
+
+    def test_snr_takes_pattern_like_rates(self, capsys):
+        # the K may sit in the spec, as on rates and model-info
+        assert run_cli("snr", "--pattern", "abs:0.1,K=4") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["K"], payload["pattern"]) == (4, "abs:0.1,K=4")
+        assert "psi" not in payload
+        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1") == 1
 
     def test_snr_min_monotone(self, capsys):
         assert run_cli("snr-min", "--K", "4", "--monotone") == 0
@@ -287,6 +295,27 @@ class TestIngestEvaluateHistogram:
         assert 0.0 <= payload["mean_accuracy"]["binary"] <= 1.0
 
 
+class TestNegativeNumbers:
+    """A negative number in exponent form is a flag value, not an option."""
+
+    @pytest.mark.parametrize("gamma", ["-1e-4", "-1E-4", "-1.0e-4", "-.1e-3"])
+    def test_rates_negative_gamma_exponent(self, gamma, capsys):
+        assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
+                       "--gamma", gamma) == 0
+        assert json.loads(capsys.readouterr().out)["gamma"] == -1e-4
+
+    def test_model_info_negative_gamma_exponent(self, capsys):
+        assert run_cli("model-info", "--link", "identity", "--pattern",
+                       "uniform,K=2", "--gamma", "-1e-4") == 0
+        at = json.loads(capsys.readouterr().out)["at_gamma"]
+        assert at["gamma"] == -1e-4 and at["mean"] < 0
+
+    def test_non_number_still_an_option(self, capsys):
+        assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
+                       "--gamma", "-x") == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestModelInfo:
     def test_descriptor_reparses(self, capsys):
         assert run_cli("model-info", "--link", "logitnorm:0.5", "--pattern",
@@ -311,7 +340,7 @@ class TestParserReuse:
     one call into the next."""
 
     CALLS = [
-        ("snr", "--K", "4", "--psi", "abs:0.1", "--bogus"),  # usage error
+        ("snr", "--K", "4", "--pattern", "abs:0.1", "--bogus"),  # usage error
         ("rates", "--link", "identity", "--pattern", "abs:0.1,K=4", "--gamma", "0.15"),
         ("snr-min", "--K", "4", "--monotone"),
         ("snr-min", "--K", "4"),  # the flag of the call before must not leak
@@ -387,9 +416,27 @@ class TestSpecRules:
         assert parse_pattern_spec("weights:0.5,0.5,K=2", K=2).K == 2
 
     def test_snr_rejects_conflicting_K(self, capsys):
-        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1,K=5") == 1
-        assert run_cli("snr", "--K", "4", "--psi", "abs:0.1,K=4") == 0
+        assert run_cli("snr", "--K", "4", "--pattern", "abs:0.1,K=5") == 1
+        assert run_cli("snr", "--K", "4", "--pattern", "abs:0.1,K=4") == 0
         assert json.loads(capsys.readouterr().out)["K"] == 4
+
+    @pytest.mark.parametrize("spec,needle", [
+        ("abs:nan,K=3", "pattern abs needs a finite beta and K >= 1, got beta=nan and K=3"),
+        ("abs:inf,K=3", "got beta=inf and K=3"),
+        ("sq:-inf,K=3", "pattern sq needs a finite beta"),
+        ("abs:0.1,K=0", "got beta=0.1 and K=0"),
+    ])
+    def test_family_spec_errors_name_family_beta_and_K(self, spec, needle, capsys):
+        assert run_cli("snr", "--pattern", spec) == 2
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,code", [
+        ("abs:x,K=4", 1), ("weights:-1,2", 2), ("uniform,K=0", 2),
+        ("min-monotone,K=1", 2), ("bogus,K=2", 1), ("", 1),
+    ])
+    def test_pattern_exit_codes(self, spec, code):
+        assert run_cli("rates", "--link", "identity", "--pattern", spec,
+                       "--gamma", "0.15") == code
 
     def test_rates_rejects_conflicting_K(self):
         assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
@@ -402,7 +449,7 @@ class TestFlagsWhereTheyAct:
     accepts, so a flag is added here in the same change that adds it."""
 
     OPTIONS = {
-        "snr": ("--out", "--threads", "--K", "--psi"),
+        "snr": ("--out", "--threads", "--K", "--pattern"),
         "snr-min": ("--out", "--threads", "--K", "--monotone"),
         "rank": ("--out", "--threads", "--input", "--theta"),
         "rates": ("--out", "--threads", "--link", "--pattern", "--gamma", "--K",
@@ -519,11 +566,67 @@ class TestInputBoundaries:
     @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),
                                            ("pattern", [1, 2])])
     def test_malformed_simulate_config_is_exit_2(self, tmp_path, capsys, key, value):
+        # without betas: a bare family name needs them, and a non-string
+        # pattern is refused for not being a spec
         d = {**default_config("scenario1").to_dict(), key: value}
+        del d["betas"]
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
-        assert "JSON objects" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("beta values in betas" if value == "abs"
+                else "a pattern is a name[:args][,K=<k>] string") in err
+
+    @pytest.mark.parametrize("pattern", [
+        {"family": "abs", "beta": 1.0}, {"family": "abs"},
+        {"weights": [0.2] * 5}, {"psi": [0.0, -1.0, -2.0, -3.0, -4.0]},
+    ], ids=["family-beta", "family", "weights", "psi"])
+    def test_object_simulate_pattern_is_exit_2(self, tmp_path, capsys, pattern):
+        d = {**default_config("scenario1").to_dict(), "pattern": pattern}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "a pattern is a name[:args][,K=<k>] string such as" in err
+        assert repr(pattern) in err
+
+    @pytest.mark.parametrize("pattern,betas", [
+        ("abs:0.3", None), ("abs:0.3", [0.3]), ("abs", None), ("sq", []),
+        ("weights:0.5,0.5", [0.3]), ("uniform", [1.0]), ("abs,K=2", [0.3]),
+    ])
+    def test_betas_go_with_a_bare_family_only(self, tmp_path, capsys, pattern, betas):
+        d = {**default_config("two_item", K=2).to_dict(), "pattern": pattern,
+             "betas": betas}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "a family pattern is its bare name (abs|sq)" in capsys.readouterr().err
+
+    def test_disagreeing_spec_K_in_config_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1").to_dict(), "pattern": "uniform,K=4"}
+        del d["betas"]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert "needs one K" in capsys.readouterr().err
+        path.write_text(json.dumps({**d, "pattern": "uniform,K=5"}), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path), "--out",
+                       str(tmp_path / "out.csv")) == 0
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"theta": [0.5, -0.5], "centred": true, "bogus": 1}',
+         "unknown theta keys ['bogus', 'centred']"),
+        ('{"theta": [0.5, 0.4], "centered": true}', "centered theta sums to 0.9"),
+    ], ids=["unknown-keys", "centered-sum"])
+    def test_theta_object_refusals_name_what_is_wrong(self, tmp_path, capsys,
+                                                        text, needle):
+        data = tmp_path / "data.csv"
+        data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text(text, encoding="utf-8")
+        assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "np.float64" not in err
 
     def test_unknown_simulate_config_key_is_exit_2(self, tmp_path, capsys):
         d = {**default_config("scenario1").to_dict(), "ci_levle": 0.5}

@@ -363,6 +363,22 @@ class TestBuildPairComparisons:
         self.assert_per_user_equal(
             RatingsTable(users, items, ratings, np.arange(users.size)), min_ratings)
 
+    @pytest.mark.parametrize("min_ratings", [1, 40])
+    def test_table_built_in_shuffled_row_order(self, min_ratings):
+        # the table stores its rows in (user, item) order, which is all that
+        # build_pair_comparisons relies on
+        table = synthetic_ratings(n_items=8, users_per_pair=30, seed=11)
+        perm = np.random.default_rng(5).permutation(len(table))
+        shuffled = RatingsTable(table.users[perm], table.items[perm],
+                                table.ratings[perm], table.timestamps[perm])
+        for name in ("users", "items", "ratings", "timestamps"):
+            np.testing.assert_array_equal(getattr(shuffled, name), getattr(table, name))
+        want = build_pair_comparisons(table, min_ratings)
+        got = build_pair_comparisons(shuffled, min_ratings)
+        for name in ("item_i", "item_j", "offsets", "diffs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        self.assert_per_user_equal(shuffled, min_ratings)
+
     def test_orientation_enforced(self):
         with pytest.raises(ValueError):
             make_pairs({(2, 1): np.array([1.0])})

@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ def small_two_item(**overrides) -> ExperimentConfig:
     base = dict(
         scenario="two_item",
         link="identity",
-        pattern={"family": "abs"},
+        pattern="abs",
         K=2,
         L_grid=(4, 6),
         gammas=(0.25,),
@@ -45,10 +47,19 @@ class TestConfig:
             again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
             assert again == cfg
 
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Experiment configs\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_json(block)
+        d = cfg.to_dict()
+        assert {k: d[k] for k in json.loads(block)} == json.loads(block)
+        assert [beta for beta, _ in cfg.models] == list(cfg.betas)
+
     def test_optional_keys_may_be_omitted(self):
         cfg = ExperimentConfig.from_dict({
             "scenario": "scenario1", "link": "identity",
-            "pattern": {"family": "abs", "beta": 1.0}, "K": "3",
+            "pattern": "abs", "betas": [1.0], "K": "3",
             "L_grid": [10.0], "replications": 5, "base_seed": 1,
             "theta_gap": 1})
         assert (cfg.n, cfg.ci_level, cfg.theta, cfg.gammas) == (2, 0.99, None, None)
@@ -110,29 +121,27 @@ class TestConfig:
             default_config("scenario2", betas=None)
 
     @pytest.mark.parametrize("scenario,overrides,match", [
-        ("scenario1", {"betas": [0.1, 0.9]}, "scenario1 runs at pattern.beta"),
-        ("scenario3", {"betas": [0.5]}, "scenario3 runs at pattern.beta"),
+        ("scenario1", {"pattern": "abs:0.9", "betas": None}, "its bare name"),
+        ("scenario3", {"pattern": "uniform"}, "no other pattern takes betas"),
         ("two_item", {"n": 7}, "two_item reads no n"),
         ("two_item", {"theta": [0.1, -0.1]}, "two_item reads no n, theta"),
         ("two_item", {"theta_gap": 0.05}, "two_item reads no n, theta"),
         ("scenario1", {"gammas": [0.1]}, "scenario1 reads no gammas"),
         ("scenario2", {"gammas": [0.1]}, "scenario2 reads no gammas"),
-        ("two_item", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
-        ("scenario2", {"pattern": {"family": "abs", "beta": 0.5}}, "both"),
+        ("two_item", {"pattern": "abs:0.5"}, "beta values in betas"),
+        ("scenario2", {"pattern": "sq:0.5"}, "beta values in betas"),
         ("scenario2", {"L_grid": [100, 200]}, "single L"),
         ("scenario1", {"ci_levle": 0.5}, r"config keys \['ci_levle'\] name no field"),
         ("scenario1", {"n": 3, "theta": [0.9, 0.0, -0.9]},
          "exactly one of theta, theta_gap"),
-        ("scenario1", {"K": 2, "pattern": {"K": 2, "weights": ["0.5", "0.5"],
-                                           "beta": 0.3}},
-         r"pattern keys \['beta', 'weights'\]"),
-        ("scenario1", {"pattern": {"family": "abs", "beta": 1.0, "weights": [0.2, 0.8]}},
-         r"pattern keys \['beta', 'family', 'weights'\]"),
-        ("scenario1", {"pattern": {"beta": 1.0}}, r"pattern keys \['beta'\]"),
-        ("scenario1", {"pattern": {"K": 4, "family": "abs", "beta": 1.0}},
-         "pattern.K=4 but K=5"),
-        ("scenario1", {"pattern": {"psi": [0.0, -1.0, -2.0]}},
-         "K=5 but the pattern has 3 levels"),
+        ("scenario1", {"K": 2, "pattern": "weights:0.5,0.5"},
+         r"got pattern 'weights:0.5,0.5' and betas \(1.0,\)"),
+        ("scenario1", {"pattern": "abs,K=5"}, "its bare name"),
+        ("scenario1", {"pattern": "abs", "betas": None}, "got pattern 'abs' and betas None"),
+        ("scenario1", {"pattern": "uniform,K=4", "betas": None},
+         r"needs one K \(flag --K or ',K=<k>'\), got \[4, 5\]"),
+        ("scenario1", {"pattern": "weights:0.2,0.8", "betas": None},
+         r"got \[2, 5\]"),
     ])
     def test_fields_the_scenario_does_not_read_rejected(self, scenario,
                                                         overrides, match):
@@ -141,15 +150,35 @@ class TestConfig:
             ExperimentConfig.from_dict(d)
 
     def test_every_pattern_form_loads(self):
-        for pattern in ({"family": "abs", "beta": 1.0},
-                        {"K": 5, "family": "sq", "beta": 0.2},
-                        {"weights": [0.2] * 5},
-                        {"K": 5, "psi": [0.0, -1.0, -2.0, -3.0, -4.0]}):
-            assert default_config("scenario1", pattern=pattern).models[0][1].pattern.K == 5
+        # every spec that --pattern accepts, with the config's K
+        for pattern, betas in (("abs", (1.0,)), ("sq", (0.2, 0.4)),
+                               ("weights:0.2,0.2,0.2,0.2,0.2", None),
+                               ("weights:1,1,1,1,1,K=5", None), ("uniform", None),
+                               ("uniform,K=5", None), ("min-monotone", None),
+                               ("min-unconstrained,K=5", None)):
+            cfg = default_config("scenario1", pattern=pattern, betas=betas)
+            assert [m.pattern.K for _, m in cfg.models] == [5] * len(betas or [0])
 
     def test_two_item_with_pattern_beta_and_no_grid(self):
-        cfg = small_two_item(pattern={"family": "abs", "beta": 0.3}, betas=None)
-        assert [p.params["beta"] for p in run_experiment(cfg).points] == [0.3, 0.3]
+        # a family's beta comes only from betas
+        with pytest.raises(ConfigError, match="beta values in betas"):
+            small_two_item(pattern="abs:0.3", betas=None)
+
+    def test_ranking_scenarios_run_over_a_beta_grid(self):
+        cfg = default_config("scenario3", n=4, L_grid=(20, 40), replications=20,
+                             betas=(0.3, 0.9))
+        points = run_experiment(cfg).points
+        assert [(p.params["beta"], p.params["L"]) for p in points] == [
+            (0.3, 20), (0.3, 40), (0.9, 20), (0.9, 40)]
+
+    def test_csv_pattern_column_reads_spec_name(self):
+        for pattern, betas, label in (("abs", (0.3,), "abs"), ("sq", (0.3,), "sq"),
+                                      ("weights:0.5,0.5", None, "weights"),
+                                      ("uniform,K=2", None, "uniform"),
+                                      ("K=2,min-monotone", None, "min-monotone")):
+            cfg = small_two_item(pattern=pattern, betas=betas, replications=10)
+            rows = run_experiment(cfg).to_csv().splitlines()[1:]
+            assert {row.split(",")[2] for row in rows} == {label}
 
 
 class TestDeterminism:
@@ -204,8 +233,8 @@ class TestTwoItem:
 
     def test_single_magnitude_gap_is_exactly_zero(self):
         # K=1: the raw sum is the sign sum, so both hit on the same draws
-        cfg = small_two_item(pattern={"K": 1, "weights": ["1"]}, K=1,
-                             betas=None, replications=500)
+        cfg = small_two_item(pattern="weights:1", K=1, betas=None,
+                             replications=500)
         for point in run_experiment(cfg).points:
             assert point.metrics["p_sign_minus_raw"].estimate == 0.0
 
@@ -256,8 +285,7 @@ class TestScenario1:
     def test_degenerate_pattern_equalizes_taus(self):
         cfg = default_config(
             "scenario1", n=2, K=3, theta_gap=0.3, L_grid=(30,),
-            replications=200,
-            pattern={"K": 3, "weights": ["0", "0", "1"]})
+            replications=200, pattern="weights:0,0,1", betas=None)
         res = run_experiment(cfg)
         point = res.points[0]
         assert point.metrics["tau_ordinal"].estimate == pytest.approx(
@@ -265,8 +293,7 @@ class TestScenario1:
 
     def test_error_decreases_with_l(self):
         cfg = default_config("scenario1", n=8, L_grid=(50, 400),
-                             replications=300,
-                             pattern={"family": "abs", "beta": 0.9}, K=4)
+                             replications=300, betas=(0.9,), K=4)
         res = run_experiment(cfg)
         first, last = res.points[0], res.points[-1]
         for name in ("tau_ordinal", "tau_binary"):
@@ -274,8 +301,7 @@ class TestScenario1:
 
     def test_binary_beats_ordinal(self):
         cfg = default_config("scenario1", n=10, L_grid=(500,),
-                             replications=500,
-                             pattern={"family": "abs", "beta": 1.0}, K=5)
+                             replications=500, betas=(1.0,), K=5)
         point = run_experiment(cfg).points[0]
         assert (point.metrics["tau_binary"].estimate
                 < point.metrics["tau_ordinal"].estimate)
@@ -285,8 +311,7 @@ class TestScenario2:
     def test_sq_family_snr_monotone_and_gap_declines(self):
         cfg = default_config(
             "scenario2", n=10, K=5, L_grid=(100,), replications=400,
-            pattern={"family": "sq"},
-            betas=(0.1, 0.4, 0.7, 1.0))
+            pattern="sq", betas=(0.1, 0.4, 0.7, 1.0))
         res = run_experiment(cfg)
         snrs = [p.metrics["snr_exact"].estimate for p in res.points]
         gaps = [p.metrics["tau_gap"].estimate for p in res.points]
@@ -305,8 +330,7 @@ class TestScenario2:
     def test_degenerate_endpoint_gap_is_zero(self):
         # K=1 magnitude law: signs carry all information, gap exactly zero
         cfg = default_config("scenario2", n=4, K=1, L_grid=(40,),
-                             replications=50, betas=(0.5,),
-                             pattern={"family": "abs"})
+                             replications=50, betas=(0.5,), pattern="abs")
         point = run_experiment(cfg).points[0]
         assert point.metrics["tau_gap"].estimate == 0.0
         assert point.metrics["snr_exact"].estimate == math.inf
@@ -315,16 +339,14 @@ class TestScenario2:
 class TestScenario3:
     def test_ratio_flagged_when_ordinal_error_zero(self):
         cfg = default_config("scenario3", n=4, theta_gap=2.0, K=2,
-                             L_grid=(50, 100), replications=50,
-                             pattern={"family": "abs", "beta": 0.5})
+                             L_grid=(50, 100), replications=50, betas=(0.5,))
         res = run_experiment(cfg)
         for point in res.points:
             assert point.metrics["tau_ratio"].flagged
             assert point.metrics["tau_ratio"].estimate is None
 
     def test_ratio_declines(self):
-        cfg = default_config("scenario3", n=10, K=4,
-                             pattern={"family": "abs", "beta": 0.9},
+        cfg = default_config("scenario3", n=10, K=4, betas=(0.9,),
                              L_grid=(100, 400), replications=300)
         res = run_experiment(cfg)
         first = res.points[0].metrics["tau_ratio"]
@@ -368,22 +390,30 @@ class TestModelPartsAtConstruction:
         ("pattern", [1, 2]),
     ])
     def test_non_object_parts_rejected(self, key, value):
+        # without betas: a bare family name needs them, and a non-string
+        # pattern is refused for not being a spec
         d = {**default_config("scenario1").to_dict(), key: value}
-        with pytest.raises(ConfigError, match="JSON objects"):
+        del d["betas"]
+        match = (r"got pattern 'abs' and betas None" if value == "abs" else
+                 r"a pattern is a name\[:args\]\[,K=<k>\] string such as .*, "
+                 f"not {re.escape(repr(value))}")
+        with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("key,value", [
         ("link", "quartic"),
         ("link", ":1.0"),
         ("link", "identity:-1.0"),
-        ("pattern", {"family": "cube", "beta": 1.0}),
-        ("pattern", {"family": "abs"}),  # no beta and no beta grid
-        ("pattern", {"weights": ["0.5", "0.4"]}),
+        ("pattern", "cube"),
+        ("pattern", "weights:0.5,0.4"),  # two weights but K=5
+        ("pattern", {"family": "abs", "beta": 1.0}),  # the old object form
         ("link", {"kind": "identity", "scael": 3.0}),  # the old object form
         ("link", "identity:"),  # an empty scale
     ])
     def test_parts_that_do_not_construct_rejected(self, key, value):
         d = {**default_config("scenario1").to_dict(), key: value}
+        if key == "pattern":
+            del d["betas"]  # so the pattern itself is what fails
         with pytest.raises(ConfigError, match="bad link or pattern"):
             ExperimentConfig.from_dict(d)
 
@@ -394,8 +424,8 @@ class TestModelPartsAtConstruction:
             ExperimentConfig.from_dict(d)
 
     def test_weights_pattern_with_beta_grid_rejected(self):
-        with pytest.raises(ConfigError, match="not a family"):
-            small_two_item(pattern={"K": 2, "weights": ["0.5", "0.5"]})
+        with pytest.raises(ConfigError, match="no other pattern takes betas"):
+            small_two_item(pattern="weights:0.5,0.5")
 
     def test_grid_patterns_built_once(self, monkeypatch):
         cfg = small_two_item(betas=(0.3, 0.6), L_grid=(4, 6, 8), replications=20)

@@ -180,6 +180,46 @@ class TestPatternDistribution:
         raw = np.exp(-0.1 * np.arange(1, 5))
         np.testing.assert_allclose(p.weights, raw / raw.sum(), rtol=1e-15)
 
+    @pytest.mark.parametrize("beta,K", [(math.nan, 3), (math.inf, 3), (-math.inf, 2),
+                                        (0.1, 0), (0.1, -2)])
+    def test_family_refuses_non_finite_beta_and_empty_K(self, beta, K):
+        with pytest.raises(InvalidPatternError,
+                           match=rf"pattern sq needs a finite beta and K >= 1, "
+                                 rf"got beta={beta!r} and K={K}"):
+            PatternDistribution.from_family("sq", beta, K)
+
+    @pytest.mark.parametrize("family", ["abs", "sq"])
+    @pytest.mark.parametrize("beta,top", [(1e308, 0), (-1e308, 2), (1e200, 0)])
+    def test_family_huge_beta_is_one_point_law(self, family, beta, top, recwarn):
+        weights = [0.0, 0.0, 0.0]
+        weights[top] = 1.0
+        assert PatternDistribution.from_family(family, beta, 3).weights == tuple(weights)
+        assert not recwarn.list
+
+    def test_spec_builds_what_the_constructors_build(self):
+        from ordrank.snr import minimal_snr_monotone
+        assert (PatternDistribution.from_spec("sq:0.3,K=4")
+                == PatternDistribution.from_family("sq", 0.3, 4))
+        assert (PatternDistribution.from_spec("weights:1,3", K=2)
+                == PatternDistribution.from_weights([1, 3]))
+        assert PatternDistribution.from_spec("uniform", 3) == PatternDistribution.uniform(3)
+        assert (PatternDistribution.from_spec("K=5,min-monotone")
+                == minimal_snr_monotone(5)[1])
+
+    @pytest.mark.parametrize("spec,parts", [
+        ("abs:0.1,K=4", ("abs", ["0.1"], ["4"])), ("uniform", ("uniform", [], [])),
+        ("K=3, weights:1,2,3", ("weights", ["1", "2", "3"], ["3"])),
+        ("k=2,weights:", ("weights", [""], ["2"])),
+    ])
+    def test_split_spec(self, spec, parts):
+        assert PatternDistribution.split_spec(spec) == parts
+
+    @pytest.mark.parametrize("spec", [{"family": "abs"}, ["abs"], 0.5, None])
+    def test_non_string_spec_shows_the_string_form(self, spec):
+        with pytest.raises(ValueError, match=r"a pattern is a name\[:args\]\[,K=<k>\] "
+                                             r"string such as 'abs:0.5,K=4'"):
+            PatternDistribution.from_spec(spec)
+
     def test_neg_inf_psi_gives_zero_weight(self):
         p = PatternDistribution.from_psi(
             [math.log(4 / 5), -math.inf, -math.inf, math.log(1 / 5)])
@@ -493,12 +533,11 @@ class TestSerialization:
         assert again.link == m.link
         assert again.pattern.weights == m.pattern.weights
 
-    def test_psi_descriptor_accepted(self):
-        m = model_from_descriptor(
-            '{"link": "identity",'
-            ' "pattern": {"K": 2, "psi": [0.0, -1.0]}}')
-        assert m.K == 2
-        assert m.pattern.weights[0] > m.pattern.weights[1]
+    def test_psi_descriptor_refused(self):
+        # a descriptor carries weights, as to_dict writes them
+        with pytest.raises(InvalidPatternError, match="needs 'weights'"):
+            model_from_descriptor('{"link": "identity",'
+                                  ' "pattern": {"K": 2, "psi": [0.0, -1.0]}}')
 
     def test_mismatched_k_rejected(self):
         with pytest.raises(InvalidPatternError):
