@@ -158,7 +158,8 @@ class ExperimentConfig:
                     f" {self.pattern!r} and betas {self.betas}")
             patterns = ([(b, PatternDistribution.from_family(self.pattern, b, self.K))
                          for b in self.betas] if self.betas
-                        else [(None, PatternDistribution.from_spec(self.pattern, self.K))])
+                        else [(None, PatternDistribution.from_spec(
+                            self.pattern, self.K, K_from="config field K"))])
         except ValueError as exc:
             raise ConfigError(f"bad link or pattern: {exc}") from None
         object.__setattr__(self, "models", tuple((b, OrdinalModel(link, pattern))

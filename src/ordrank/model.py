@@ -201,11 +201,13 @@ class PatternDistribution:
         return cls.from_psi(psi)
 
     @classmethod
-    def from_spec(cls, spec: str, K: int | None = None) -> "PatternDistribution":
+    def from_spec(cls, spec: str, K: int | None = None,
+                  K_from: str = "flag --K") -> "PatternDistribution":
         """The law of ``name[:args][,K=<k>]``: abs:<beta>, sq:<beta>, uniform,
         weights:w1,..,wK, min-unconstrained or min-monotone.  Every K given (``K``,
-        ``,K=`` parts, a weight count) must agree, and one must be given.  Other
-        specs raise ValueError; numbers that make no law raise InvalidPatternError."""
+        ``,K=`` parts, a weight count) must agree, and one must be given; the
+        message names ``K_from`` as where ``K`` comes from.  Other specs raise
+        ValueError; numbers that make no law raise InvalidPatternError."""
         name, texts, K_texts = cls.split_spec(spec)
         if name not in _PATTERN_ARITY:
             raise ValueError(f"unknown pattern {name!r}; choose from "
@@ -222,7 +224,7 @@ class PatternDistribution:
             wanted = {None: "a weight list", 0: "no argument", 1: "one number"}[arity]
             raise ValueError(f"pattern {name!r} takes {wanted} in {spec!r}")
         if len(Ks) != 1:
-            raise ValueError(f"pattern {name!r} needs one K (flag --K or ',K=<k>'), "
+            raise ValueError(f"pattern {name!r} needs one K ({K_from} or ',K=<k>'), "
                              f"got {sorted(Ks) or 'none'}")
         K = Ks.pop()
         if name in PATTERN_FAMILIES:
@@ -373,15 +375,17 @@ class OrdinalModel:
         idx = np.searchsorted(cdf, rng.random(count), side="right")
         return values[np.minimum(idx, values.size - 1)]
 
-    def _tilted(self, gamma, lam, slope: bool) -> float | np.ndarray:
-        """``log_mgf`` (slope=False) or ``tilted_mean`` (slope=True).
+    def _tilted(self, gamma, lam, moments: bool) -> tuple:
+        """``(log_mgf,)`` (moments=False) or ``(tilted_mean, tilted_variance)``.
 
         With x_k = phi + lam k over the magnitudes k of positive weight w_k,
         points where |phi| and |lam| max k are at most _SMALL_ARG use
         M - 1 = sum_k w_k (2 sinh^2(lam k / 2) + tanh phi sinh(lam k)), which
         loses nothing to cancellation at tiny phi and lam; the others use
         log-sum-exp forms over w_k e^(+-x_k - top), top = max_k |x_k|, which
-        cannot overflow.
+        cannot overflow.  The variance is E[Y^2] - mean^2 near the origin,
+        where |x_k| <= 2 keeps it above sech^2(2) E[Y^2], and the mean square
+        deviation elsewhere, which stays >= 0 and accurate when saturated.
         """
         phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
                                        _check_finite(lam))
@@ -390,28 +394,35 @@ class OrdinalModel:
         w = w[w > 0]
         small = (np.abs(phi) <= _SMALL_ARG) & (np.abs(lam) * ks[-1] <= _SMALL_ARG)
         lk = lam[..., None] * ks
-        near = far = 0.0  # each form is computed only where some point needs it
+        # each form is computed only where some point needs it
+        near = far = (0.0, 0.0) if moments else (0.0,)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if small.any():
                 t = np.tanh(phi)[..., None]
                 sh = np.sinh(lk)
-                excess = (w * (2.0 * np.sinh(lk / 2.0) ** 2 + t * sh)).sum(axis=-1)  # M - 1
-                if slope:
-                    near = (w * ks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
+                terms = 2.0 * np.sinh(lk / 2.0) ** 2 + t * sh  # cosh + t sinh - 1
+                excess = (w * terms).sum(axis=-1)  # M - 1
+                if moments:
+                    mean = (w * ks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
+                    square = (w * ks**2 * (1.0 + terms)).sum(axis=-1) / (1.0 + excess)
+                    near = (mean, square - mean * mean)
                 else:
-                    near = np.log1p(excess)
+                    near = (np.log1p(excess),)
             if not small.all():
                 x = phi[..., None] + lk
                 top = np.max(np.abs(x), axis=-1, keepdims=True)
                 up, down = w * np.exp(x - top), w * np.exp(-x - top)
-                if slope:
-                    far = (ks * (up - down)).sum(axis=-1) / (up + down).sum(axis=-1)
+                total = (up + down).sum(axis=-1)
+                if moments:
+                    mean = (ks * (up - down)).sum(axis=-1) / total
+                    m = mean[..., None]
+                    far = (mean, ((ks - m) ** 2 * up + (ks + m) ** 2 * down).sum(axis=-1)
+                           / total)
                 else:
-                    far = (top[..., 0] + np.log((up + down).sum(axis=-1)) - _LOG2
-                           - log_cosh(phi))
-        out = np.where(small, near, far)
-        if out.ndim == 0:
-            return float(out)
+                    far = (top[..., 0] + np.log(total) - _LOG2 - log_cosh(phi),)
+        out = tuple(np.where(small, a, b) for a, b in zip(near, far))
+        if out[0].ndim == 0:
+            return tuple(float(v) for v in out)
         return out
 
     def log_mgf(self, gamma, lam) -> float | np.ndarray:
@@ -420,18 +431,23 @@ class OrdinalModel:
         ``gamma`` and ``lam`` may be scalars or arrays and broadcast against
         each other.
         """
-        return self._tilted(gamma, lam, slope=False)
+        return self._tilted(gamma, lam, moments=False)[0]
+
+    def tilted_moments(self, gamma, lam) -> tuple:
+        """The first two lam-derivatives of ``log_mgf``: the mean and the
+        variance of Y under the law tilted by e^(lam Y),
+
+            mean = sum_k w_k k (sinh lam k + t cosh lam k) / M,
+            var  = sum_k w_k k^2 (cosh lam k + t sinh lam k) / M - mean^2,
+            M    = sum_k w_k (cosh lam k + t sinh lam k),   t = tanh phi,
+
+        from one pass over the same sums.  Broadcasts like ``log_mgf``.
+        """
+        return self._tilted(gamma, lam, moments=True)
 
     def tilted_mean(self, gamma, lam) -> float | np.ndarray:
-        """d/dlam of ``log_mgf``: the mean of Y under the law tilted by
-        e^(lam Y),
-
-            sum_k w_k k (sinh lam k + t cosh lam k)
-            / sum_k w_k (cosh lam k + t sinh lam k),   t = tanh phi.
-
-        Broadcasts like ``log_mgf``.
-        """
-        return self._tilted(gamma, lam, slope=True)
+        """d/dlam of ``log_mgf``, the first of ``tilted_moments``."""
+        return self._tilted(gamma, lam, moments=True)[0]
 
     def to_dict(self) -> dict:
         return {"link": self.link.spec, "pattern": self.pattern.to_dict()}

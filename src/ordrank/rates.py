@@ -5,9 +5,10 @@ it wrongly decays like exp(-L * I) in the round count L, where I is the
 Cramer rate at zero, i.e. the supremum over lam of -log E[exp(lam * sum)].
 For binarized data the rate has the closed form log cosh(phi(gamma)); for
 raw ordinal data it is minus the minimum of the convex log-MGF, found as the
-root of its analytic slope (the tilted mean).  It is strictly smaller
-whenever the magnitude law is non-degenerate, which is what makes
-binarization win at large L.
+root of its analytic slope (the tilted mean): Newton steps use the slope's
+derivative, the tilted variance, and fall back on bisection of a proven
+bracket.  It is strictly smaller whenever the magnitude law is
+non-degenerate, which is what makes binarization win at large L.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import OrdinalModel, PatternDistribution, log_cosh
 from .ranking import PreferenceVector
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _SIGN_PATTERN = PatternDistribution((1.0,))
+# bisection alone narrows [-2B, 0] below 1e-12 B in 41 steps
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,18 @@ class RateResult:
 def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateResult:
     """Rate -min over lam of sum_t log_mgf(gammas[t], mults[t] * lam).
 
-    The objective is convex with slope sum_t mults[t] * tilted_mean(gammas[t],
-    mults[t] * lam), positive at lam = 0 for an oriented pair, so the argmin
-    is the root of the slope on [-B, 0]; brentq finds it.  ``iterations``
-    counts brentq iterations plus the doubling below.
+    The objective is convex, with slope sum_t mults[t] * tilted_mean(gammas[t],
+    mults[t] * lam) and curvature sum_t mults[t]^2 times the tilted variance,
+    and the slope is positive at lam = 0 for an oriented pair, so the argmin
+    is the root of the slope in the bracket below.  Newton steps on the slope
+    find it; a step that would leave the bracket bisects it instead, and every
+    evaluation narrows it.  The solve stops at a step of at most
+    xtol = 1e-12 * B, or a bracket that narrow.  ``iterations`` counts the
+    evaluations of slope and curvature, the first one at -B included.
     """
-    def slope(lam: float) -> float:
-        return float(mults @ model.tilted_mean(gammas, mults * lam))
+    def derivatives(lam: float) -> tuple[float, float]:  # slope, curvature
+        mean, var = model.tilted_moments(gammas, mults * lam)
+        return float(mults @ mean), float(mults**2 @ var)
 
     B = float(np.max(np.abs(model.link(gammas))))
     if B == 0.0:  # the link underflowed: every term is flat at lam = 0
@@ -63,13 +70,28 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
     # phi_t + mults[t] * lam * k is <= 0 at lam = -B, so the slope there is
     # <= 0.  It is 0 only when all weight sits on magnitude 1 and the root
     # is -B itself, where rounding may read it positive; at -2B every term
-    # is < 0, so one doubling always brackets the root.
-    doubled = slope(-B) > 0
-    if doubled:
-        B *= 2.0
-    lam, info = brentq(slope, -B, 0.0, xtol=1e-12 * B, full_output=True, disp=False)
+    # is < 0, so [-2B, 0] always brackets the root, and the first evaluation,
+    # at -B, narrows it to [-B, 0] or, in that rounding case, [-2B, -B].
+    lo, hi, lam = -2.0 * B, 0.0, -B
+    xtol = 1e-12 * B
+    converged = True
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        s, v = derivatives(lam)
+        if s > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        step = -s / v if v > 0.0 else math.inf
+        if abs(step) <= xtol:  # a step that rounds to lam itself included
+            lam += step
+            break
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        if hi - lo <= xtol:
+            break
+    else:
+        converged = False
     rate = -float(np.sum(model.log_mgf(gammas, lam * mults)))
-    return RateResult(rate, lam, info.iterations + doubled, info.converged)
+    return RateResult(rate, lam, iterations, converged)
 
 
 def rate_at_zero_binary(model: OrdinalModel, gamma: float) -> RateResult:

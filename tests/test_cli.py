@@ -608,7 +608,9 @@ class TestInputBoundaries:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
-        assert "needs one K" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "needs one K (config field K or ',K=<k>'), got [4, 5]" in err
+        assert "--K" not in err
         path.write_text(json.dumps({**d, "pattern": "uniform,K=5"}), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path), "--out",
                        str(tmp_path / "out.csv")) == 0

@@ -139,7 +139,7 @@ class TestConfig:
         ("scenario1", {"pattern": "abs,K=5"}, "its bare name"),
         ("scenario1", {"pattern": "abs", "betas": None}, "got pattern 'abs' and betas None"),
         ("scenario1", {"pattern": "uniform,K=4", "betas": None},
-         r"needs one K \(flag --K or ',K=<k>'\), got \[4, 5\]"),
+         r"needs one K \(config field K or ',K=<k>'\), got \[4, 5\]"),
         ("scenario1", {"pattern": "weights:0.2,0.8", "betas": None},
          r"got \[2, 5\]"),
     ])

@@ -64,7 +64,7 @@ def test_binary_beats_ordinal_beats_zero(pattern, phi):
        st.booleans())
 def test_root_lies_in_one_step_bracket(pattern, link, phi, negative, pair, binarized):
     # the solver brackets the argmin by [-2B, 0] for B = max |phi| over the
-    # terms; it lies in [-B, 0], up to brentq's tolerance of 2e-12 * B
+    # terms; it lies in [-B, 0], up to twice the solver's xtol of 1e-12 * B
     model = OrdinalModel(link, pattern)
     gamma = gamma_at(link, phi)
     ordinal = rate_at_zero_ordinal(model, -gamma if negative else gamma)

@@ -1,11 +1,21 @@
 """Tests for the misranking decay rates: closed forms, grid-oracle agreement,
 and the binary-beats-ordinal rate ordering."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from test_rate_properties import LINKS, gamma_at, log_uniform, patterns
 
+from ordrank.cli import parse_link_spec, parse_pattern_spec
 from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
 from ordrank.ranking import PreferenceVector
 from ordrank.rates import (
@@ -54,6 +64,28 @@ def nitem_objective(model, theta, i, j, binarized):
         return total
 
     return f
+
+
+# perfbench's rates sweep
+SWEEP_LINKS = ("cubic", "identity", "tanhsig", "logitnorm")
+SWEEP_PATTERNS = ("abs:0.1,K=4", "abs:0.9,K=4", "sq:0.5,K=5", "min-unconstrained,K=4",
+                  "min-monotone,K=5", "uniform,K=3", "uniform,K=1")
+SWEEP_GAMMAS = (1e-4, 1e-3, 0.05, 0.15, 0.5, 1.5, 5.0)
+
+
+def brentq_rate(model: OrdinalModel, gammas, mults) -> tuple[float, float, float]:
+    """Reference solve: brentq on the slope over [-B, 0], or [-2B, 0] when
+    the slope reads positive at -B, with xtol 1e-12 times that bracket's B;
+    gives the rate, the argmin and B."""
+    gammas, mults = np.asarray(gammas, dtype=float), np.asarray(mults, dtype=float)
+
+    def slope(lam):
+        return float(mults @ model.tilted_mean(gammas, mults * lam))
+
+    B = float(np.max(np.abs(model.link(gammas))))
+    b = 2.0 * B if slope(-B) > 0 else B
+    lam = brentq(slope, -b, 0.0, xtol=1e-12 * b)
+    return -float(np.sum(model.log_mgf(gammas, lam * mults))), lam, B
 
 
 class TestBinaryRate:
@@ -240,6 +272,60 @@ class TestTinyAndSaturatedLinks:
         assert calls == [(2 * 10 - 3,)]
 
 
+class TestNewtonSolver:
+    @settings(deadline=None)
+    @given(patterns, st.sampled_from(LINKS), log_uniform(1e-12, 50.0),
+           st.floats(-1.5, 0.5))
+    def test_tilted_variance_is_the_slope_of_the_mean(self, pattern, link, phi, s):
+        model = OrdinalModel(link, pattern)
+        gamma = gamma_at(link, phi)
+        lam = s * (phi + 1.0)
+        mean, var = model.tilted_moments(gamma, lam)
+        h = 1e-6 * (1.0 + abs(lam))
+        central = (model.tilted_mean(gamma, lam + h)
+                   - model.tilted_mean(gamma, lam - h)) / (2.0 * h)
+        assert mean == model.tilted_mean(gamma, lam)
+        assert math.isfinite(var) and var >= 0.0
+        assert var == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    def test_matches_brentq_over_the_rates_sweep(self):
+        # perfbench's rates workload: the sweep, and all 90 n-item solves at n = 10
+        cases = []
+        for link, pattern, gamma in itertools.product(SWEEP_LINKS, SWEEP_PATTERNS,
+                                                      SWEEP_GAMMAS):
+            model = OrdinalModel(parse_link_spec(link), parse_pattern_spec(pattern))
+            cases.append((rate_at_zero_ordinal(model, gamma), model, [gamma], [1.0]))
+        model = OrdinalModel(StrengthLink("identity"),
+                             PatternDistribution.from_family("abs", 1.0, 5))
+        theta = PreferenceVector.equally_spaced(10, 0.05)
+        th = np.asarray(theta.theta)
+        for (i, j), binarized in itertools.product(itertools.combinations(range(10), 2),
+                                                   (False, True)):
+            res = rate_at_zero_nitem(model, theta, i, j, binarized)
+            hi, lo = (i, j) if th[i] > th[j] else (j, i)
+            others = np.delete(th, [i, j])
+            stack = np.concatenate([[th[hi] - th[lo]], th[hi] - others, others - th[lo]])
+            mdl = (OrdinalModel(model.link, PatternDistribution((1.0,))) if binarized
+                   else model)
+            cases.append((res, mdl, stack, [2.0] + [1.0] * (stack.size - 1)))
+        assert len(cases) == 196 + 90
+        for res, mdl, stack, mults in cases:
+            rate, lam, B = brentq_rate(mdl, stack, mults)
+            assert res.converged
+            assert res.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+            assert abs(res.argmin_lambda - lam) <= 2e-12 * B
+
+    def test_no_scipy_optimize_in_any_process(self):
+        # ordrank owns its one root solve, so no command loads scipy.optimize
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, ordrank, ordrank.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestDecayPrediction:
     def test_zero_rate(self):
         m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
@@ -267,18 +353,14 @@ class TestDecayPrediction:
         assert math.exp(-L0 * gap) <= 1.0 / 10.0
         assert math.exp(-(L0 - 1) * gap) > 1.0 / 10.0
 
-    @pytest.mark.parametrize("link", ["cubic", "identity", "tanhsig", "logitnorm"])
+    @pytest.mark.parametrize("link", SWEEP_LINKS)
     def test_crossover_over_the_rates_sweep(self, link):
         # the perfbench ``rates`` sweep: a one-point law (uniform,K=1) has
         # equal rates, solved up to 4 ulps apart, so no crossover; every
         # other point keeps ceil(log(factor) / gap)
-        from ordrank.cli import parse_link_spec, parse_pattern_spec
-        patterns = ("abs:0.1,K=4", "abs:0.9,K=4", "sq:0.5,K=5",
-                    "min-unconstrained,K=4", "min-monotone,K=5", "uniform,K=3",
-                    "uniform,K=1")
-        for pattern in patterns:
+        for pattern in SWEEP_PATTERNS:
             m = OrdinalModel(parse_link_spec(link), parse_pattern_spec(pattern))
-            for gamma in (1e-4, 1e-3, 0.05, 0.15, 0.5, 1.5, 5.0):
+            for gamma in SWEEP_GAMMAS:
                 binary = rate_at_zero_binary(m, gamma)
                 ordinal = rate_at_zero_ordinal(m, gamma)
                 got = crossover_rounds(binary, ordinal)
