@@ -383,34 +383,33 @@ def _split_keys(seed: int, repetitions: int, size: int):
 
 
 def _split_order(keys: np.ndarray, pair_id: np.ndarray) -> np.ndarray:
-    """``np.lexsort((keys, pair_id))`` for a non-decreasing ``pair_id``: by
-    key within each pair, ties to the earlier position.  Sorting the keys'
-    ranks offset by ``pair_id * keys.size`` is one integer argsort; the
-    stable key sort runs only when two keys are equal."""
-    by_key = np.argsort(keys)
-    ranked = keys[by_key]
-    if np.any(ranked[1:] == ranked[:-1]):
-        by_key = np.argsort(keys, kind="stable")
-    rank = np.empty_like(by_key)
-    rank[by_key] = np.arange(keys.size)
-    return np.argsort(pair_id * keys.size + rank)
+    """``np.lexsort((keys, pair_id))`` for keys in [0, 1) and a non-decreasing
+    integer ``pair_id``, ties to the earlier position.  Rounding is monotone, so
+    distinct sums ``pair_id + keys`` argsort into that order; equal ones (tied
+    keys, or keys rounded together next to a large pair id) take the lexsort."""
+    composite = pair_id + keys
+    order = np.argsort(composite)
+    tied = np.any(np.diff(composite[order]) == 0.0)
+    return np.lexsort((keys, pair_id)) if tied else order
 
 
 def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
-                    n_train: np.ndarray) -> np.ndarray:
-    """Rows (ordinal, binary) of per-pair accuracies of one split: segment
-    ``diffs[offsets[p]:offsets[p + 1]]`` trains on its first ``n_train[p]``
-    comparisons and predicts the held-out signs from the sign of the raw
-    sum or the sign sum."""
+                    n_train: np.ndarray, splits):
+    """Per split (``diffs`` reordered within segments), rows (ordinal, binary) of
+    accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its first ``n_train[p]``
+    comparisons and predicts held-out signs from the sign of its raw or sign sum."""
     starts, sizes = offsets[:-1], np.diff(offsets)
     train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
-    n_test = sizes - n_train
-    test_pos = np.add.reduceat(~train & (diffs > 0), starts)
-    aggregate = np.add.reduceat(np.where(train, [diffs, np.sign(diffs)], 0.0),
-                                starts, axis=1)
-    correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
-    # a zero aggregate abstains: chance-level credit
-    return np.where(aggregate == 0.0, 0.5, correct / n_test)
+    n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
+    for ordered in splits:  # only the raw sums and the train positives change
+        train_pos = np.add.reduceat(train & (ordered > 0), starts)
+        # differences are never 0, so the sign sum is 2 * train_pos - n_train
+        aggregate = np.array([np.add.reduceat(np.where(train, ordered, 0.0), starts),
+                              2 * train_pos - n_train])
+        test_pos = total_pos - train_pos
+        correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
+        # a zero aggregate abstains: chance-level credit
+        yield np.where(aggregate == 0.0, 0.5, correct / n_test)
 
 
 def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
@@ -420,11 +419,10 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
     """Randomized split evaluation of sum versus sign-sum aggregation.
 
     Pairs with fewer than ``min_pair_count`` comparisons are skipped; each
-    repetition splits all others with one generator spawned from ``seed``.
-    It draws one uniform key per comparison and orders each pair's
-    comparisons by key, ties to the earlier position; the first
-    ``train_frac`` share of them, at least one and at most all but one,
-    train.
+    repetition splits all others with one generator spawned from ``seed`` (at
+    least 0).  It draws one uniform key per comparison and orders each pair's
+    comparisons by key, ties to the earlier position, in one float sort; the
+    first ``train_frac`` share, at least one and at most all but one, train.
     The closing paired t-test compares binary against ordinal accuracy; the
     pairing unit is the repetition mean by default, or per-pair means with
     ``pairing='pair'``.
@@ -435,6 +433,8 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
         raise ValueError("repetitions must be >= 1")
     if pairing not in ("repetition", "pair"):
         raise ValueError("pairing must be 'repetition' or 'pair'")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     counts = np.diff(pairs.offsets)
     eligible = counts >= max(min_pair_count, 2)
     if not eligible.any():
@@ -444,10 +444,11 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
     offsets = np.r_[0, np.cumsum(sizes)]
     n_train = np.clip((train_frac * sizes).astype(np.int64), 1, sizes - 1)
     pair_id = np.repeat(np.arange(sizes.size), sizes)
-    ord_acc, bin_acc = np.empty((2, repetitions, sizes.size))
-    for rep, keys in enumerate(_split_keys(seed, repetitions, diffs.size)):
-        ord_acc[rep], bin_acc[rep] = _split_accuracy(
-            diffs[_split_order(keys, pair_id)], offsets, n_train)
+    splits = (diffs[_split_order(keys, pair_id)]
+              for keys in _split_keys(seed, repetitions, diffs.size))
+    ord_acc, bin_acc = acc = np.empty((2, repetitions, sizes.size))
+    for rep, row in enumerate(_split_accuracy(diffs, offsets, n_train, splits)):
+        acc[:, rep] = row
     axis = 1 if pairing == "repetition" else 0
     binary, ordinal = bin_acc.mean(axis=axis), ord_acc.mean(axis=axis)
     if binary.size < 2:  # a single pairing unit has no paired variance

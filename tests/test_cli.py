@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: exit codes, JSON/CSV
 payloads, and the ingest/evaluate pipeline."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from ordrank.cli import _build_parser, parse_and_dispatch, parse_link_spec, parse_pattern_spec
-from ordrank.data import synthetic_ratings
+from ordrank.data import build_pair_comparisons, save_pairs, synthetic_ratings
 from ordrank.harness import default_config
 from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
 
@@ -294,6 +295,31 @@ class TestIngestEvaluateHistogram:
         assert payload["repetitions"] == 5
         assert 0.0 <= payload["mean_accuracy"]["binary"] <= 1.0
 
+    # sha256 of stdout on acceptance criterion 10's pairs (synthetic_ratings
+    # seed 7, items rated at least 100 times), taken with the two-sort split
+    # order; a change to the split order or its scoring moves them
+    GOLDEN = {
+        ("evaluate", "--seed", "7", "--train-frac", "0.7"):
+            "a4e64973265f3e6e390968df9c91a88a88db467c2a4846d7328128e4f628ef43",
+        ("evaluate", "--seed", "3", "--train-frac", "0.5", "--pairing", "pair"):
+            "9352e47f4121513bd4e3e3d593746cdafcd72c25a806c1181c861e3a8125abb0",
+        ("histogram",):
+            "f5fbe59e26c1fa0f6edfbd7a55459902573818767841c36352de2a4ecbb0d744",
+    }
+
+    @pytest.fixture(scope="class")
+    def criterion_10_pairs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("crit10") / "pairs.npz"
+        save_pairs(build_pair_comparisons(synthetic_ratings(seed=7),
+                                          min_ratings_per_item=100), path)
+        return path
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN))
+    def test_criterion_10_output_bytes_pinned(self, criterion_10_pairs, capsys, argv):
+        assert run_cli(argv[0], "--pairs", str(criterion_10_pairs), *argv[1:]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.GOLDEN[argv]
+
 
 class TestNegativeNumbers:
     """A negative number in exponent form is a flag value, not an option."""
@@ -514,6 +540,15 @@ class TestFlagsWhereTheyAct:
 
 
 class TestInputBoundaries:
+    def test_negative_evaluate_seed_is_exit_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.npz"
+        save_pairs(build_pair_comparisons(
+            synthetic_ratings(n_items=4, users_per_pair=20, seed=3),
+            min_ratings_per_item=10), pairs)
+        assert run_cli("evaluate", "--pairs", str(pairs), "--seed", "-1") == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert run_cli("evaluate", "--pairs", str(pairs), "--seed", "0") == 0
+
     @pytest.mark.parametrize("text", ["5", "null", '{"theta": 5}', '{"centered": true}',
                                       '[0.3, "a"]'])
     def test_malformed_theta_is_exit_2(self, tmp_path, capsys, text):

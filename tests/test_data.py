@@ -121,6 +121,29 @@ def split_accuracy_loop(diffs: np.ndarray, n_train: int) -> tuple[float, float]:
     return out[0], out[1]
 
 
+# the one-split form of ``_split_accuracy``, kept verbatim as its reference
+def split_accuracy_reference(diffs: np.ndarray, offsets: np.ndarray,
+                             n_train: np.ndarray) -> np.ndarray:
+    """Rows (ordinal, binary) of per-pair accuracies of one split: segment
+    ``diffs[offsets[p]:offsets[p + 1]]`` trains on its first ``n_train[p]``
+    comparisons and predicts the held-out signs from the sign of the raw
+    sum or the sign sum."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
+    n_test = sizes - n_train
+    test_pos = np.add.reduceat(~train & (diffs > 0), starts)
+    aggregate = np.add.reduceat(np.where(train, [diffs, np.sign(diffs)], 0.0),
+                                starts, axis=1)
+    correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
+    # a zero aggregate abstains: chance-level credit
+    return np.where(aggregate == 0.0, 0.5, correct / n_test)
+
+
+def split_once(diffs, offsets, n_train) -> np.ndarray:
+    """``_split_accuracy`` of ``diffs`` in the order given."""
+    return next(_split_accuracy(diffs, offsets, n_train, [diffs]))
+
+
 # a tab ratings file from tokens: rows of four well-formed fields, plus at
 # most one line from tokens that int(), float() or loadtxt read differently
 INT_FIELD = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)).map(str)
@@ -428,13 +451,13 @@ class TestOrdinalHistogram:
 
 class TestSplitAccuracy:
     def test_abstention_scores_half(self):
-        (acc_ord,), (acc_bin,) = _split_accuracy(
+        (acc_ord,), (acc_bin,) = split_once(
             np.array([1.0, -1.0, 2.0, -2.0]), np.array([0, 4]), np.array([2]))
         assert acc_ord == 0.5  # train (+1, -1) sums to zero
         assert acc_bin == 0.5
 
     def test_plain_split(self):
-        (acc_ord,), (acc_bin,) = _split_accuracy(
+        (acc_ord,), (acc_bin,) = split_once(
             np.array([2.0, 1.0, 1.0, -1.0]), np.array([0, 4]), np.array([2]))
         assert acc_ord == 0.5 and acc_bin == 0.5  # pred +, test (+1, -1)
 
@@ -445,10 +468,32 @@ class TestSplitAccuracy:
             diffs = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], sizes.sum())
             offsets = np.cumsum(np.r_[0, sizes])
             n_train = rng.integers(1, sizes)
-            got = _split_accuracy(diffs, offsets, n_train)
+            got = split_once(diffs, offsets, n_train)
             want = [split_accuracy_loop(diffs[a:b], n) for a, b, n in
                     zip(offsets[:-1], offsets[1:], n_train)]
             np.testing.assert_array_equal(np.transpose(got), want)
+
+    @pytest.mark.parametrize("law", ["fractional", "wide", "cauchy"])
+    def test_equals_reference_on_real_differences(self, law):
+        # raw sums of non-integer differences round, so the same additions
+        # must run in the same order as in the one-split body; few distinct
+        # magnitudes make near-zero sums, whose sign the rounding decides,
+        # common (a sequential sum differs from it on about 4% of splits)
+        rng = np.random.default_rng(["fractional", "wide", "cauchy"].index(law))
+        for _ in range(200):
+            sizes = rng.integers(2, 40, size=int(rng.integers(1, 30)))
+            n = int(sizes.sum())
+            magnitudes = {"fractional": rng.integers(1, 40, n) / 10,
+                          "wide": rng.choice([1e-3, 0.1, 0.7, 1e3], n),
+                          "cauchy": rng.choice(rng.standard_cauchy(3), n)}[law]
+            diffs = rng.choice([-1.0, 1.0], n) * magnitudes
+            offsets = np.cumsum(np.r_[0, sizes])
+            n_train = rng.integers(1, sizes)
+            pair_id = segment_ids(sizes)
+            splits = [diffs[_split_order(rng.random(n), pair_id)] for _ in range(3)]
+            for split, got in zip(splits, _split_accuracy(diffs, offsets, n_train, splits)):
+                np.testing.assert_array_equal(
+                    got, split_accuracy_reference(split, offsets, n_train))
 
 
 def segment_ids(sizes) -> np.ndarray:
@@ -462,8 +507,10 @@ class TestSplitOrder:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sizes=st.lists(st.integers(2, 40), min_size=1,
                                           max_size=30),
-           grid=st.sampled_from([None, 2, 4, 16]))
-    def test_equals_lexsort(self, data, sizes, grid):
+           grid=st.sampled_from([None, 2, 4, 16]),
+           offset=st.sampled_from([0, 2**20, 2**40, 2**52]))
+    def test_equals_lexsort(self, data, sizes, grid, offset):
+        # next to a pair id of 2**40 or more, distinct keys round together
         n = sum(sizes)
         if grid is None:
             keys = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
@@ -471,7 +518,7 @@ class TestSplitOrder:
         else:  # a coarse grid makes ties inside a pair likely
             keys = data.draw(st.lists(st.integers(0, grid - 1).map(
                 lambda k: k / grid), min_size=n, max_size=n))
-        keys, pair_id = np.array(keys, dtype=float), segment_ids(sizes)
+        keys, pair_id = np.array(keys, dtype=float), offset + segment_ids(sizes)
         np.testing.assert_array_equal(_split_order(keys, pair_id),
                                       np.lexsort((keys, pair_id)))
 
@@ -491,6 +538,50 @@ class TestSplitOrder:
         keys = rng.random(pair_id.size)
         np.testing.assert_array_equal(_split_order(keys, pair_id),
                                       np.lexsort((keys, pair_id)))
+
+    @staticmethod
+    def count_lexsort(monkeypatch) -> list:
+        """Record each ``np.lexsort`` call from here on, the fallback's sort."""
+        calls, lexsort = [], np.lexsort
+
+        def counted(*args):
+            calls.append(args)
+            return lexsort(*args)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        return calls
+
+    def test_distinct_keys_rounding_together_take_the_lexsort(self, monkeypatch):
+        # at 2**40 the sums are spaced 2**-12 apart: each pair's keys are
+        # distinct and descending, 2**-20 apart, so they round together
+        rng = np.random.default_rng(40)
+        pair_id = 2**40 + segment_ids(np.full(500, 4))
+        keys = np.repeat(rng.random(500) * 0.99, 4) + np.tile([3, 2, 1, 0], 500) * 2.0**-20
+        want = np.lexsort((keys, pair_id))
+        assert np.unique(pair_id + keys).size < keys.size
+        calls = self.count_lexsort(monkeypatch)
+        np.testing.assert_array_equal(_split_order(keys, pair_id), want)
+        assert len(calls) == 1
+
+    def test_key_rounding_up_to_the_next_pair_takes_the_lexsort(self, monkeypatch):
+        # pair 1's last key: 1 + (1 - 2**-53) rounds to 2.0, the sum of
+        # pair 2's first key 0.0
+        keys = np.array([0.25, 0.5, 0.5, 1 - 2**-53, 0.0, 0.75, 0.5, 0.25])
+        pair_id = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        assert pair_id[3] + keys[3] == pair_id[4] + keys[4] == 2.0
+        want = np.lexsort((keys, pair_id))
+        calls = self.count_lexsort(monkeypatch)
+        np.testing.assert_array_equal(_split_order(keys, pair_id), want)
+        assert len(calls) == 1
+
+    def test_criterion_10_splits_take_the_float_sort(self, monkeypatch):
+        pairs = build_pair_comparisons(synthetic_ratings(seed=7),
+                                       min_ratings_per_item=100)
+        calls = self.count_lexsort(monkeypatch)
+        report = evaluate_pair_protocol(pairs, train_frac=0.7, repetitions=100,
+                                        min_pair_count=10, seed=7)
+        assert report.ordinal_acc.shape == (100, 190)
+        assert calls == []
 
 
 class TestEvaluateProtocol:
