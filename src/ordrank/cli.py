@@ -76,7 +76,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _json_out(obj, args) -> None:
-    _emit(json.dumps(obj, indent=2), args.out)
+    _emit(json.dumps(obj, indent=2, allow_nan=False), args.out)
 
 
 @functools.cache
@@ -169,13 +169,12 @@ def _cmd_rank(args) -> int:
     spec = spec if isinstance(spec, dict) else {"theta": spec}
     if unknown := sorted(set(spec) - {"theta", "centered"}):
         raise ValueError(f"{args.theta}: unknown theta keys {unknown}")
-    values = spec.get("theta")
-    if not isinstance(values, list) or not all(isinstance(v, (int, float))
-                                               for v in values):
+    try:
+        values = harness._numbers(spec.get("theta"))
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{args.theta}: theta must be a JSON list of numbers "
-                         "or an object holding one under 'theta'")
-    theta = PreferenceVector(tuple(values),
-                             centered=bool(spec.get("centered", False)))
+                         "or an object holding one under 'theta'") from None
+    theta = PreferenceVector(values, centered=bool(spec.get("centered", False)))
     scores = count_scores(dataset_from_csv(text, n=theta.n))
     _json_out({
         "scores": scores.to_dict(),

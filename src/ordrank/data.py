@@ -364,7 +364,7 @@ class EvaluationReport:
             "train_frac": self.train_frac,
             "mean_accuracy": {"ordinal": self.mean_ordinal,
                               "binary": self.mean_binary},
-            "t_statistic": None if math.isnan(self.ttest.t) else self.ttest.t,
+            "t_statistic": self.ttest.t if math.isfinite(self.ttest.t) else None,
             "p_value": None if math.isnan(self.ttest.p) else self.ttest.p,
             "degenerate": self.ttest.degenerate,
             "per_repetition_accuracy": {"ordinal": rep_ord.tolist(),

@@ -36,6 +36,7 @@ import dataclasses
 import io
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,21 +67,31 @@ CSV_COLUMNS = ["scenario", "link", "pattern", "beta", "n", "K", "L",
                "reps", "seed"]
 
 
-def _whole(value) -> int:
-    """An int field's value; a bool or a non-integral number is refused
+def _number(value, kind: type = float):
+    """A JSON number read as ``kind``: a bool or a string is refused rather
+    than read as a number, and a non-integral number, for an int ``kind``,
     rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    if kind is int and value != int(value):
         raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
+    return kind(value)
+
+
+def _numbers(values, kind: type = float) -> tuple:
+    """A JSON list of numbers, each read by ``_number``; a string is refused
+    rather than read as a list of its characters."""
+    if isinstance(values, str):
+        raise ValueError(f"{values!r} is not a list")
+    return tuple(_number(v, kind) for v in values)
 
 
 # Config field types (as annotated) and how JSON values are coerced to them.
 _COERCE = {
-    "int": _whole,
-    "float": float,
-    "tuple[int, ...]": lambda v: tuple(_whole(x) for x in v),
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "int": lambda v: _number(v, int),
+    "float": _number,
+    "tuple[int, ...]": lambda v: _numbers(v, int),
+    "tuple[float, ...]": _numbers,
 }
 
 
@@ -114,7 +125,7 @@ class ExperimentConfig:
             elif kind in _COERCE:
                 try:
                     object.__setattr__(self, f.name, _COERCE[kind](value))
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"config field {f.name}: {exc}") from None
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")

@@ -376,7 +376,7 @@ class OrdinalModel:
         return values[np.minimum(idx, values.size - 1)]
 
     def _tilted(self, gamma, lam, moments: bool) -> tuple:
-        """``(log_mgf,)`` (moments=False) or ``(tilted_mean, tilted_variance)``.
+        """``(log_mgf,)`` (moments=False) or the tilted ``(mean, variance)``.
 
         With x_k = phi + lam k over the magnitudes k of positive weight w_k,
         points where |phi| and |lam| max k are at most _SMALL_ARG use
@@ -444,10 +444,6 @@ class OrdinalModel:
         from one pass over the same sums.  Broadcasts like ``log_mgf``.
         """
         return self._tilted(gamma, lam, moments=True)
-
-    def tilted_mean(self, gamma, lam) -> float | np.ndarray:
-        """d/dlam of ``log_mgf``, the first of ``tilted_moments``."""
-        return self._tilted(gamma, lam, moments=True)[0]
 
     def to_dict(self) -> dict:
         return {"link": self.link.spec, "pattern": self.pattern.to_dict()}

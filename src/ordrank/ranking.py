@@ -52,10 +52,10 @@ class PreferenceVector:
     @classmethod
     def equally_spaced(cls, n: int, gap: float) -> "PreferenceVector":
         """n items, descending, adjacent difference ``gap``, centered at 0."""
-        if n < 2:
-            raise ValueError("need at least two items")
         th = gap * ((n - 1) / 2.0 - np.arange(n))
-        th -= th.mean()  # exact centering against float drift
+        # exact centering against float drift (the mean, without its warning
+        # on an empty slice: the constructor refuses n < 1)
+        th -= th.sum() / max(n, 1)
         return cls(tuple(th), centered=True)
 
     @property
@@ -68,8 +68,10 @@ class PreferenceVector:
         return th[:, None] - th[None, :]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays of the item pairs i < j and their gaps theta_i -
-        theta_j.  A tie orders no pair, so it is refused."""
+        """Index arrays of the item pairs i < j and their gaps theta_i - theta_j;
+        fewer than two items or a tie order no pair, so both are refused."""
+        if self.n < 2:
+            raise ValueError("need at least two items")
         i, j = np.triu_indices(self.n, k=1)
         gaps = self.gaps()[i, j]
         if not gaps.all():
@@ -201,37 +203,24 @@ def asymptotic_two_item(model: OrdinalModel, gamma: float, L: int) -> tuple[floa
     return p_binary, p_ordinal
 
 
-def _pairwise_drift_and_spread(model: OrdinalModel, theta_sorted: np.ndarray):
-    """Per-pair mean drift and spread of the score-difference sums, both
-    scaled by 1/(2n).  The spread is 1 - V for the variance proxy V, summed
-    from sech^2 = 1 - tanh^2 terms so that it does not cancel to 0 where
-    tanh rounds to 1."""
-    n = theta_sorted.size
-    phi = model.link(theta_sorted[:, None] - theta_sorted[None, :])
-    t = np.tanh(phi)
-    s = sech2(phi)
-    np.fill_diagonal(t, 0.0)
-    np.fill_diagonal(s, 0.0)
-    row_t = t.sum(axis=1)
-    row_s = s.sum(axis=1)
-    # D_ij = 2 t_ij + sum_{k != i,j} (t_ik - t_jk) collapses to the row-sum
-    # difference; the spread likewise to row_s_i + row_s_j + 2 s_ij.
-    d = (row_t[:, None] - row_t[None, :]) / (2.0 * n)
-    spread = (row_s[:, None] + row_s[None, :] + 2.0 * s) / (2.0 * n)
-    iu = np.triu_indices(n, k=1)
-    return d[iu], spread[iu]
-
-
 def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tuple[float, float]:
     """Limiting expected ranking errors of the ordinal and binarized counting
     scores for n items after L rounds."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    th = np.sort(np.asarray(theta.theta))[::-1]
-    if np.any(np.diff(th) == 0):
-        raise ValueError("theta must be strictly ordered after sorting")
-    n = th.size
-    d_bar, spread = _pairwise_drift_and_spread(model, th)
+    i, j, gaps = theta.pairs()
+    n = theta.n
+    # Pair (i, j)'s drift D_ij = 2 t_ij + sum_{k != i,j} (t_ik - t_jk) collapses
+    # to the gap of the binarized expected scores, signed to orient the pair.
+    # Its spread 1 - V, for the variance proxy V, likewise collapses to
+    # row_s_i + row_s_j + 2 s_ij, summed from sech^2 = 1 - tanh^2 terms so
+    # that it does not cancel to 0 where tanh rounds to 1.  Both are over 2n.
+    s_tilde = expected_scores(model, theta)[1]
+    s = sech2(model.link(theta.gaps()))
+    np.fill_diagonal(s, 0.0)
+    row_s = s.sum(axis=1)
+    d_bar = np.sign(gaps) * (s_tilde[i] - s_tilde[j]) / (2.0 * n)
+    spread = (row_s[i] + row_s[j] + 2.0 * s[i, j]) / (2.0 * n)
     scale = math.sqrt(2.0 * n * L)
     inv_snr = model.pattern.inverse_snr
     with np.errstate(divide="ignore"):
@@ -241,7 +230,9 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
 
 
 def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
-    """The outcomes of CSV rows ``i,j,l,y`` among ``n`` items."""
+    """The outcomes of CSV rows ``i,j,l,y`` among ``n`` items, each field read
+    by ``ingest``'s rule."""
+    from .data import _field  # here, so that importing ranking loads no data module
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "j", "l", "y"]:
@@ -251,7 +242,7 @@ def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
         if not row:
             continue
         try:
-            i, j, l, y = (int(v) for v in row)
+            i, j, l, y = (_field(v, int) for v in row)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed row {row!r}") from exc
         if i == j:

@@ -50,8 +50,8 @@ class RateResult:
 def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateResult:
     """Rate -min over lam of sum_t log_mgf(gammas[t], mults[t] * lam).
 
-    The objective is convex, with slope sum_t mults[t] * tilted_mean(gammas[t],
-    mults[t] * lam) and curvature sum_t mults[t]^2 times the tilted variance,
+    The objective is convex, with slope and curvature the sums over t of
+    mults[t] and mults[t]^2 times ``tilted_moments(gammas[t], mults[t] * lam)``,
     and the slope is positive at lam = 0 for an oriented pair, so the argmin
     is the root of the slope in the bracket below.  Newton steps on the slope
     find it; a step that would leave the bracket bisects it instead, and every

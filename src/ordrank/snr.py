@@ -30,8 +30,8 @@ class SnrReport:
     variance: float
     snr: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self) -> dict:  # JSON has no infinity: a one-point law's SNR is None
+        return {**asdict(self), "snr": None if math.isinf(self.snr) else self.snr}
 
 
 def snr_of_pattern(pattern: PatternDistribution) -> SnrReport:

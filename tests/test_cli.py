@@ -195,8 +195,10 @@ class TestRankCommand:
         ("0,1,1,2\n1,0,1,-1\n", "line 3: duplicate round 1 for pair (0,1)"),
         ("0,1,1,2\n0,1,2,1\n0,2,1,1\n", "pairs carry unequal round counts: [1, 2]"),
         ("0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,3,1\n", "pair (0, 2) rounds are not 1..2"),
+        ("0,1,1,1\n0,1,2,1_0\n", "line 3: malformed row"),
+        ("0,1,1,1\n0,1,2,\u0663\n", "line 3: malformed row"),
     ], ids=["self-comparison", "round-0", "duplicate-round", "unequal-rounds",
-            "rounds-not-1-to-L"])
+            "rounds-not-1-to-L", "underscore-digit", "non-ascii-digit"])
     def test_csv_refusals_are_exit_2(self, tmp_path, capsys, rows, message):
         assert self.rank(tmp_path, "i,j,l,y\n" + rows, [0.3, 0.2, 0.1]) == 2
         assert message in capsys.readouterr().err
@@ -550,7 +552,7 @@ class TestInputBoundaries:
         assert run_cli("evaluate", "--pairs", str(pairs), "--seed", "0") == 0
 
     @pytest.mark.parametrize("text", ["5", "null", '{"theta": 5}', '{"centered": true}',
-                                      '[0.3, "a"]'])
+                                      '[0.3, "a"]', '[0.2, true]'])
     def test_malformed_theta_is_exit_2(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"
         data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")
@@ -704,3 +706,92 @@ class TestInputBoundaries:
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         assert "bad link scale ''" in capsys.readouterr().err
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Numbers in JSON inputs are JSON numbers, and JSON output is valid JSON."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("strict")
+        save_pairs(build_pair_comparisons(
+            synthetic_ratings(n_items=4, users_per_pair=30, seed=3),
+            min_ratings_per_item=10), root / "pairs.npz")
+        # two pairs whose differences [3, -1, -1] have one mean and sd 0
+        # across pairs: the t statistic is infinite
+        np.savez(root / "flat.npz", item_i=np.array([0, 0]), item_j=np.array([1, 2]),
+                 offsets=np.array([0, 3, 6]), diffs=np.array([3.0, -1, -1] * 2))
+        (root / "data.csv").write_text(TestRankCommand.THREE_ITEMS, encoding="utf-8")
+        (root / "theta.json").write_text("[0.3, 0.2, 0.1]", encoding="utf-8")
+        return root
+
+    JSON_COMMANDS = {
+        "snr": ("snr", "--pattern", "abs:0.1", "--K", "4"),
+        "snr-one-point": ("snr", "--pattern", "uniform", "--K", "1"),
+        "snr-min": ("snr-min", "--K", "4", "--monotone"),
+        "rank": ("rank", "--input", "@data.csv", "--theta", "@theta.json"),
+        "rates": ("rates", "--link", "identity", "--pattern", "uniform,K=1",
+                  "--gamma", "0.15"),
+        "evaluate": ("evaluate", "--pairs", "@pairs.npz", "--reps", "3"),
+        "evaluate-flat": ("evaluate", "--pairs", "@flat.npz", "--reps", "1",
+                          "--pairing", "pair", "--min-pair-count", "3", "--seed", "5"),
+        "histogram": ("histogram", "--pairs", "@pairs.npz"),
+        "model-info": ("model-info", "--link", "logitnorm:0.5", "--pattern",
+                       "uniform,K=1", "--gamma", "0.3"),
+    }
+
+    def run(self, files, name) -> int:
+        """``JSON_COMMANDS[name]``, with each ``@file`` argument a path."""
+        return run_cli(*(str(files / a[1:]) if a.startswith("@") else a
+                         for a in self.JSON_COMMANDS[name]))
+
+    @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+    def test_every_json_command_parses_strictly(self, files, capsys, name):
+        assert self.run(files, name) == 0
+        strict_json(capsys.readouterr().out)
+
+    def test_infinities_print_null(self, files, capsys):
+        assert self.run(files, "snr-one-point") == 0
+        assert strict_json(capsys.readouterr().out)["snr"] is None
+        assert self.run(files, "evaluate-flat") == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["t_statistic"] is None and payload["degenerate"] is True
+
+    def test_non_finite_output_is_exit_2(self, monkeypatch, capsys):
+        from ordrank import snr
+        monkeypatch.setattr(snr, "snr_of_pattern",
+                            lambda pattern: snr.SnrReport(math.nan, 1.0, 1.0, 1.0))
+        assert run_cli("snr", "--pattern", "abs:0.1", "--K", "4") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not JSON compliant" in err
+
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("two_item", "gammas", "12"), ("two_item", "L_grid", "139"),
+        ("scenario1", "theta_gap", True), ("scenario1", "replications", "1_0"),
+        ("scenario1", "ci_level", "0.9"), ("scenario1", "betas", {"1.0": 1}),
+    ])
+    def test_config_string_or_bool_is_exit_2(self, tmp_path, capsys, scenario, key, value):
+        # int() and float() would read each of these as a number or a list
+        d = {**default_config(scenario, replications=5).to_dict(), key: value}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert f"config field {key}: " in capsys.readouterr().err
+
+    def test_one_item_theta_is_exit_2(self, tmp_path, capsys):
+        d = {**default_config("scenario1", replications=5, L_grid=(10,)).to_dict(),
+             "n": 1, "theta": [0.3]}
+        del d["theta_gap"]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("simulate", "--config", str(path), "--out",
+                       str(tmp_path / "out.csv")) == 2
+        assert "need at least two items" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()

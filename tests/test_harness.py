@@ -59,7 +59,7 @@ class TestConfig:
     def test_optional_keys_may_be_omitted(self):
         cfg = ExperimentConfig.from_dict({
             "scenario": "scenario1", "link": "identity",
-            "pattern": "abs", "betas": [1.0], "K": "3",
+            "pattern": "abs", "betas": [1.0], "K": 3.0,
             "L_grid": [10.0], "replications": 5, "base_seed": 1,
             "theta_gap": 1})
         assert (cfg.n, cfg.ci_level, cfg.theta, cfg.gammas) == (2, 0.99, None, None)
@@ -79,12 +79,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("K", 2.7), ("replications", 99.9), ("L_grid", [100.5, 200.9]),
-        ("K", True),
+        ("K", True), ("K", math.inf), ("n", math.nan),
     ])
     def test_int_fields_refuse_truncation(self, key, value):
         d = {**default_config("scenario1").to_dict(), key: value}
         with pytest.raises(ConfigError, match=f"config field {key}: "):
             ExperimentConfig.from_dict(d)
+
+    def test_tuples_and_numpy_scalars_are_numbers(self):
+        cfg = default_config("scenario1", K=np.int64(5), theta_gap=np.float64(0.05),
+                             L_grid=(np.int64(100), 200.0), betas=(np.float32(1.0),))
+        assert (cfg.K, cfg.L_grid, cfg.betas) == (5, (100, 200), (1.0,))
+        assert type(cfg.K) is int and type(cfg.theta_gap) is float
+        assert cfg.to_dict() == default_config("scenario1", L_grid=(100, 200)).to_dict()
 
     def test_theta_length_must_match_n(self):
         with pytest.raises(ConfigError, match="theta"):

@@ -64,6 +64,17 @@ class TestPreferenceVector:
         assert abs(arr.sum()) < 1e-12
         np.testing.assert_allclose(np.diff(arr), -0.05, rtol=1e-12)
 
+    @pytest.mark.parametrize("build", [lambda: PreferenceVector((0.3,)),
+                                       lambda: PreferenceVector.equally_spaced(1, 0.1)],
+                             ids=["theta", "equally-spaced"])
+    def test_one_item_has_no_pairs(self, build):
+        theta = build()
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
+        for call in (theta.pairs, lambda: kendall_tau([0.0], theta),
+                     lambda: asymptotic_tau(m, theta, 10)):
+            with pytest.raises(ValueError, match="need at least two items"):
+                call()
+
 
 class TestCountScores:
     def test_two_items_reduce_to_pair_metric(self):
@@ -312,6 +323,19 @@ class TestAsymptoticTau:
         with pytest.raises(ValueError):
             asymptotic_tau(m, PreferenceVector((0.1, 0.1, 0.0)), 10)
 
+    @pytest.mark.parametrize("link", ["identity", "cubic", "tanhsig:3", "logitnorm"])
+    def test_invariant_under_permutation(self, link):
+        # theta's order only relabels the pairs; the row sums add in another
+        # order, so the limits agree to rounding
+        rng = np.random.default_rng(5)
+        m = OrdinalModel(StrengthLink.from_spec(link),
+                         PatternDistribution.from_family("abs", 0.4, 4))
+        for _ in range(10):
+            theta = rng.normal(size=int(rng.integers(2, 12)))
+            want = asymptotic_tau(m, PreferenceVector(tuple(np.sort(theta)[::-1])), 200)
+            got = asymptotic_tau(m, PreferenceVector(tuple(rng.permutation(theta))), 200)
+            assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestEnumerationAgreement:
     """Monte-Carlo metrics versus exact enumeration on tiny configurations."""
@@ -356,6 +380,14 @@ class TestDatasetCsv:
     def test_malformed_row_reports_line(self):
         with pytest.raises(ValueError, match="line 3"):
             dataset_from_csv("i,j,l,y\n0,1,1,2\n0,1,x,1\n", n=2)
+
+    @pytest.mark.parametrize("row", ["0,1,2,1_0", "0,1,2,\u0663", "0,1,\uff12,1"])
+    def test_field_rule_of_ingest(self, row):
+        # int() reads 1_0 as 10 and U+0663 or U+FF12 as a digit; ingest
+        # refuses them, and so does rank
+        with pytest.raises(ValueError, match="line 3: malformed row"):
+            dataset_from_csv(f"i,j,l,y\n0,1,1,2\n{row}\n", n=2)
+        assert dataset_from_csv("i,j,l,y\n0,1,1, 2\n0,1,2,-3 \n", n=2).rounds == 2
 
     @pytest.mark.parametrize("row", ["0,1,2,99999999999999999999",
                                      "1,0,2,-9223372036854775808"])

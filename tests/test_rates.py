@@ -80,7 +80,7 @@ def brentq_rate(model: OrdinalModel, gammas, mults) -> tuple[float, float, float
     gammas, mults = np.asarray(gammas, dtype=float), np.asarray(mults, dtype=float)
 
     def slope(lam):
-        return float(mults @ model.tilted_mean(gammas, mults * lam))
+        return float(mults @ model.tilted_moments(gammas, mults * lam)[0])
 
     B = float(np.max(np.abs(model.link(gammas))))
     b = 2.0 * B if slope(-B) > 0 else B
@@ -282,9 +282,8 @@ class TestNewtonSolver:
         lam = s * (phi + 1.0)
         mean, var = model.tilted_moments(gamma, lam)
         h = 1e-6 * (1.0 + abs(lam))
-        central = (model.tilted_mean(gamma, lam + h)
-                   - model.tilted_mean(gamma, lam - h)) / (2.0 * h)
-        assert mean == model.tilted_mean(gamma, lam)
+        central = (model.tilted_moments(gamma, lam + h)[0]
+                   - model.tilted_moments(gamma, lam - h)[0]) / (2.0 * h)
         assert math.isfinite(var) and var >= 0.0
         assert var == pytest.approx(central, rel=1e-6, abs=1e-9)
 
