@@ -107,7 +107,8 @@ def _build_parser() -> _Parser:
 
     p = add("rank", _cmd_rank, "counting scores and ranking errors for a dataset")
     p.add_argument("--input", required=True, help="CSV with header i,j,l,y")
-    p.add_argument("--theta", required=True, help="JSON file with true preferences")
+    p.add_argument("--theta", required=True,
+                   help="JSON list of the true preferences, such as [0.3, 0.2, 0.1]")
 
     p = add("rates", _cmd_rates, "misranking decay rates and crossover estimate")
     p.add_argument("--link", required=True)
@@ -165,16 +166,13 @@ def _cmd_snr_min(args) -> int:
 
 def _cmd_rank(args) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
-    spec = json.loads(Path(args.theta).read_text(encoding="utf-8"))
-    spec = spec if isinstance(spec, dict) else {"theta": spec}
-    if unknown := sorted(set(spec) - {"theta", "centered"}):
-        raise ValueError(f"{args.theta}: unknown theta keys {unknown}")
+    values = json.loads(Path(args.theta).read_text(encoding="utf-8"))
     try:
-        values = harness._numbers(spec.get("theta"))
+        values = harness._numbers(values)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{args.theta}: theta must be a JSON list of numbers "
-                         "or an object holding one under 'theta'") from None
-    theta = PreferenceVector(values, centered=bool(spec.get("centered", False)))
+        raise ValueError(f"{args.theta}: theta must be a JSON list of numbers, "
+                         "such as [0.3, 0.2, 0.1]") from None
+    theta = PreferenceVector(values)
     scores = count_scores(dataset_from_csv(text, n=theta.n))
     _json_out({
         "scores": scores.to_dict(),

@@ -23,7 +23,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .model import CorruptDataError
+from .model import CorruptDataError, OrdinalModel, StrengthLink
+from .ranking import PreferenceVector
+from .snr import minimal_snr_monotone
 
 __all__ = [
     "RatingsTable",
@@ -477,26 +479,21 @@ def synthetic_ratings(n_items: int = 20, users_per_pair: int = 250,
     Within one user, rating differences are additive (d_ij + d_jk = d_ik),
     so independent model draws per pair can only be realized by giving each
     synthetic user exactly two rated items.  Item preferences are equally
-    spaced with gap ``theta_gap``; every unordered pair gets
+    spaced with non-zero gap ``theta_gap``; every unordered pair gets
     ``users_per_pair`` users whose two 1-5 ratings differ by a draw from the
     identity-link model.  The default magnitude law is the minimal-SNR
     non-increasing one at K=4, the regime where binarized aggregation wins
     the most.
     """
-    from .model import OrdinalModel, StrengthLink
-    from .snr import minimal_snr_monotone
-
     if pattern is None:
         pattern = minimal_snr_monotone(4)[1]
     if pattern.K > 4:
         raise ValueError("1-5 ratings bound differences by 4")
     model = OrdinalModel(StrengthLink("identity"), pattern)
-    theta = theta_gap * ((n_items - 1) / 2.0 - np.arange(n_items))
+    theta = PreferenceVector(tuple(theta_gap * ((n_items - 1) / 2.0 - np.arange(n_items))))
+    first, second, gaps = theta.pairs()
     rng = np.random.default_rng(seed)
-    first, second = np.triu_indices(n_items, 1)
-    y = np.concatenate([
-        model.sample(float(theta[i] - theta[j]), rng, users_per_pair)
-        for i, j in zip(first.tolist(), second.tolist())])
+    y = np.concatenate([model.sample(gap, rng, users_per_pair) for gap in gaps.tolist()])
     high = 3 + (y + (y > 0)) // 2  # 3 + ceil(y / 2)
     # user u rates the higher item in row 2u and the lower one in row 2u + 1
     return RatingsTable(

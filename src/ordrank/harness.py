@@ -79,9 +79,9 @@ def _number(value, kind: type = float):
 
 
 def _numbers(values, kind: type = float) -> tuple:
-    """A JSON list of numbers, each read by ``_number``; a string is refused
-    rather than read as a list of its characters."""
-    if isinstance(values, str):
+    """A JSON list of numbers, each read by ``_number``; a string or an object
+    is refused rather than read as a list of its characters or keys."""
+    if isinstance(values, (str, dict)):
         raise ValueError(f"{values!r} is not a list")
     return tuple(_number(v, kind) for v in values)
 

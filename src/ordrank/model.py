@@ -56,10 +56,10 @@ class CorruptDataError(ValueError):
     """Raised when observed outcomes violate the no-ties contract."""
 
 
-def _check_finite(x) -> np.ndarray:
+def _check_finite(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("link argument must be finite")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -87,21 +87,25 @@ class StrengthLink:
             raise ValueError(f"link scale {self.scale!r} is not a positive finite real")
 
     def __call__(self, x):
-        """Evaluate the link; accepts scalars or arrays, returns the same."""
-        arr = _check_finite(x)
-        if self.kind == "cubic":
-            out = self.scale * arr**3
-        elif self.kind == "identity":
-            out = self.scale * arr
-        elif self.kind == "tanhsig":
-            # (1 - e^-x) / (1 + e^-x) == tanh(x / 2), exactly odd in floats
-            out = self.scale * np.tanh(arr / 2.0)
-        else:  # logitnorm: F(|x|) / F(-|x|) = 1 + erf(|x| / sqrt 2) / F(-|x|)
-            a = np.abs(arr)
-            with np.errstate(divide="ignore"):
+        """Evaluate the link; accepts scalars or arrays, returns the same.
+        A value past float range is refused, naming the link and gamma."""
+        arr = _check_finite(x, "link argument")
+        with np.errstate(over="ignore", divide="ignore"):
+            if self.kind == "cubic":
+                out = self.scale * arr**3
+            elif self.kind == "identity":
+                out = self.scale * arr
+            elif self.kind == "tanhsig":
+                # (1 - e^-x) / (1 + e^-x) == tanh(x / 2), exactly odd in floats
+                out = self.scale * np.tanh(arr / 2.0)
+            else:  # logitnorm: F(|x|) / F(-|x|) = 1 + erf(|x| / sqrt 2) / F(-|x|)
+                a = np.abs(arr)
                 near = np.sign(arr) * np.log1p(erf(a / math.sqrt(2.0)) / ndtr(-a))
-            out = self.scale * np.where(a <= _SMALL_ARG, near,
-                                        log_ndtr(arr) - log_ndtr(-arr))
+                out = self.scale * np.where(a <= _SMALL_ARG, near,
+                                            log_ndtr(arr) - log_ndtr(-arr))
+        if not np.isfinite(out).all():
+            gamma = float(arr[~np.isfinite(out)].flat[0])
+            raise ValueError(f"link {self.spec} leaves float range at gamma={gamma!r}")
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -352,8 +356,8 @@ class OrdinalModel:
         """Mean, variance and signal-to-noise ratio of Y.
 
         mean = tanh(phi(gamma)) * E|Y|,  var = E|Y|^2 - mean^2,
-        snr  = tanh^2 / (1/snr(|Y|) + sech^2); a degenerate magnitude law
-        at a link value past float range yields the +inf sentinel, never NaN.
+        snr  = tanh^2 / (1/snr(|Y|) + sech^2); a degenerate law where sech^2
+        underflows (|phi| past about 373) yields the +inf sentinel, never NaN.
         """
         phi = self.link(gamma)
         t = math.tanh(phi)
@@ -388,7 +392,7 @@ class OrdinalModel:
         deviation elsewhere, which stays >= 0 and accurate when saturated.
         """
         phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
-                                       _check_finite(lam))
+                                       _check_finite(lam, "lam"))
         w = np.asarray(self.pattern.weights)
         ks = self.pattern.magnitudes[w > 0]
         w = w[w > 0]

@@ -35,18 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PreferenceVector:
-    """True item preferences theta; pairwise difference theta_i - theta_j is
-    the gamma fed to the comparison model."""
+    """True item preferences theta.  The model sees them only through the
+    pairwise differences theta_i - theta_j, the gammas fed to the comparison
+    model, so theta and theta + c are the same preferences."""
 
     theta: tuple[float, ...]
-    centered: bool = False
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
         if th.ndim != 1 or th.size < 1 or not np.all(np.isfinite(th)):
             raise ValueError("theta must be a finite 1-d vector")
-        if self.centered and abs(th.sum()) > 1e-10:
-            raise ValueError(f"centered theta sums to {float(th.sum())!r}")
         object.__setattr__(self, "theta", tuple(float(v) for v in th))
 
     @classmethod
@@ -54,9 +52,10 @@ class PreferenceVector:
         """n items, descending, adjacent difference ``gap``, centered at 0."""
         th = gap * ((n - 1) / 2.0 - np.arange(n))
         # exact centering against float drift (the mean, without its warning
-        # on an empty slice: the constructor refuses n < 1)
+        # on an empty slice: the constructor refuses n < 1); the gaps' last
+        # bits depend on it
         th -= th.sum() / max(n, 1)
-        return cls(tuple(th), centered=True)
+        return cls(tuple(th))
 
     @property
     def n(self) -> int:

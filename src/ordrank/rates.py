@@ -129,14 +129,14 @@ def rate_at_zero_nitem(model: OrdinalModel, theta: PreferenceVector,
     """
     if i == j:
         raise ValueError("need two distinct items")
-    th = np.asarray(theta.theta)
-    if th[i] == th[j]:
+    gaps = theta.gaps()
+    if gaps[i, j] == 0:
         raise ValueError("tied preferences have no misranking rate")
-    if th[i] < th[j]:
+    if gaps[i, j] < 0:
         i, j = j, i
     mdl = OrdinalModel(model.link, _SIGN_PATTERN) if binarized else model
-    others = np.delete(th, [i, j])
-    gammas = np.concatenate([[th[i] - th[j]], th[i] - others, others - th[j]])
+    others = np.delete(np.arange(theta.n), [i, j])
+    gammas = np.concatenate([[gaps[i, j]], gaps[i, others], gaps[others, j]])
     mults = np.ones(gammas.size)
     mults[0] = 2.0
     return _rate(mdl, gammas, mults)

@@ -3,6 +3,7 @@ formulas, sampling, binarization, and the log-MGF."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ class TestStrengthLink:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             StrengthLink("identity")(math.inf)
+
+    @pytest.mark.parametrize("link,x", [("cubic", 1e200), ("identity:1e+300", -1e10),
+                                        ("logitnorm", 1e200)])
+    def test_value_past_float_range_names_link_and_gamma(self, link, x):
+        message = f"link {link} leaves float range at gamma={x!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrengthLink.from_spec(link)(np.array([0.5, x]))
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
@@ -465,6 +473,12 @@ class TestBinarize:
 
 
 class TestLogMgf:
+    def test_non_finite_lam_is_named(self):
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
+        for call in (m.log_mgf, m.tilted_moments):
+            with pytest.raises(ValueError, match="^lam must be finite$"):
+                call(0.1, [0.0, math.nan])
+
     def test_zero_lambda(self):
         rng = np.random.default_rng(RNG_SEED + 6)
         for _ in range(20):

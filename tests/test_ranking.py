@@ -53,11 +53,6 @@ def comparisons_csv(outcomes) -> str:
 
 
 class TestPreferenceVector:
-    def test_centering_enforced(self):
-        with pytest.raises(ValueError):
-            PreferenceVector((0.5, 0.4), centered=True)
-        PreferenceVector((0.5, -0.5), centered=True)
-
     def test_equally_spaced(self):
         theta = PreferenceVector.equally_spaced(10, 0.05)
         arr = np.asarray(theta.theta)

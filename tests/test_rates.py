@@ -17,6 +17,7 @@ from test_rate_properties import LINKS, gamma_at, log_uniform, patterns
 
 from ordrank.cli import parse_link_spec, parse_pattern_spec
 from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
+from ordrank import rates
 from ordrank.ranking import PreferenceVector
 from ordrank.rates import (
     crossover_rounds,
@@ -213,6 +214,32 @@ class TestNItemRate:
         a = rate_at_zero_nitem(m, theta, 0, 1, binarized=False)
         b = rate_at_zero_nitem(m, theta, 1, 0, binarized=False)
         assert a.rate == pytest.approx(b.rate, abs=1e-12)
+
+    @staticmethod
+    def reference_rate(model, theta, i, j, binarized):
+        """The solve on the 2n - 3 link arguments built from theta's own
+        entries, kept as the reference for the build from ``theta.gaps()``."""
+        th = np.asarray(theta.theta)
+        if th[i] < th[j]:
+            i, j = j, i
+        mdl = OrdinalModel(model.link, PatternDistribution((1.0,))) if binarized else model
+        others = np.delete(th, [i, j])
+        gammas = np.concatenate([[th[i] - th[j]], th[i] - others, others - th[j]])
+        mults = np.ones(gammas.size)
+        mults[0] = 2.0
+        return rates._rate(mdl, gammas, mults)
+
+    @pytest.mark.parametrize("link", LINKS, ids=lambda link: link.spec)
+    def test_bit_identical_to_reference(self, link):
+        rng = np.random.default_rng(1717)
+        m = OrdinalModel(link, PatternDistribution.from_family("abs", 0.4, 4))
+        for _ in range(6):
+            n = int(rng.integers(2, 7))
+            theta = PreferenceVector(tuple(rng.normal(rng.uniform(-50, 50), 0.6, n)))
+            for i, j in itertools.permutations(range(n), 2):
+                for binarized in (False, True):
+                    assert (rate_at_zero_nitem(m, theta, i, j, binarized)
+                            == self.reference_rate(m, theta, i, j, binarized))
 
     def test_input_validation(self):
         m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
