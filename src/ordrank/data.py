@@ -44,18 +44,30 @@ __all__ = [
 
 _PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
 _PAIR_BATCH = 1 << 20  # index pairs differenced at once in build_pair_comparisons
+_WORD_BITS = 64  # build_pair_comparisons' sort word: pair key and fill position
 
 
-def _run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where a row of (a, b)-sorted columns starts a new (a, b) key."""
-    new = np.ones(a.size, dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """True where a row of columns sorted by their joint key starts a new key."""
+    new = np.zeros(columns[0].size, dtype=bool)
+    new[:1] = True
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
     return new
+
+
+def _increasing(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the rows (a, b) strictly increase in (a, b) order: sorted, no key twice."""
+    return bool(np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))))
 
 
 @dataclass(frozen=True)
 class RatingsTable:
-    """Column-oriented ratings, one row per (user, item), in that order."""
+    """Column-oriented ratings, one row per (user, item), in that order.
+
+    Construction sorts the rows into that order, a step it skips when they
+    already strictly increase in it, and refuses a (user, item) given twice.
+    """
 
     users: np.ndarray
     items: np.ndarray
@@ -70,6 +82,8 @@ class RatingsTable:
             raise ValueError("ragged ratings columns")
         if self.timestamps is not None and self.timestamps.size != n:
             raise ValueError("ragged timestamp column")
+        if _increasing(self.users, self.items):
+            return  # already in order, and no (user, item) twice
         order = np.lexsort((self.items, self.users))
         for name in ("users", "items", "ratings", "timestamps"):
             if (column := getattr(self, name)) is not None:
@@ -193,7 +207,8 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
 class PairComparisons:
     """The pairs-file layout: pair p is (item_i[p], item_j[p]), i < j, with
     finite non-zero differences diffs[offsets[p]:offsets[p + 1]] (i minus j).
-    Construction checks it (CorruptDataError) and sorts the pairs by (i, j)."""
+    Construction checks it (CorruptDataError) and sorts the pairs by (i, j),
+    a step it skips when they already strictly increase in that order."""
 
     item_i: np.ndarray
     item_j: np.ndarray
@@ -217,14 +232,17 @@ class PairComparisons:
                 f"from 0 to {diffs.size}")
         if np.any(item_i >= item_j) or not np.all(np.isfinite(diffs) & (diffs != 0)):
             raise CorruptDataError("pairs need i < j and finite non-zero differences")
-        order = np.lexsort((item_j, item_i))
-        item_i, item_j, lengths = item_i[order], item_j[order], lengths[order]
-        if not _run_starts(item_i, item_j).all():
-            raise CorruptDataError("an item pair is listed twice")
-        # each pair's run of differences moves with it
-        offsets, starts = np.r_[0, np.cumsum(lengths)], offsets[:-1][order]
-        diffs = diffs[np.arange(diffs.size)
-                      + np.repeat(starts - offsets[:-1], lengths)]
+        if _increasing(item_i, item_j):  # already in order, and no pair twice
+            offsets = np.r_[0, np.cumsum(lengths)]
+        else:
+            order = np.lexsort((item_j, item_i))
+            item_i, item_j, lengths = item_i[order], item_j[order], lengths[order]
+            if not _run_starts(item_i, item_j).all():
+                raise CorruptDataError("an item pair is listed twice")
+            # each pair's run of differences moves with it
+            offsets, starts = np.r_[0, np.cumsum(lengths)], offsets[:-1][order]
+            diffs = diffs[np.arange(diffs.size)
+                          + np.repeat(starts - offsets[:-1], lengths)]
         for name, a in zip(_PAIR_ARRAYS, (item_i, item_j, offsets, diffs)):
             object.__setattr__(self, name, a)
 
@@ -239,7 +257,15 @@ def build_pair_comparisons(table: RatingsTable,
                            min_ratings_per_item: int = 1) -> PairComparisons:
     """Per-user signed rating differences over all pairs of items rated at
     least ``min_ratings_per_item`` times; zero differences are dropped, and
-    each pair's differences are in user order."""
+    each pair's differences are in user order.
+
+    Each index pair of a user's items is filled as one uint64 word, its pair
+    key above its position in the per-user fill.  Positions are unique, so
+    one unstable sort of the words orders the differences by (pair key, user
+    order), and the words give back the keys and, from the positions, the
+    differences.  A table whose key and position need more than 64 bits in
+    all raises ValueError naming its item and index-pair counts.
+    """
     if min_ratings_per_item < 1:
         raise ValueError("min_ratings_per_item must be >= 1")
     ids, ranks, counts = np.unique(table.items, return_inverse=True,
@@ -249,11 +275,20 @@ def build_pair_comparisons(table: RatingsTable,
     users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
     starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
     sizes = np.diff(np.r_[starts, users.size])
-    # user u's index pairs fill keys[base[u]:base[u + 1]], so the arrays come
-    # out in user order whatever order the users are filled in; a pair's key
-    # is rank_i * ids.size + rank_j, which cannot overflow whatever the ids
+    # user u's index pairs fill positions base[u]:base[u + 1], so the fill is
+    # in user order whatever order the users are filled in; a pair's key is
+    # rank_i * ids.size + rank_j, below ids.size**2 whatever the ids
     base = np.r_[0, np.cumsum(sizes * (sizes - 1) // 2)]
-    keys = np.empty(base[-1], dtype=ranks.dtype)
+    pos_bits = int(max(base[-1] - 1, 0)).bit_length()
+    key_bits = (ids.size * ids.size - 1).bit_length()
+    if key_bits + pos_bits > _WORD_BITS:
+        raise ValueError(f"{ids.size} items and {base[-1]} index pairs need a "
+                         f"{key_bits}-bit pair key and a {pos_bits}-bit position, "
+                         f"more than {_WORD_BITS} bits")
+    # word = key << pos_bits | position, as rank_i's and rank_j's shifted parts
+    ranks = ranks.astype(np.uint64)
+    high, low = ranks * np.uint64(ids.size << pos_bits), ranks << np.uint64(pos_bits)
+    packed = np.empty(base[-1], dtype=np.uint64)
     diffs = np.empty(base[-1], dtype=ratings.dtype)
     for s in np.unique(sizes[sizes > 1]).tolist():
         a, b = np.triu_indices(s, 1)
@@ -265,15 +300,15 @@ def build_pair_comparisons(table: RatingsTable,
             batch = of_size[lo:lo + step]
             ia, ib = starts[batch, None] + a, starts[batch, None] + b
             out = base[batch, None] + np.arange(a.size)
-            keys[out] = ranks[ia] * ids.size + ranks[ib]
+            packed[out] = high[ia] + low[ib] + out.view(np.uint64)
             diffs[out] = ratings[ia] - ratings[ib]
-    nz = diffs != 0
-    keys, diffs = keys[nz], diffs[nz]
-    order = np.argsort(keys, kind="stable")  # differences stay in user order
-    keys, diffs = keys[order], diffs[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    pair = keys[starts]
-    return PairComparisons(ids[pair // ids.size], ids[pair % ids.size],
+    packed = packed[diffs != 0]
+    packed.sort()  # positions are unique, so no two words tie
+    diffs = diffs[(packed & np.uint64((1 << pos_bits) - 1)).view(np.int64)]
+    keys = packed >> np.uint64(pos_bits)
+    starts = np.flatnonzero(_run_starts(keys))
+    pair, n = keys[starts], np.uint64(ids.size)
+    return PairComparisons(ids[pair // n], ids[pair % n],
                            np.r_[starts, keys.size], diffs)
 
 

@@ -103,8 +103,13 @@ class StrengthLink:
                 near = np.sign(arr) * np.log1p(erf(a / math.sqrt(2.0)) / ndtr(-a))
                 out = self.scale * np.where(a <= _SMALL_ARG, near,
                                             log_ndtr(arr) - log_ndtr(-arr))
-        if not np.isfinite(out).all():
-            gamma = float(arr[~np.isfinite(out)].flat[0])
+            finite = np.isfinite(out)
+            if self.kind == "cubic" and not finite.all():
+                # x**3 left float range before the scale could bring it back
+                out = np.where(finite, out, self.scale * arr * arr * arr)
+                finite = np.isfinite(out)
+        if not finite.all():
+            gamma = float(arr[~finite].flat[0])
             raise ValueError(f"link {self.spec} leaves float range at gamma={gamma!r}")
         if np.ndim(x) == 0:
             return float(out)

@@ -57,15 +57,24 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
     find it; a step that would leave the bracket bisects it instead, and every
     evaluation narrows it.  The solve stops at a step of at most
     xtol = 1e-12 * B, or a bracket that narrow.  ``iterations`` counts the
-    evaluations of slope and curvature, the first one at -B included.
+    evaluations of slope and curvature, the first one at -B included.  A
+    link value so large that the bracket leaves float range raises
+    ValueError naming the link and |gamma|.
     """
     def derivatives(lam: float) -> tuple[float, float]:  # slope, curvature
         mean, var = model.tilted_moments(gammas, mults * lam)
         return float(mults @ mean), float(mults**2 @ var)
 
-    B = float(np.max(np.abs(model.link(gammas))))
+    phis = np.abs(model.link(gammas))
+    B = float(np.max(phis))
     if B == 0.0:  # the link underflowed: every term is flat at lam = 0
         return RateResult(0.0, 0.0, 0, True)
+    # the tilted terms phi_t + mults[t] * lam * k must stay in float range
+    # over the whole bracket below, down to lam = -2B
+    if not math.isfinite(B * (1.0 + 2.0 * float(np.max(mults)) * model.K)):
+        gamma = abs(float(gammas[np.argmax(phis)]))
+        raise ValueError(f"link {model.link.spec} at |gamma|={gamma!r} is too large "
+                         f"for the rate solve: its bracket leaves float range")
     # With B = max |phi| and every mults[t] * k >= 1, each tilted term
     # phi_t + mults[t] * lam * k is <= 0 at lam = -B, so the slope there is
     # <= 0.  It is 0 only when all weight sits on magnitude 1 and the root

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ordrank import data as data_mod
 from ordrank.cli import _build_parser, parse_and_dispatch, parse_link_spec, parse_pattern_spec
 from ordrank.data import build_pair_comparisons, save_pairs, synthetic_ratings
 from ordrank.harness import default_config
@@ -625,6 +626,52 @@ class TestInputBoundaries:
         captured = capsys.readouterr()
         assert captured.err == "ordrank: link cubic leaves float range at gamma=1e+200\n"
         assert captured.out == ""
+
+    def test_rate_bracket_past_float_range_is_exit_2(self, capsys):
+        # phi = 1.25e308: the bracket end -2 phi would overflow, so the solve
+        # refuses before it starts, with no warning from numpy
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("rates", "--link", "cubic", "--pattern", "abs:0.1,K=4",
+                           "--gamma", "5e102") == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.err == ("ordrank: link cubic at |gamma|=5e+102 is too large for "
+                                "the rate solve: its bracket leaves float range\n")
+        assert captured.out == ""
+
+    def test_rate_at_a_saturated_link_in_range(self, capsys):
+        # phi = 1e300: the ordinal rate is the saturated 0.4 phi of abs:0.1,K=4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("rates", "--link", "cubic", "--pattern", "abs:0.1,K=4",
+                           "--gamma", "1e100") == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        ordinal = json.loads(capsys.readouterr().out)["ordinal"]
+        assert ordinal["converged"]
+        assert ordinal["rate"] == pytest.approx(0.4e300, rel=1e-9)
+
+    def test_small_cubic_scale_past_an_overflowing_cube_is_exit_0(self, capsys):
+        # gamma**3 = 1e360 overflows, the link value 1e-300 * gamma**3 = 1e60 does not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("model-info", "--link", "cubic:1e-300", "--pattern",
+                           "uniform,K=2", "--gamma", "1e120") == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert json.loads(capsys.readouterr().out)["at_gamma"]["prob_positive"] == 1.0
+
+    def test_ingest_past_the_sort_word_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 4 items need a 4-bit pair key and 18 two-item users a 5-bit position
+        monkeypatch.setattr(data_mod, "_WORD_BITS", 8)
+        raw = tmp_path / "u.data"
+        write_ratings_file(raw, synthetic_ratings(n_items=4, users_per_pair=3, seed=1))
+        out = tmp_path / "pairs.npz"
+        assert run_cli("ingest", "--path", str(raw), "--min-item-ratings", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "ordrank: 4 items and 18 index pairs need a 4-bit pair key and a "
+            "5-bit position, more than 8 bits\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),
                                            ("pattern", [1, 2])])

@@ -402,9 +402,56 @@ class TestBuildPairComparisons:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         self.assert_per_user_equal(shuffled, min_ratings)
 
+    def test_key_field_past_32_bits_equals_per_user_loop(self):
+        # 2**16 + 3 items give 33-bit pair keys: 4097 users rate 16 adjacent
+        # items each, and 40 more all rate the first item and the last two,
+        # so those three pairs, keys at both ends of the field, hold 40 users
+        n_items = 2**16 + 3
+        assert (n_items * n_items - 1).bit_length() == 33
+        rng = np.random.default_rng(18)
+        blocks = [np.arange(lo, min(lo + 16, n_items)) for lo in range(0, n_items, 16)]
+        blocks += [np.array([0, n_items - 2, n_items - 1])] * 40
+        ids = rng.choice(10**9, len(blocks), replace=False) - 5 * 10**8
+        users = np.repeat(ids, [b.size for b in blocks])
+        items = np.concatenate(blocks) * 3 - 7
+        ratings = rng.integers(1, 6, users.size).astype(float)
+        table = RatingsTable(users, items, ratings, np.arange(users.size))
+        self.assert_per_user_equal(table, 1)
+        last = (n_items - 2) * 3 - 7, (n_items - 1) * 3 - 7
+        assert as_dict(build_pair_comparisons(table, 1))[last].size > 20
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_sort_word_width_bound(self, monkeypatch, spare):
+        # 5 items need a 5-bit pair key, and 3 users of 4 items fill 18
+        # positions, 5 bits: a 10-bit word holds both, a 9-bit one does not
+        monkeypatch.setattr(data_mod, "_WORD_BITS", 10 + spare)
+        users = np.repeat([4, 9, 11], 4)
+        items = np.array([0, 1, 2, 3, 1, 2, 3, 4, 0, 2, 3, 4])
+        ratings = np.array([5, 3, 4, 1, 2, 2, 5, 1, 3, 4, 1, 2], dtype=float)
+        table = RatingsTable(users, items, ratings)
+        if spare == 0:
+            self.assert_per_user_equal(table, 1)
+        else:
+            with pytest.raises(ValueError, match="^5 items and 18 index pairs need a "
+                                                 "5-bit pair key and a 5-bit position, "
+                                                 "more than 9 bits$"):
+                build_pair_comparisons(table, 1)
+
     def test_orientation_enforced(self):
         with pytest.raises(ValueError):
             make_pairs({(2, 1): np.array([1.0])})
+
+
+class TestRatingsTable:
+    def test_sorted_adjacent_duplicate_refused(self):
+        # rows already in order skip the sort, not the duplicate check
+        with pytest.raises(ValueError, match="duplicate"):
+            RatingsTable(np.array([1, 1, 2]), np.array([3, 3, 4]), np.ones(3))
+
+    def test_rows_in_order_are_kept(self):
+        users, items = np.array([1, 1, 2]), np.array([3, 5, 4])
+        table = RatingsTable(users, items, np.array([2.0, 1.0, 4.0]))
+        assert table.users is users and table.items is items
 
 
 class TestOrdinalHistogram:
@@ -740,6 +787,25 @@ class TestPairsSerialization:
         for name in ("item_i", "item_j", "offsets", "diffs"):
             np.testing.assert_array_equal(getattr(again, name),
                                           getattr(pairs, name))
+
+    def test_pairs_in_order_and_shuffled_construct_equal(self):
+        # the in-order path skips the sort but still gives int64 offsets
+        pairs = build_pair_comparisons(
+            synthetic_ratings(n_items=5, users_per_pair=12, seed=8), 1)
+        lengths = np.diff(pairs.offsets).astype(np.int32)
+        order = np.random.default_rng(4).permutation(pairs.n_pairs())
+        starts = pairs.offsets[:-1][order]
+        shuffled = PairComparisons(
+            pairs.item_i[order].astype(np.int32), pairs.item_j[order].astype(np.int32),
+            np.r_[0, np.cumsum(lengths[order])].astype(np.int32),
+            np.concatenate([pairs.diffs[a:a + n] for a, n in zip(starts, lengths[order])]))
+        in_order = PairComparisons(pairs.item_i.astype(np.int32),
+                                   pairs.item_j.astype(np.int32),
+                                   pairs.offsets.astype(np.int32), pairs.diffs)
+        for name in ("item_i", "item_j", "offsets", "diffs"):
+            a, b = getattr(in_order, name), getattr(shuffled, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert in_order.offsets.dtype == np.int64
 
     @staticmethod
     def write_archive(path, offsets, item_i=(0, 1), item_j=(1, 2),

@@ -4,6 +4,7 @@ formulas, sampling, binarization, and the log-MGF."""
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ class TestStrengthLink:
         message = f"link {link} leaves float range at gamma={x!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StrengthLink.from_spec(link)(np.array([0.5, x]))
+
+    def test_small_scale_brings_an_overflowing_cube_back(self):
+        # x**3 leaves float range at |x| >= 5.7e102; scale * x**3 need not
+        link = StrengthLink.from_spec("cubic:1e-300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = link(np.array([0.5, 1e120, -1e120]))
+            assert link(1e120) == got[1]
+        assert got[0] == 1e-300 * 0.5**3
+        np.testing.assert_allclose(got[1:], [1e60, -1e60], rtol=1e-15)
+        with pytest.raises(ValueError, match="^link cubic:1e-200 leaves float range"):
+            StrengthLink.from_spec("cubic:1e-200")(1e170)
+
+    @pytest.mark.parametrize("spec", ["cubic", "cubic:3.0", "cubic:1e-300", "cubic:1e+300"])
+    def test_cubic_values_in_range_keep_their_bits(self, spec):
+        link = StrengthLink.from_spec(spec)
+        x = np.concatenate([np.geomspace(1e-110, 1e110, 2001), [0.0, 5.0, 1.5]])
+        x = np.concatenate([x, -x])
+        with np.errstate(over="ignore", under="ignore"):
+            want = link.scale * x**3
+        x, want = x[np.isfinite(want)], want[np.isfinite(want)]
+        assert link(x).tobytes() == want.tobytes()
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,24 @@ class TestTinyAndSaturatedLinks:
         m = OrdinalModel(StrengthLink("cubic"), PatternDistribution.uniform(3))
         res = rate_at_zero_ordinal(m, 1e-110)
         assert res.converged and res.rate == 0.0
+
+    def test_bracket_past_float_range_is_refused(self):
+        # phi = 1.25e308 at gamma = 5e102: the bracket end -2 phi overflows
+        m = OrdinalModel(StrengthLink("cubic"),
+                         PatternDistribution.from_family("abs", 0.1, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (5e102, -5e102):
+                with pytest.raises(ValueError, match=r"^link cubic at \|gamma\|=5e\+102 "
+                                                     "is too large for the rate solve"):
+                    rate_at_zero_ordinal(m, gamma)
+            # phi = 1.5e307: the ordinal bracket reaches 9 phi, but the n-item
+            # direct term, at twice lam, reaches 17 phi, past float range
+            gamma = 1.5e307 ** (1 / 3)
+            assert rate_at_zero_ordinal(m, gamma).converged
+            theta = PreferenceVector((gamma, 0.0, -1.0))
+            with pytest.raises(ValueError, match="too large for the rate solve"):
+                rate_at_zero_nitem(m, theta, 0, 1, binarized=False)
 
     def test_negative_gamma_mirrors(self):
         m = OrdinalModel(StrengthLink("identity"),

@@ -23,6 +23,12 @@ The families:
   times (acceptance criterion 10's input);
 - ``evaluate`` and ``histogram``: those commands on that pairs file, at
   criterion 10's two ``evaluate`` settings;
+- ``ingest-movielens``: ``ingest``'s pair arrays and ``histogram`` from a
+  seeded MovieLens-shaped tab file: users rate 2 to 80 items with skewed
+  item popularity, so many users share a pair, and about 2% of the rows
+  repeat a (user, item) with a new rating, some at a tied timestamp;
+- ``ingest-csv``: the same from a seeded ``generic-csv`` file with
+  ratings in tenths and duplicate rows, some of them exact copies;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
   and ``rank``.
 """
@@ -62,6 +68,8 @@ README_COMMANDS = (("snr", "--pattern", "abs:0.1", "--K", "4"),
                     "--gamma", "0.3"))
 RANK_CSV = "i,j,l,y\n0,1,1,2\n0,1,2,-1\n0,2,1,3\n0,2,2,1\n1,2,1,-1\n1,2,2,2\n"
 RANK_THETA = "[0.3, 0.2, 0.1]"
+MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
+CSV_SEED, CSV_MIN = 1802, 4
 
 
 def run(*argv: str) -> str:
@@ -70,6 +78,40 @@ def run(*argv: str) -> str:
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.parse_and_dispatch(list(argv))
     return f"{code}\n{out.getvalue()}"
+
+
+def ratings_rows(seed: int, n_users: int, n_items: int, max_per_user: int,
+                 n_ratings: int) -> np.ndarray:
+    """Seeded (user, item, rating index, timestamp) rows: each user rates
+    2 to ``max_per_user`` distinct items drawn by Pareto popularity, with a
+    rating index below ``n_ratings``; then about 2% of the rows are repeated
+    with a new rating, half of them at the same timestamp, and the rows are
+    shuffled."""
+    rng = np.random.default_rng(seed)
+    popularity = rng.pareto(1.2, n_items) + 1.0
+    rows = []
+    for user in range(n_users):
+        size = int(rng.integers(2, max_per_user + 1))
+        items = rng.choice(n_items, size, replace=False, p=popularity / popularity.sum())
+        rows += [(user * 3 + 1, item, int(rng.integers(n_ratings)),
+                  int(rng.integers(10**9))) for item in items.tolist()]
+    rows = np.array(rows, dtype=np.int64)
+    again = rows[rng.choice(len(rows), len(rows) // 50, replace=False)]
+    again[:, 2] = rng.integers(n_ratings, size=len(again))
+    later = rng.random(len(again)) < 0.5
+    again[later, 3] += rng.integers(1, 1000, size=int(later.sum()))
+    return rng.permutation(np.concatenate([rows, again]))
+
+
+def add_ingest(add, family: str, workdir: Path, ratings: Path, *flags: str) -> Path:
+    """Add ``ingest``'s exit code, stdout and pair arrays; return the pairs file."""
+    pairs = workdir / f"{family}.npz"
+    add(family, run("ingest", "--path", str(ratings), *flags, "--out", str(pairs)))
+    with np.load(pairs) as z:
+        for name in sorted(z.files):
+            a = z[name]
+            add(family, f"{name} {a.dtype.str} {a.shape}".encode() + a.tobytes())
+    return pairs
 
 
 def collect(workdir: Path) -> dict[str, list[str | bytes]]:
@@ -105,16 +147,28 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     ratings = workdir / "u.data"
     ratings.write_text("".join(f"{u}\t{i}\t{int(r)}\t{t}\n" for u, i, r, t in zip(
         table.users, table.items, table.ratings, table.timestamps)), encoding="utf-8")
-    pairs = workdir / "pairs.npz"
-    add("ingest", run("ingest", "--path", str(ratings), "--min-item-ratings", "100",
-                      "--out", str(pairs)))
-    with np.load(pairs) as z:
-        for name in sorted(z.files):
-            a = z[name]
-            add("ingest", f"{name} {a.dtype.str} {a.shape}".encode() + a.tobytes())
+    pairs = add_ingest(add, "ingest", workdir, ratings, "--min-item-ratings", "100")
     for setting in EVALUATE_SETTINGS:
         add("evaluate", run("evaluate", "--pairs", str(pairs), *setting))
     add("histogram", run("histogram", "--pairs", str(pairs)))
+
+    movielens = workdir / "movielens.data"
+    movielens.write_text("".join(
+        f"{u}\t{i}\t{r + 1}\t{t}\n"
+        for u, i, r, t in ratings_rows(MOVIELENS_SEED, 400, 250, 80, 5).tolist()),
+        encoding="utf-8")
+    pairs = add_ingest(add, "ingest-movielens", workdir, movielens,
+                       "--min-item-ratings", str(MOVIELENS_MIN))
+    add("ingest-movielens", run("histogram", "--pairs", str(pairs)))
+    tenths = (np.arange(5, 51) / 10.0).tolist()
+    generic = workdir / "generic.csv"
+    rows = ratings_rows(CSV_SEED, 80, 40, 12, len(tenths))
+    generic.write_text("user,item,rating,timestamp\n" + "".join(
+        f"{u},{i},{tenths[r]!r},{t}\n"
+        for u, i, r, t in np.concatenate([rows, rows[:10]]).tolist()), encoding="utf-8")
+    pairs = add_ingest(add, "ingest-csv", workdir, generic, "--format", "generic-csv",
+                       "--min-item-ratings", str(CSV_MIN))
+    add("ingest-csv", run("histogram", "--pairs", str(pairs)))
 
     for argv in README_COMMANDS:
         add("readme", run(*argv))
