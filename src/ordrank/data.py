@@ -431,17 +431,32 @@ def _split_order(keys: np.ndarray, pair_id: np.ndarray) -> np.ndarray:
 
 
 def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
-                    n_train: np.ndarray, splits):
-    """Per split (``diffs`` reordered within segments), rows (ordinal, binary) of
-    accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its first ``n_train[p]``
-    comparisons and predicts held-out signs from the sign of its raw or sign sum."""
+                    n_train: np.ndarray, key_sets):
+    """Per array of split keys (one per comparison, in [0, 1)), rows (ordinal,
+    binary) of accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its
+    ``n_train[p]`` comparisons of smallest key, ties to the earlier position
+    (the ``_split_order`` order), and predicts held-out signs from the sign of
+    its raw or sign sum.  One float sort finds each pair's ``n_train``-th
+    smallest sum ``pair + key``; raw sums add in file order only where integer
+    differences whose magnitudes sum below 2**53 make every partial sum exact."""
     starts, sizes = offsets[:-1], np.diff(offsets)
+    pair_id = np.repeat(np.arange(sizes.size), sizes)
     train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
+    last = starts + n_train - 1
     n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
-    for ordered in splits:  # only the raw sums and the train positives change
-        train_pos = np.add.reduceat(train & (ordered > 0), starts)
-        # differences are never 0, so the sign sum is 2 * train_pos - n_train
-        aggregate = np.array([np.add.reduceat(np.where(train, ordered, 0.0), starts),
+    exact = np.abs(diffs).sum() < 2.0**53 and np.array_equal(np.trunc(diffs), diffs)
+    for keys in key_sets:  # only the raw sums and the train positives change
+        composite = pair_id + keys
+        ranked = np.sort(composite) if exact else None
+        if exact and not np.any(ranked[1:] == ranked[:-1]):
+            values, chosen = diffs, composite <= np.repeat(ranked[last], sizes)
+        else:
+            values, chosen = diffs[_split_order(keys, pair_id)], train
+        train_pos = np.add.reduceat(chosen & (values > 0), starts)
+        # differences are never 0, so the sign sum is 2 * train_pos - n_train;
+        # a held-out difference times False adds a zero of either sign, which
+        # can change only the sign of a zero raw sum, never its comparisons
+        aggregate = np.array([np.add.reduceat(chosen * values, starts),
                               2 * train_pos - n_train])
         test_pos = total_pos - train_pos
         correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
@@ -457,9 +472,11 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
 
     Pairs with fewer than ``min_pair_count`` comparisons are skipped; each
     repetition splits all others with one generator spawned from ``seed`` (at
-    least 0).  It draws one uniform key per comparison and orders each pair's
-    comparisons by key, ties to the earlier position, in one float sort; the
-    first ``train_frac`` share, at least one and at most all but one, train.
+    least 0).  It draws one uniform key per comparison; the ``train_frac``
+    share of each pair's comparisons with the smallest keys, ties to the
+    earlier position, at least one and at most all but one, train.  One
+    float sort per repetition finds them (``_split_accuracy``), with
+    ``numpy.lexsort`` where two keyed sums are equal.
     The closing paired t-test compares binary against ordinal accuracy; the
     pairing unit is the repetition mean by default, or per-pair means with
     ``pairing='pair'``.
@@ -480,11 +497,9 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
     diffs = pairs.diffs[np.repeat(eligible, counts)]
     offsets = np.r_[0, np.cumsum(sizes)]
     n_train = np.clip((train_frac * sizes).astype(np.int64), 1, sizes - 1)
-    pair_id = np.repeat(np.arange(sizes.size), sizes)
-    splits = (diffs[_split_order(keys, pair_id)]
-              for keys in _split_keys(seed, repetitions, diffs.size))
+    keys = _split_keys(seed, repetitions, diffs.size)
     ord_acc, bin_acc = acc = np.empty((2, repetitions, sizes.size))
-    for rep, row in enumerate(_split_accuracy(diffs, offsets, n_train, splits)):
+    for rep, row in enumerate(_split_accuracy(diffs, offsets, n_train, keys)):
         acc[:, rep] = row
     axis = 1 if pairing == "repetition" else 0
     binary, ordinal = bin_acc.mean(axis=axis), ord_acc.mean(axis=axis)

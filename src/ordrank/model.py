@@ -401,11 +401,15 @@ class OrdinalModel:
         w = np.asarray(self.pattern.weights)
         ks = self.pattern.magnitudes[w > 0]
         w = w[w > 0]
-        small = (np.abs(phi) <= _SMALL_ARG) & (np.abs(lam) * ks[-1] <= _SMALL_ARG)
-        lk = lam[..., None] * ks
         # each form is computed only where some point needs it
         near = far = (0.0, 0.0) if moments else (0.0,)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            reach = np.abs(lam) * ks[-1]
+            if not np.isfinite(reach).all():
+                raise ValueError(f"lam times the largest magnitude, {ks[-1]:g}, "
+                                 "must be finite")
+            small = (np.abs(phi) <= _SMALL_ARG) & (reach <= _SMALL_ARG)
+            lk = lam[..., None] * ks
             if small.any():
                 t = np.tanh(phi)[..., None]
                 sh = np.sinh(lk)

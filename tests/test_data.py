@@ -140,8 +140,9 @@ def split_accuracy_reference(diffs: np.ndarray, offsets: np.ndarray,
 
 
 def split_once(diffs, offsets, n_train) -> np.ndarray:
-    """``_split_accuracy`` of ``diffs`` in the order given."""
-    return next(_split_accuracy(diffs, offsets, n_train, [diffs]))
+    """``_split_accuracy`` of ``diffs`` in the order given: the keys increase
+    within each pair, so the split order is the file order."""
+    return next(_split_accuracy(diffs, offsets, n_train, [np.arange(diffs.size) / diffs.size]))
 
 
 # a tab ratings file from tokens: rows of four well-formed fields, plus at
@@ -537,10 +538,47 @@ class TestSplitAccuracy:
             offsets = np.cumsum(np.r_[0, sizes])
             n_train = rng.integers(1, sizes)
             pair_id = segment_ids(sizes)
-            splits = [diffs[_split_order(rng.random(n), pair_id)] for _ in range(3)]
-            for split, got in zip(splits, _split_accuracy(diffs, offsets, n_train, splits)):
-                np.testing.assert_array_equal(
-                    got, split_accuracy_reference(split, offsets, n_train))
+            key_sets = [rng.random(n) for _ in range(3)]
+            for keys, got in zip(key_sets, _split_accuracy(diffs, offsets, n_train, key_sets)):
+                np.testing.assert_array_equal(got, split_accuracy_reference(
+                    diffs[np.lexsort((keys, pair_id))], offsets, n_train))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(2, 12), min_size=1, max_size=20),
+           grid=st.sampled_from([None, 2, 4]),
+           magnitudes=st.sampled_from([[1.0, 2.0, 3.0], [1.0, 2.0**52]]))
+    def test_integer_differences_equal_the_ordered_reference(self, data, sizes, grid,
+                                                             magnitudes):
+        # coarse keys tie inside a pair, 1 - 2**-53 rounds up to the next
+        # pair's sums, and magnitudes of 2**52 sum past 2**53, where only
+        # the split order gives the reference's raw sums
+        n = sum(sizes)
+        if grid is None:
+            key = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1 - 2**-53))
+        else:
+            key = st.integers(0, grid - 1).map(lambda k: k / grid)
+        keys = np.array(data.draw(st.lists(key, min_size=n, max_size=n)), dtype=float)
+        diffs = np.array(data.draw(st.lists(st.sampled_from(magnitudes), min_size=n,
+                                            max_size=n)))
+        diffs *= np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                             max_size=n)))
+        n_train = np.array([data.draw(st.integers(1, size - 1)) for size in sizes])
+        offsets = np.cumsum(np.r_[0, sizes])
+        got = next(_split_accuracy(diffs, offsets, n_train, [keys]))
+        np.testing.assert_array_equal(got, split_accuracy_reference(
+            diffs[np.lexsort((keys, segment_ids(sizes)))], offsets, n_train))
+
+    def test_raw_sums_past_2_to_the_53_add_in_split_order(self):
+        # in split order the raw sum rounds to 0, in file order it is -1
+        diffs = np.array([-2.0**52, 2.0**52, -2.0**52, 1.0, -1.0, 2.0**52])
+        keys = np.array([3, 4, 2, 5, 1, 0]) / 6
+        offsets, n_train = np.array([0, 6]), np.array([5])
+        train = keys < 5 / 6
+        assert np.add.reduceat(np.where(train, diffs, 0.0), [0])[0] == -1.0
+        got = next(_split_accuracy(diffs, offsets, n_train, [keys]))
+        assert got[0, 0] == 0.5  # the ordinal rule abstains
+        np.testing.assert_array_equal(got, split_accuracy_reference(
+            diffs[np.argsort(keys)], offsets, n_train))
 
 
 def segment_ids(sizes) -> np.ndarray:
@@ -587,15 +625,16 @@ class TestSplitOrder:
                                       np.lexsort((keys, pair_id)))
 
     @staticmethod
-    def count_lexsort(monkeypatch) -> list:
-        """Record each ``np.lexsort`` call from here on, the fallback's sort."""
-        calls, lexsort = [], np.lexsort
+    def count_calls(monkeypatch, name: str = "lexsort") -> list:
+        """Record each ``np.<name>`` call from here on; by default the
+        fallback's sort."""
+        calls, function = [], getattr(np, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return lexsort(*args)
+            return function(*args, **kwargs)
 
-        monkeypatch.setattr(np, "lexsort", counted)
+        monkeypatch.setattr(np, name, counted)
         return calls
 
     def test_distinct_keys_rounding_together_take_the_lexsort(self, monkeypatch):
@@ -606,7 +645,7 @@ class TestSplitOrder:
         keys = np.repeat(rng.random(500) * 0.99, 4) + np.tile([3, 2, 1, 0], 500) * 2.0**-20
         want = np.lexsort((keys, pair_id))
         assert np.unique(pair_id + keys).size < keys.size
-        calls = self.count_lexsort(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         np.testing.assert_array_equal(_split_order(keys, pair_id), want)
         assert len(calls) == 1
 
@@ -617,18 +656,19 @@ class TestSplitOrder:
         pair_id = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         assert pair_id[3] + keys[3] == pair_id[4] + keys[4] == 2.0
         want = np.lexsort((keys, pair_id))
-        calls = self.count_lexsort(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         np.testing.assert_array_equal(_split_order(keys, pair_id), want)
         assert len(calls) == 1
 
     def test_criterion_10_splits_take_the_float_sort(self, monkeypatch):
         pairs = build_pair_comparisons(synthetic_ratings(seed=7),
                                        min_ratings_per_item=100)
-        calls = self.count_lexsort(monkeypatch)
+        calls = self.count_calls(monkeypatch)
+        argsorts = self.count_calls(monkeypatch, "argsort")
         report = evaluate_pair_protocol(pairs, train_frac=0.7, repetitions=100,
                                         min_pair_count=10, seed=7)
         assert report.ordinal_acc.shape == (100, 190)
-        assert calls == []
+        assert calls == [] and argsorts == []
 
 
 class TestEvaluateProtocol:

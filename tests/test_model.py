@@ -502,6 +502,16 @@ class TestLogMgf:
             with pytest.raises(ValueError, match="^lam must be finite$"):
                 call(0.1, [0.0, math.nan])
 
+    def test_lam_past_float_range_over_the_magnitudes_is_named(self):
+        # lam = -1e308 is finite, lam * 4 is not
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.from_spec("abs:0.1,K=4"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (m.log_mgf, m.tilted_moments):
+                with pytest.raises(ValueError, match="^lam times the largest magnitude, 4,"):
+                    call(1.0, [0.5, -1e308])
+            assert m.log_mgf(1.0, -1e307) == pytest.approx(4e307, rel=1e-15)
+
     def test_zero_lambda(self):
         rng = np.random.default_rng(RNG_SEED + 6)
         for _ in range(20):

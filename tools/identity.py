@@ -29,6 +29,11 @@ The families:
   repeat a (user, item) with a new rating, some at a tied timestamp;
 - ``ingest-csv``: the same from a seeded ``generic-csv`` file with
   ratings in tenths and duplicate rows, some of them exact copies;
+- ``evaluate-movielens`` and ``evaluate-csv``: ``evaluate`` at both of
+  criterion 10's settings on those two pairs files, every pair of at least
+  two comparisons scored.  The MovieLens pairs are many short runs of
+  integer differences, whose raw sums may add in any order; the tenths are
+  not integers, so their raw sums add in split order;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
   and ``rank``.
 """
@@ -114,6 +119,12 @@ def add_ingest(add, family: str, workdir: Path, ratings: Path, *flags: str) -> P
     return pairs
 
 
+def add_evaluate(add, family: str, pairs: Path) -> None:
+    """Add ``evaluate`` on every pair of ``pairs`` at both criterion 10 settings."""
+    for setting in EVALUATE_SETTINGS:
+        add(family, run("evaluate", "--pairs", str(pairs), "--min-pair-count", "2", *setting))
+
+
 def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     """Every family's outputs, in order."""
     families: dict[str, list[str | bytes]] = {}
@@ -160,6 +171,7 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     pairs = add_ingest(add, "ingest-movielens", workdir, movielens,
                        "--min-item-ratings", str(MOVIELENS_MIN))
     add("ingest-movielens", run("histogram", "--pairs", str(pairs)))
+    add_evaluate(add, "evaluate-movielens", pairs)
     tenths = (np.arange(5, 51) / 10.0).tolist()
     generic = workdir / "generic.csv"
     rows = ratings_rows(CSV_SEED, 80, 40, 12, len(tenths))
@@ -169,6 +181,7 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     pairs = add_ingest(add, "ingest-csv", workdir, generic, "--format", "generic-csv",
                        "--min-item-ratings", str(CSV_MIN))
     add("ingest-csv", run("histogram", "--pairs", str(pairs)))
+    add_evaluate(add, "evaluate-csv", pairs)
 
     for argv in README_COMMANDS:
         add("readme", run(*argv))
