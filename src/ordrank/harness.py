@@ -22,8 +22,9 @@ family takes.  Any other field is refused with a ``ConfigError``.
 The counting scores read only each pair's raw sum and sign sum over its L
 rounds, and both are linear in the pair's outcome counts.  So a replication
 draws one ``multinomial(L, pmf)`` count vector per pair instead of L single
-outcomes, and item scores are the pair sums times a signed pair-by-item
-incidence matrix.  Grid point g has one generator, seeded with
+outcomes.  One ``ranking.count_scores`` call scores a ranking scenario's
+block of those sums, and ``two_item`` reads its one pair's sums: the
+counting algorithm at n = 2.  Grid point g has one generator, seeded with
 (base_seed, g), that draws the counts of all replications in blocks of
 ``_BLOCK``.  The blocks continue one stream, so the block size bounds memory
 without changing any output, and reruns give byte-identical results.
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import PATTERN_FAMILIES, OrdinalModel, PatternDistribution, StrengthLink
-from .ranking import PreferenceVector, kendall_tau
+from .ranking import ComparisonDataset, PreferenceVector, count_scores, kendall_tau
 from .snr import snr_of_pattern
 
 __all__ = [
@@ -272,12 +273,12 @@ def _sample_metric(values: np.ndarray, z: float, clip01: bool = True) -> MetricE
 
 def _replicate(config: ExperimentConfig, grid_id: int, L: int,
                support: np.ndarray, probs: np.ndarray,
-               stat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+               stat: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Per-replication statistics of one grid point.
 
     ``probs`` holds one outcome pmf per pair (P x 2K, ordered as
-    ``support``).  ``stat`` maps a block's raw and sign sums, each of shape
-    (block, P), to one row per replication.
+    ``support``).  ``stat`` maps L and a block's raw and sign sums, each of
+    shape (block, P), to one row per replication.
     """
     rng = np.random.default_rng([config.base_seed, grid_id])
     basis = np.stack([support, np.sign(support)], axis=1)
@@ -285,7 +286,7 @@ def _replicate(config: ExperimentConfig, grid_id: int, L: int,
     for start in range(0, config.replications, _BLOCK):
         size = (min(_BLOCK, config.replications - start), len(probs))
         sums = rng.multinomial(L, probs, size=size) @ basis
-        blocks.append(stat(sums[..., 0], sums[..., 1]))
+        blocks.append(stat(L, sums[..., 0], sums[..., 1]))
     return np.concatenate(blocks)
 
 
@@ -348,21 +349,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 for (beta, model), gamma, L in itertools.product(
                     config.models, config.gammas, config.L_grid)]
 
-        def stat(raw, sign):
+        def stat(L, raw, sign):
             return np.column_stack([raw[:, 0] > 0, sign[:, 0] > 0])
     else:
         theta = config.preferences
         first, second, gaps = theta.pairs()
-        # pair p = (i, j) adds its sums to item i and subtracts them from item j
-        incidence = np.zeros((gaps.size, theta.n), dtype=np.int64)
-        incidence[np.arange(gaps.size), first] = 1
-        incidence[np.arange(gaps.size), second] = -1
         grid = [({"L": L, "w": config.theta_gap}, beta, model, gaps)
                 for (beta, model), L in itertools.product(config.models, config.L_grid)]
 
-        def stat(raw, sign):
-            return np.column_stack([kendall_tau(raw @ incidence, theta),
-                                    kendall_tau(sign @ incidence, theta)])
+        def stat(L, raw, sign):
+            scores = count_scores(ComparisonDataset(theta.n, L, first, second, raw, sign))
+            return np.column_stack([kendall_tau(scores.ordinal_totals, theta),
+                                    kendall_tau(scores.binary_totals, theta)])
     metrics = _METRICS[config.scenario]
     points = []
     for grid_id, (params, beta, model, pair_gaps) in enumerate(grid):

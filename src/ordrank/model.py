@@ -392,7 +392,8 @@ class OrdinalModel:
         M - 1 = sum_k w_k (2 sinh^2(lam k / 2) + tanh phi sinh(lam k)), which
         loses nothing to cancellation at tiny phi and lam; the others use
         log-sum-exp forms over w_k e^(+-x_k - top), top = max_k |x_k|, which
-        cannot overflow.  The variance is E[Y^2] - mean^2 near the origin,
+        cannot overflow once every x_k is finite, and a point where one is
+        not raises ValueError.  The variance is E[Y^2] - mean^2 near the origin,
         where |x_k| <= 2 keeps it above sech^2(2) E[Y^2], and the mean square
         deviation elsewhere, which stays >= 0 and accurate when saturated.
         """
@@ -423,6 +424,8 @@ class OrdinalModel:
                     near = (np.log1p(excess),)
             if not small.all():
                 x = phi[..., None] + lk
+                if not np.isfinite(x).all():
+                    raise ValueError("phi plus lam times a magnitude overflows the float range")
                 top = np.max(np.abs(x), axis=-1, keepdims=True)
                 up, down = w * np.exp(x - top), w * np.exp(-x - top)
                 total = (up + down).sum(axis=-1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -80,46 +80,41 @@ class PreferenceVector:
         return i, j, gaps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonDataset:
-    """Observed outcomes per unordered item pair, oriented i-before-j for
-    i < j (the reverse orientation is the negation).  Pairs may be absent
-    (incomplete graph); present pairs all carry ``rounds`` outcomes."""
+    """The counting algorithm's sufficient statistics: for each observed pair
+    ``first[p] < second[p]``, the sum of its ``rounds`` outcomes (``raw``) and
+    of their signs (``sign``), oriented first-before-second, with pairs on the
+    last axis and replications on any leading ones.  Absent pairs are allowed."""
 
     n: int
     rounds: int
-    outcomes: dict[tuple[int, int], np.ndarray] = field(compare=False)
+    first: np.ndarray
+    second: np.ndarray
+    raw: np.ndarray
+    sign: np.ndarray
 
     def __post_init__(self):
         if self.n < 2 or self.rounds < 1:
             raise ValueError("need n >= 2 items and at least one round")
-        cleaned = {}
-        for (i, j), ys in self.outcomes.items():
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad pair ({i}, {j}) for n={self.n}")
-            arr = np.asarray(ys, dtype=np.int64)
-            if arr.shape != (self.rounds,):
-                raise ValueError(
-                    f"pair ({i}, {j}) has {arr.size} outcomes, expected {self.rounds}"
-                )
-            if np.any(arr == 0):
-                raise CorruptDataError(f"pair ({i}, {j}) contains a zero outcome")
-            cleaned[(i, j)] = arr
-        object.__setattr__(self, "outcomes", cleaned)
+        for name in ("first", "second", "raw", "sign"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        i, j, raw, sign = self.first, self.second, self.raw, self.sign
+        if not (i.ndim == 1 and i.shape == j.shape == raw.shape[-1:] and raw.shape == sign.shape):
+            raise ValueError(f"pairs of shapes {i.shape} and {j.shape} do not match "
+                             f"sums of shapes {raw.shape} and {sign.shape}")
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
+        if bad.size:
+            raise ValueError(f"bad pair ({i[bad[0]]}, {j[bad[0]]}) for n={self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScorePair:
-    """Per-item counting scores from raw ordinal outcomes and from their
-    signs, normalized by the round count.
+    """Per-item counting totals of the raw and the sign sums, exact past int64
+    for object sums, and the scores: the totals over the round count."""
 
-    Integer totals are kept alongside: they are exact, so their per-item sum
-    is exactly zero by antisymmetry, while the normalized views carry the
-    usual division rounding.
-    """
-
-    ordinal_totals: tuple[int, ...]
-    binary_totals: tuple[int, ...]
+    ordinal_totals: np.ndarray
+    binary_totals: np.ndarray
     rounds: int
 
     @property
@@ -139,19 +134,16 @@ class ScorePair:
 
 
 def count_scores(data: ComparisonDataset) -> ScorePair:
-    """Per-item score sums; the reverse orientation of each stored pair
-    enters with the opposite sign.  Raw sums are taken in Python ints,
-    since int64 outcomes can sum past the int64 range."""
-    raw = [0] * data.n
-    signed = [0] * data.n
-    for (i, j), ys in data.outcomes.items():
-        s = sum(ys.tolist())
-        b = int(np.sign(ys).sum())
-        raw[i] += s
-        raw[j] -= s
-        signed[i] += b
-        signed[j] -= b
-    return ScorePair(tuple(raw), tuple(signed), data.rounds)
+    """The counting algorithm: one scatter-add per replication row adds each
+    pair's sums to its first item's totals and subtracts them from its second's.
+    Totals keep the sums' leading axes; object sums of Python ints stay exact."""
+    sums = np.stack([data.raw, data.sign])
+    at = data.n * np.arange(math.prod(sums.shape[:-1]))[:, None]
+    totals = np.zeros(at.size * data.n, dtype=sums.dtype)
+    np.add.at(totals, (at + data.first).ravel(), sums.ravel())
+    np.subtract.at(totals, (at + data.second).ravel(), sums.ravel())
+    ordinal, binary = totals.reshape(sums.shape[:-1] + (data.n,))
+    return ScorePair(ordinal, binary, data.rounds)
 
 
 def kendall_tau(scores, theta: PreferenceVector):
@@ -229,14 +221,14 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
 
 
 def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
-    """The outcomes of CSV rows ``i,j,l,y`` among ``n`` items, each field read
-    by ``ingest``'s rule."""
+    """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, each field
+    read by ``ingest``'s rule; raw sums are exact Python ints."""
     from .data import _field  # here, so that importing ranking loads no data module
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "j", "l", "y"]:
         raise ValueError("expected CSV header 'i,j,l,y'")
-    per_pair: dict[tuple[int, int], dict[int, int]] = {}
+    per_pair: dict[tuple[int, int], list] = {}  # raw sum, sign sum, rounds seen
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -252,19 +244,23 @@ def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
             i, j, y = j, i, -y
         if not -2**63 <= min(i, j, l, y) <= max(i, j, l, y) < 2**63:
             raise ValueError(f"line {lineno}: an integer in {row!r} lies outside int64")
-        rounds = per_pair.setdefault((i, j), {})
-        if l in rounds:
+        if y == 0:
+            raise CorruptDataError(f"pair ({i}, {j}) contains a zero outcome")
+        sums = per_pair.setdefault((i, j), [0, 0, set()])
+        if l in sums[2]:
             raise ValueError(f"line {lineno}: duplicate round {l} for pair ({i},{j})")
-        rounds[l] = y
+        sums[0] += y
+        sums[1] += 1 if y > 0 else -1
+        sums[2].add(l)
     if not per_pair:
         raise ValueError("no comparison rows found")
-    counts = {len(r) for r in per_pair.values()}
+    counts = {len(r) for _, _, r in per_pair.values()}
     if len(counts) != 1:
         raise ValueError(f"pairs carry unequal round counts: {sorted(counts)}")
     L = counts.pop()
-    outcomes = {}
-    for pair, rounds in per_pair.items():
-        if sorted(rounds) != list(range(1, L + 1)):
+    for pair, (_, _, rounds) in per_pair.items():
+        if max(rounds) != L:  # L distinct rounds, all >= 1, are 1..L when none exceeds L
             raise ValueError(f"pair {pair} rounds are not 1..{L}")
-        outcomes[pair] = np.array([rounds[l] for l in range(1, L + 1)], dtype=np.int64)
-    return ComparisonDataset(n=n, rounds=L, outcomes=outcomes)
+    first, second = np.array(list(per_pair), dtype=np.int64).T
+    raw, sign, _ = zip(*per_pair.values())
+    return ComparisonDataset(n, L, first, second, np.array(raw, dtype=object), np.array(sign))

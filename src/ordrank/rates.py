@@ -166,8 +166,8 @@ def crossover_rounds(binary: RateResult, ordinal: RateResult,
     ordinal one by ``factor``, from leading-order decay only.  None when the
     rates do not separate in the right direction, or only by a few ulps:
     equal rates (a one-point magnitude law) are solved that far apart."""
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"crossover factor must be a finite number above 1, got {factor!r}")
     gap = binary.rate - ordinal.rate
     if gap <= 4 * math.ulp(binary.rate):
         return None

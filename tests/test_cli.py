@@ -247,6 +247,16 @@ class TestRatesCommand:
         gap = payload["binary"]["rate"] - payload["ordinal"]["rate"]
         assert payload["crossover_rounds"] == math.ceil(math.log(10.0) / gap)
 
+    @pytest.mark.parametrize("factor", ["inf", "nan", "-inf", "1", "0.5"])
+    def test_factor_not_a_finite_number_above_one(self, capsys, factor):
+        # inf overflowed math.ceil, and nan passed the old check
+        assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
+                       "--gamma", "0.15", f"--factor={factor}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("crossover factor must be a finite number above 1, got "
+                f"{float(factor)!r}") in captured.err
+
 
 class TestSimulateCommand:
     def make_config(self, tmp_path, **overrides):

@@ -225,6 +225,22 @@ class TestDeterminism:
         monkeypatch.setattr(harness, "_BLOCK", 5)
         assert run_experiment(cfg).to_csv() == text
 
+    def test_ranking_blocks_score_through_count_scores(self, monkeypatch):
+        # one count_scores call per grid point per block, on the block's sums
+        cfg = default_config("scenario1", n=4, L_grid=(20, 40), replications=12)
+        text = run_experiment(cfg).to_csv()
+        calls = []
+        real = harness.count_scores
+
+        def counting(data):
+            calls.append((data.rounds, data.raw.shape))
+            return real(data)
+
+        monkeypatch.setattr(harness, "count_scores", counting)
+        monkeypatch.setattr(harness, "_BLOCK", 5)
+        assert run_experiment(cfg).to_csv() == text
+        assert calls == [(L, (size, 6)) for L in (20, 40) for size in (5, 5, 2)]
+
     def test_seed_changes_output(self):
         a = run_experiment(small_two_item(replications=300))
         b = run_experiment(small_two_item(replications=300, base_seed=43))

@@ -512,6 +512,20 @@ class TestLogMgf:
                     call(1.0, [0.5, -1e308])
             assert m.log_mgf(1.0, -1e307) == pytest.approx(4e307, rel=1e-15)
 
+    def test_phi_plus_lam_past_float_range_is_named(self):
+        # phi and lam * 4 are finite, phi + lam * k is not for k >= 1
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.from_spec("abs:0.1,K=4"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (m.log_mgf, m.tilted_moments):
+                for lam in (4e307, [0.0, 4e307]):
+                    with pytest.raises(ValueError, match="^phi plus lam times a magnitude "
+                                                         "overflows the float range$"):
+                        call(1.7e308, lam)
+            # the other sign stays in range: Y is +1 almost surely
+            assert m.log_mgf(1.7e308, -4e307) == pytest.approx(-4e307, rel=1e-15)
+            assert m.tilted_moments(1.7e308, -4e307) == (1.0, 0.0)
+
     def test_zero_lambda(self):
         rng = np.random.default_rng(RNG_SEED + 6)
         for _ in range(20):

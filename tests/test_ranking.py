@@ -3,6 +3,7 @@ predictors, against hand oracles and exact enumeration."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,31 +72,35 @@ class TestPreferenceVector:
                 call()
 
 
+def dataset(outcomes, n: int):
+    """``dataset_from_csv`` of per-pair outcome arrays, through their CSV text."""
+    return dataset_from_csv(comparisons_csv(outcomes), n=n)
+
+
+def pair_sums(data) -> dict:
+    """{(i, j): (raw sum, sign sum)} of a dataset, as Python ints."""
+    return {(int(i), int(j)): (int(r), int(b))
+            for i, j, r, b in zip(data.first, data.second, data.raw, data.sign)}
+
+
 class TestCountScores:
     def test_two_items_reduce_to_pair_metric(self):
-        data = ComparisonDataset(2, 3, {(0, 1): np.array([2, -1, 3])})
-        scores = count_scores(data)
+        scores = count_scores(dataset({(0, 1): [2, -1, 3]}, n=2))
         a = np.mean([2, -1, 3])
         assert scores.ordinal_scores[0] == pytest.approx(a)
         assert scores.ordinal_scores[1] == pytest.approx(-a)
 
     def test_three_item_hand_sum(self):
         # y01=2, y02=1, y12=-3 at L=1: raw sums (3, -5, 2)
-        data = ComparisonDataset(3, 1, {
-            (0, 1): np.array([2]), (0, 2): np.array([1]), (1, 2): np.array([-3]),
-        })
-        scores = count_scores(data)
-        assert scores.ordinal_totals == (3, -5, 2)
-        assert scores.binary_totals == (2, -2, 0)
+        scores = count_scores(dataset({(0, 1): [2], (0, 2): [1], (1, 2): [-3]}, n=3))
+        assert scores.ordinal_totals.tolist() == [3, -5, 2]
+        assert scores.binary_totals.tolist() == [2, -2, 0]
         assert sum(scores.ordinal_totals) == 0
         assert sum(scores.binary_totals) == 0
 
     def test_maximal_binary_score(self):
         n, L = 5, 4
-        data = ComparisonDataset(n, L, {
-            (0, j): np.ones(L, dtype=int) for j in range(1, n)
-        })
-        scores = count_scores(data)
+        scores = count_scores(dataset({(0, j): [1] * L for j in range(1, n)}, n=n))
         assert scores.binary_scores[0] == n - 1
 
     def test_zero_sum_exact_fuzz(self):
@@ -111,7 +116,7 @@ class TestCountScores:
                             [-4, -3, -2, -1, 1, 2, 3, 4], size=L)
             if not outcomes:
                 continue
-            scores = count_scores(ComparisonDataset(n, L, outcomes))
+            scores = count_scores(dataset(outcomes, n=n))
             assert sum(scores.ordinal_totals) == 0
             assert sum(scores.binary_totals) == 0
             assert np.all(np.abs(scores.binary_scores) <= n - 1)
@@ -122,14 +127,13 @@ class TestCountScores:
         n, L = 5, 6
         outcomes = {(i, j): rng.choice([-2, -1, 1, 2], size=L)
                     for i in range(n) for j in range(i + 1, n)}
-        data = ComparisonDataset(n, L, outcomes)
         perm = rng.permutation(n)
         relabeled = {}
         for (i, j), ys in outcomes.items():
             a, b = int(perm[i]), int(perm[j])
             relabeled[(a, b) if a < b else (b, a)] = ys if a < b else -ys
-        scores = count_scores(data)
-        scores_p = count_scores(ComparisonDataset(n, L, relabeled))
+        scores = count_scores(dataset(outcomes, n=n))
+        scores_p = count_scores(dataset(relabeled, n=n))
         for i in range(n):
             assert scores.ordinal_totals[i] == scores_p.ordinal_totals[perm[i]]
         theta = PreferenceVector.equally_spaced(n, 0.1)
@@ -137,9 +141,73 @@ class TestCountScores:
         assert kendall_tau(scores.ordinal_scores, theta) == pytest.approx(
             kendall_tau(scores_p.ordinal_scores, theta_p))
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_batch_equals_row_by_row(self, dtype):
+        rng = np.random.default_rng(5)
+        n, reps = 6, 7
+        first, second = np.triu_indices(n, k=1)
+        keep = rng.random(first.size) < 0.7  # an incomplete graph
+        first, second = first[keep], second[keep]
+        raw = rng.integers(-40, 41, size=(reps, first.size)).astype(dtype)
+        sign = rng.integers(-8, 9, size=(reps, first.size)).astype(dtype)
+        batch = count_scores(ComparisonDataset(n, 8, first, second, raw, sign))
+        assert batch.ordinal_totals.shape == batch.binary_totals.shape == (reps, n)
+        assert batch.ordinal_totals.dtype == batch.binary_totals.dtype == np.dtype(dtype)
+        for r in range(reps):
+            row = count_scores(ComparisonDataset(n, 8, first, second, raw[r], sign[r]))
+            assert batch.ordinal_totals[r].tolist() == row.ordinal_totals.tolist()
+            assert batch.binary_totals[r].tolist() == row.binary_totals.tolist()
+
+    @pytest.mark.parametrize("first,second,raw,match", [
+        ([0, 1], [1, 3], [[2, 1]], "bad pair \\(1, 3\\) for n=3"),
+        ([1], [0], [[2]], "bad pair \\(1, 0\\) for n=3"),
+        ([-1], [2], [[2]], "bad pair \\(-1, 2\\) for n=3"),
+    ])
+    def test_dataset_refuses_bad_pairs(self, first, second, raw, match):
+        with pytest.raises(ValueError, match=match):
+            ComparisonDataset(3, 2, np.array(first), np.array(second),
+                              np.array(raw), np.array(raw))
+
+    @pytest.mark.parametrize("first,second,raw,sign", [
+        ([0], [1, 2], [[2]], [[1]]),       # pair arrays of unequal length
+        ([0, 1], [1, 2], [[2]], [[1]]),    # one sum for two pairs
+        ([0], [1], [[2]], [[1, 1]]),       # raw and sign sums disagree
+        ([[0]], [[1]], [[2]], [[1]]),      # pair arrays that are not 1-d
+        ([0], [1], 2, 1),                  # sums with no pair axis
+    ])
+    def test_dataset_refuses_mismatched_shapes(self, first, second, raw, sign):
+        with pytest.raises(ValueError, match="do not match sums of shapes"):
+            ComparisonDataset(3, 2, first, second, np.array(raw), np.array(sign))
+
+    def test_dataset_takes_lists(self):
+        scores = count_scores(ComparisonDataset(3, 1, [0], [2], [5], [1]))
+        assert scores.ordinal_totals.tolist() == [5, 0, -5]
+        assert scores.binary_totals.tolist() == [1, 0, -1]
+
+    def test_sparse_file_over_many_items_scores_in_pair_memory(self):
+        # 40 pairs among 200,000 items: a pair-by-item matrix would take
+        # 64 MB, while the totals take a few n-vectors
+        n = 200_000
+        rng = np.random.default_rng(11)
+        outcomes = {(min(a, b), max(a, b)): rng.choice([-2, -1, 1, 2], size=3)
+                    for a, b in rng.choice(n, size=(40, 2), replace=False).tolist()}
+        data = dataset(outcomes, n=n)
+        tracemalloc.start()
+        try:
+            scores = count_scores(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
+        expected = [0] * n
+        for (i, j), ys in outcomes.items():
+            expected[i] += int(ys.sum())
+            expected[j] -= int(ys.sum())
+        assert scores.ordinal_totals.tolist() == expected
+
     def test_zero_outcome_rejected(self):
-        with pytest.raises(CorruptDataError):
-            ComparisonDataset(2, 2, {(0, 1): np.array([1, 0])})
+        with pytest.raises(CorruptDataError, match=r"^pair \(0, 1\) contains a zero outcome$"):
+            dataset_from_csv("i,j,l,y\n0,1,1,1\n0,1,2,0\n", n=2)
 
 
 class TestKendallTau:
@@ -356,21 +424,20 @@ class TestDatasetCsv:
         rng = np.random.default_rng(10)
         outcomes = {(i, j): rng.choice([-2, -1, 1, 2], size=3)
                     for i in range(4) for j in range(i + 1, 4)}
-        data = ComparisonDataset(4, 3, outcomes)
-        again = dataset_from_csv(comparisons_csv(data.outcomes), n=4)
+        again = dataset(outcomes, n=4)
         assert again.n == 4 and again.rounds == 3
-        for pair, ys in outcomes.items():
-            np.testing.assert_array_equal(again.outcomes[pair], ys)
+        assert pair_sums(again) == {pair: (int(ys.sum()), int(np.sign(ys).sum()))
+                                    for pair, ys in outcomes.items()}
 
     def test_reverse_orientation_rows(self):
         text = "i,j,l,y\n1,0,1,3\n0,1,2,-1\n"
         data = dataset_from_csv(text, n=2)
-        np.testing.assert_array_equal(data.outcomes[(0, 1)], [-3, -1])
+        assert pair_sums(data) == {(0, 1): (-4, -2)}
 
     def test_missing_pairs_accepted(self):
         text = "i,j,l,y\n0,1,1,2\n0,1,2,1\n"
         data = dataset_from_csv(text, n=3)
-        assert len(data.outcomes) == 1
+        assert pair_sums(data) == {(0, 1): (3, 2)}
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(ValueError, match="line 3"):

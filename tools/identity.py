@@ -34,6 +34,11 @@ The families:
   two comparisons scored.  The MovieLens pairs are many short runs of
   integer differences, whose raw sums may add in any order; the tenths are
   not integers, so their raw sums add in split order;
+- ``rank``: the ``rank`` command on five items under three theta vectors,
+  over hand files (an incomplete graph, rows in reversed orientation, and
+  raw sums of 2^62 + 2^62 that leave int64), a seeded file that mixes all
+  three, and two refused files (a zero outcome, an item past theta).  Item
+  4 appears in no row of any file;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
   and ``rank``.
 """
@@ -73,6 +78,16 @@ README_COMMANDS = (("snr", "--pattern", "abs:0.1", "--K", "4"),
                     "--gamma", "0.3"))
 RANK_CSV = "i,j,l,y\n0,1,1,2\n0,1,2,-1\n0,2,1,3\n0,2,2,1\n1,2,1,-1\n1,2,2,2\n"
 RANK_THETA = "[0.3, 0.2, 0.1]"
+RANK_THETAS = ("[0.5, 0.4, 0.3, 0.2, 0.1]", "[-1, 2, 0.5, 3, 0]", "[0.1, 0.2, 0.3, 0.4, 0.5]")
+RANK_FILES = (
+    "0,1,1,2\n0,1,2,-1\n0,2,1,3\n0,2,2,1\n1,3,1,-4\n1,3,2,2\n2,3,1,1\n2,3,2,1\n",
+    "1,0,1,3\n0,1,2,-1\n3,2,1,2\n3,2,2,-3\n2,0,2,1\n0,2,1,-2\n",
+    "0,1,1,4611686018427387904\n0,1,2,4611686018427387904\n"
+    "2,1,1,4611686018427387904\n1,2,2,-4611686018427387904\n0,3,1,-1\n0,3,2,-1\n",
+    "0,1,1,2\n0,1,2,0\n",
+    "0,1,1,2\n0,5,1,1\n",
+)
+RANK_SEED = 2001
 MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
 CSV_SEED, CSV_MIN = 1802, 4
 
@@ -182,6 +197,19 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
                        "--min-item-ratings", str(CSV_MIN))
     add("ingest-csv", run("histogram", "--pairs", str(pairs)))
     add_evaluate(add, "evaluate-csv", pairs)
+
+    rng = np.random.default_rng(RANK_SEED)
+    rows = [(i, j, l, int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
+            for i, j in itertools.combinations(range(4), 2) if rng.random() < 0.7
+            for l in range(1, 7)]
+    rows = [(j, i, l, -y) if rng.random() < 0.5 else (i, j, l, y)
+            for i, j, l, y in rows]
+    seeded = "".join(f"{i},{j},{l},{y}\n" for i, j, l, y in rng.permutation(rows).tolist())
+    data, theta_file = workdir / "rank.csv", workdir / "rank-theta.json"
+    for rows_text, theta in itertools.product((*RANK_FILES, seeded), RANK_THETAS):
+        data.write_text("i,j,l,y\n" + rows_text, encoding="utf-8")
+        theta_file.write_text(theta, encoding="utf-8")
+        add("rank", run("rank", "--input", str(data), "--theta", str(theta_file)))
 
     for argv in README_COMMANDS:
         add("readme", run(*argv))
