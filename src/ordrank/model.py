@@ -385,7 +385,18 @@ class OrdinalModel:
         return values[np.minimum(idx, values.size - 1)]
 
     def _tilted(self, gamma, lam, moments: bool) -> tuple:
-        """``(log_mgf,)`` (moments=False) or the tilted ``(mean, variance)``.
+        """``_tilt`` at ``gamma`` and ``lam`` broadcast together."""
+        phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
+                                       _check_finite(lam, "lam"))
+        out = self._tilt(phi)(lam, moments)
+        if out[0].ndim == 0:
+            return tuple(float(v) for v in out)
+        return out
+
+    def _tilt(self, phi: np.ndarray):
+        """At fixed link values ``phi``, the function of ``lam`` (shaped like
+        phi) and ``moments`` that returns ``(log_mgf,)`` (moments=False) or the
+        tilted ``(mean, variance)``, with the terms of phi alone computed once.
 
         With x_k = phi + lam k over the magnitudes k of positive weight w_k,
         points where |phi| and |lam| max k are at most _SMALL_ARG use
@@ -397,49 +408,54 @@ class OrdinalModel:
         where |x_k| <= 2 keeps it above sech^2(2) E[Y^2], and the mean square
         deviation elsewhere, which stays >= 0 and accurate when saturated.
         """
-        phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
-                                       _check_finite(lam, "lam"))
         w = np.asarray(self.pattern.weights)
         ks = self.pattern.magnitudes[w > 0]
         w = w[w > 0]
-        # each form is computed only where some point needs it
-        near = far = (0.0, 0.0) if moments else (0.0,)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            reach = np.abs(lam) * ks[-1]
-            if not np.isfinite(reach).all():
-                raise ValueError(f"lam times the largest magnitude, {ks[-1]:g}, "
-                                 "must be finite")
-            small = (np.abs(phi) <= _SMALL_ARG) & (reach <= _SMALL_ARG)
-            lk = lam[..., None] * ks
-            if small.any():
-                t = np.tanh(phi)[..., None]
-                sh = np.sinh(lk)
-                terms = 2.0 * np.sinh(lk / 2.0) ** 2 + t * sh  # cosh + t sinh - 1
-                excess = (w * terms).sum(axis=-1)  # M - 1
-                if moments:
-                    mean = (w * ks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
-                    square = (w * ks**2 * (1.0 + terms)).sum(axis=-1) / (1.0 + excess)
-                    near = (mean, square - mean * mean)
-                else:
-                    near = (np.log1p(excess),)
-            if not small.all():
+        wks, wks2 = w * ks, w * ks**2
+        t = np.tanh(phi)[..., None]
+        level = np.abs(phi) <= _SMALL_ARG
+        lc_phi = log_cosh(phi)
+
+        def near(lk, moments):
+            sh = np.sinh(lk)
+            terms = 2.0 * np.sinh(lk / 2.0) ** 2 + t * sh  # cosh + t sinh - 1
+            excess = (w * terms).sum(axis=-1)  # M - 1
+            if not moments:
+                return (np.log1p(excess),)
+            mean = (wks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
+            square = (wks2 * (1.0 + terms)).sum(axis=-1) / (1.0 + excess)
+            return mean, square - mean * mean
+
+        def far(x, moments):
+            top = np.max(np.abs(x), axis=-1, keepdims=True)
+            up, down = w * np.exp(x - top), w * np.exp(-x - top)
+            total = (up + down).sum(axis=-1)
+            if not moments:
+                return (top[..., 0] + np.log(total) - _LOG2 - lc_phi,)
+            mean = (ks * (up - down)).sum(axis=-1) / total
+            m = mean[..., None]
+            return mean, ((ks - m) ** 2 * up + (ks + m) ** 2 * down).sum(axis=-1) / total
+
+        def tilted(lam: np.ndarray, moments: bool) -> tuple:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                reach = np.abs(lam) * ks[-1]
+                if not np.isfinite(reach).all():
+                    raise ValueError(f"lam times the largest magnitude, {ks[-1]:g}, "
+                                     "must be finite")
+                small = level & (reach <= _SMALL_ARG)
+                lk = lam[..., None] * ks
+                # each form is computed only when some point needs it
+                if small.all():
+                    return near(lk, moments)
                 x = phi[..., None] + lk
                 if not np.isfinite(x).all():
                     raise ValueError("phi plus lam times a magnitude overflows the float range")
-                top = np.max(np.abs(x), axis=-1, keepdims=True)
-                up, down = w * np.exp(x - top), w * np.exp(-x - top)
-                total = (up + down).sum(axis=-1)
-                if moments:
-                    mean = (ks * (up - down)).sum(axis=-1) / total
-                    m = mean[..., None]
-                    far = (mean, ((ks - m) ** 2 * up + (ks + m) ** 2 * down).sum(axis=-1)
-                           / total)
-                else:
-                    far = (top[..., 0] + np.log(total) - _LOG2 - log_cosh(phi),)
-        out = tuple(np.where(small, a, b) for a, b in zip(near, far))
-        if out[0].ndim == 0:
-            return tuple(float(v) for v in out)
-        return out
+                if not small.any():
+                    return far(x, moments)
+                return tuple(np.where(small, a, b)
+                             for a, b in zip(near(lk, moments), far(x, moments)))
+
+        return tilted
 
     def log_mgf(self, gamma, lam) -> float | np.ndarray:
         """log E[exp(lam * Y)] = log sum_k w_k cosh(phi + lam k) - log cosh(phi).

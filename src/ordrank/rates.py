@@ -14,7 +14,7 @@ non-degenerate, which is what makes binarization win at large L.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class RateResult:
     boundary: bool = False  # gamma == 0: the event has probability ~1/2
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order, all scalars: no deep copy
 
 
 def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateResult:
@@ -61,20 +61,23 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
     link value so large that the bracket leaves float range raises
     ValueError naming the link and |gamma|.
     """
-    def derivatives(lam: float) -> tuple[float, float]:  # slope, curvature
-        mean, var = model.tilted_moments(gammas, mults * lam)
-        return float(mults @ mean), float(mults**2 @ var)
-
-    phis = np.abs(model.link(gammas))
-    B = float(np.max(phis))
+    phi = model.link(gammas)
+    B = float(np.max(np.abs(phi)))
     if B == 0.0:  # the link underflowed: every term is flat at lam = 0
         return RateResult(0.0, 0.0, 0, True)
     # the tilted terms phi_t + mults[t] * lam * k must stay in float range
     # over the whole bracket below, down to lam = -2B
     if not math.isfinite(B * (1.0 + 2.0 * float(np.max(mults)) * model.K)):
-        gamma = abs(float(gammas[np.argmax(phis)]))
+        gamma = abs(float(gammas[np.argmax(np.abs(phi))]))
         raise ValueError(f"link {model.link.spec} at |gamma|={gamma!r} is too large "
                          f"for the rate solve: its bracket leaves float range")
+    # the one link evaluation: its phi-only terms serve every step and the rate
+    tilted = model._tilt(phi)
+
+    def derivatives(lam: float) -> tuple[float, float]:  # slope, curvature
+        mean, var = tilted(mults * lam, True)
+        return float(mults @ mean), float(mults**2 @ var)
+
     # With B = max |phi| and every mults[t] * k >= 1, each tilted term
     # phi_t + mults[t] * lam * k is <= 0 at lam = -B, so the slope there is
     # <= 0.  It is 0 only when all weight sits on magnitude 1 and the root
@@ -99,7 +102,7 @@ def _rate(model: OrdinalModel, gammas: np.ndarray, mults: np.ndarray) -> RateRes
             break
     else:
         converged = False
-    rate = -float(np.sum(model.log_mgf(gammas, lam * mults)))
+    rate = -float(np.sum(tilted(lam * mults, False)[0]))
     return RateResult(rate, lam, iterations, converged)
 
 
@@ -134,7 +137,7 @@ def rate_at_zero_nitem(model: OrdinalModel, theta: PreferenceVector,
     The score-difference summand is 2*y_ij plus the indirect terms
     y_ik + y_kj over all other items k; by independence its log-MGF is the
     sum of the per-comparison log-MGFs with the direct term taken at
-    2*lambda, stacked into one call over 2n - 3 terms.
+    2*lambda, stacked into one solve over 2n - 3 terms.
     """
     if i == j:
         raise ValueError("need two distinct items")
@@ -164,11 +167,12 @@ def crossover_rounds(binary: RateResult, ordinal: RateResult,
                      factor: float = 10.0) -> int | None:
     """Heuristic smallest L at which the binarized error scale undercuts the
     ordinal one by ``factor``, from leading-order decay only.  None when the
-    rates do not separate in the right direction, or only by a few ulps:
-    equal rates (a one-point magnitude law) are solved that far apart."""
+    rates do not separate in the right direction, or by a few ulps (equal
+    rates of a one-point law are solved that far apart) or a subnormal gap."""
     if not (math.isfinite(factor) and factor > 1.0):
         raise ValueError(f"crossover factor must be a finite number above 1, got {factor!r}")
     gap = binary.rate - ordinal.rate
     if gap <= 4 * math.ulp(binary.rate):
         return None
-    return max(1, math.ceil(math.log(factor) / gap))
+    rounds = math.log(factor) / gap  # inf when the gap is subnormal
+    return max(1, math.ceil(rounds)) if math.isfinite(rounds) else None

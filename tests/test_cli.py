@@ -257,6 +257,16 @@ class TestRatesCommand:
         assert ("crossover factor must be a finite number above 1, got "
                 f"{float(factor)!r}") in captured.err
 
+    def test_subnormal_rate_gap_has_no_crossover(self, capsys):
+        # both rates are about 5e-321: log(10) / gap overflowed math.ceil
+        assert run_cli("rates", "--link", "identity", "--pattern", "abs:0.1,K=4",
+                       "--gamma", "1e-160") == 0
+        out = capsys.readouterr().out
+        assert '"crossover_rounds": null' in out
+        binary, ordinal = (json.loads(out)[view]["rate"] for view in ("binary", "ordinal"))
+        assert 0.0 < ordinal < binary < 1e-300
+        assert not math.isfinite(math.log(10.0) / (binary - ordinal))
+
 
 class TestSimulateCommand:
     def make_config(self, tmp_path, **overrides):

@@ -1,6 +1,7 @@
 """Tests for the misranking decay rates: closed forms, grid-oracle agreement,
 and the binary-beats-ordinal rate ordering."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from scipy.optimize import brentq
 from test_rate_properties import LINKS, gamma_at, log_uniform, patterns
 
 from ordrank.cli import parse_link_spec, parse_pattern_spec
-from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink
+from ordrank.model import OrdinalModel, PatternDistribution, StrengthLink, log_cosh
 from ordrank import rates
 from ordrank.ranking import PreferenceVector
 from ordrank.rates import (
@@ -302,20 +303,182 @@ class TestTinyAndSaturatedLinks:
         assert neg.rate == pos.rate
         assert neg.argmin_lambda == -pos.argmin_lambda
 
-    def test_one_log_mgf_call_per_solve(self, monkeypatch):
+    def test_one_link_call_per_solve(self, monkeypatch):
+        # the solve evaluates the link once and reuses its phi-only terms,
+        # never going through the public log_mgf or tilted_moments
         calls = []
-        original = OrdinalModel.log_mgf
+        original = StrengthLink.__call__
 
-        def counting(self, gamma, lam):
-            calls.append(np.shape(gamma))
-            return original(self, gamma, lam)
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
 
-        monkeypatch.setattr(OrdinalModel, "log_mgf", counting)
+        def refused(*args):
+            raise AssertionError("the solve called a public log-MGF method")
+
+        monkeypatch.setattr(StrengthLink, "__call__", counting)
+        monkeypatch.setattr(OrdinalModel, "log_mgf", refused)
+        monkeypatch.setattr(OrdinalModel, "tilted_moments", refused)
         m = OrdinalModel(StrengthLink("identity"),
                          PatternDistribution.from_family("abs", 1.0, 5))
+        for gamma in (0.15, -0.15, 5.0):
+            calls.clear()
+            assert rate_at_zero_ordinal(m, gamma).converged
+            assert calls == [(1,)]
         theta = PreferenceVector.equally_spaced(10, 0.05)
-        rate_at_zero_nitem(m, theta, 2, 7, binarized=False)
-        assert calls == [(2 * 10 - 3,)]
+        for binarized in (False, True):
+            calls.clear()
+            assert rate_at_zero_nitem(m, theta, 2, 7, binarized).converged
+            assert calls == [(2 * 10 - 3,)]
+
+
+def per_call_tilted(self, gamma, lam, moments):
+    """``OrdinalModel._tilted`` as it was before the evaluator: every call
+    evaluates the link and every phi-only term again.  The same arithmetic
+    in the same order, so the same bits."""
+    phi, lam = np.broadcast_arrays(np.asarray(self.link(gamma), dtype=float),
+                                   np.asarray(lam, dtype=float))
+    w = np.asarray(self.pattern.weights)
+    ks = self.pattern.magnitudes[w > 0]
+    w = w[w > 0]
+    near = far = (0.0, 0.0) if moments else (0.0,)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        small = (np.abs(phi) <= 1.0) & (np.abs(lam) * ks[-1] <= 1.0)
+        lk = lam[..., None] * ks
+        if small.any():
+            t = np.tanh(phi)[..., None]
+            sh = np.sinh(lk)
+            terms = 2.0 * np.sinh(lk / 2.0) ** 2 + t * sh
+            excess = (w * terms).sum(axis=-1)
+            if moments:
+                mean = (w * ks * (sh + t * np.cosh(lk))).sum(axis=-1) / (1.0 + excess)
+                square = (w * ks**2 * (1.0 + terms)).sum(axis=-1) / (1.0 + excess)
+                near = (mean, square - mean * mean)
+            else:
+                near = (np.log1p(excess),)
+        if not small.all():
+            x = phi[..., None] + lk
+            top = np.max(np.abs(x), axis=-1, keepdims=True)
+            up, down = w * np.exp(x - top), w * np.exp(-x - top)
+            total = (up + down).sum(axis=-1)
+            if moments:
+                mean = (ks * (up - down)).sum(axis=-1) / total
+                m = mean[..., None]
+                far = (mean, ((ks - m) ** 2 * up + (ks + m) ** 2 * down).sum(axis=-1)
+                       / total)
+            else:
+                far = (top[..., 0] + np.log(total) - math.log(2.0) - log_cosh(phi),)
+    out = tuple(np.where(small, a, b) for a, b in zip(near, far))
+    if out[0].ndim == 0:
+        return tuple(float(v) for v in out)
+    return out
+
+
+def public_call_rate(model: OrdinalModel, gammas: np.ndarray,
+                     mults: np.ndarray) -> rates.RateResult:
+    """The rate solve as it ran when every step called the public
+    ``tilted_moments`` and the rate the public ``log_mgf``: with
+    ``per_call_tilted`` behind those, the reference for the solve on one
+    link evaluation."""
+    def derivatives(lam: float) -> tuple[float, float]:
+        mean, var = model.tilted_moments(gammas, mults * lam)
+        return float(mults @ mean), float(mults**2 @ var)
+
+    phis = np.abs(model.link(gammas))
+    B = float(np.max(phis))
+    if B == 0.0:
+        return rates.RateResult(0.0, 0.0, 0, True)
+    if not math.isfinite(B * (1.0 + 2.0 * float(np.max(mults)) * model.K)):
+        raise ValueError("bracket leaves float range")
+    lo, hi, lam = -2.0 * B, 0.0, -B
+    xtol = 1e-12 * B
+    converged = True
+    for iterations in range(1, rates._MAX_ITERATIONS + 1):
+        s, v = derivatives(lam)
+        if s > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        step = -s / v if v > 0.0 else math.inf
+        if abs(step) <= xtol:
+            lam += step
+            break
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        if hi - lo <= xtol:
+            break
+    else:
+        converged = False
+    rate = -float(np.sum(model.log_mgf(gammas, lam * mults)))
+    return rates.RateResult(rate, lam, iterations, converged)
+
+
+# a saturated link with one theta gap of 0.3 next to gaps of 1e-3: the
+# n-item stacks mix near-origin and log-sum-exp terms
+MIXED_LINK, MIXED_THETA = "tanhsig:100", (0.3, 0.0, 1e-3, 2e-3, 3e-3)
+
+
+class TestOneLinkEvaluation:
+    """The solve on one link evaluation gives the same bits as the solve
+    through the public methods, each call evaluating everything again."""
+
+    @staticmethod
+    def reference(monkeypatch, solve, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(rates, "_rate", public_call_rate)
+            patched.setattr(OrdinalModel, "_tilted", per_call_tilted)
+            return solve(*args)
+
+    @pytest.mark.parametrize("link", SWEEP_LINKS)
+    def test_sweep_bit_identical(self, monkeypatch, link):
+        for pattern in SWEEP_PATTERNS:
+            model = OrdinalModel(parse_link_spec(link), parse_pattern_spec(pattern))
+            for gamma in SWEEP_GAMMAS + tuple(-g for g in SWEEP_GAMMAS):
+                want = self.reference(monkeypatch, rate_at_zero_ordinal, model, gamma)
+                assert rate_at_zero_ordinal(model, gamma) == want, (pattern, gamma)
+
+    @pytest.mark.parametrize("pattern", ["abs:1.0,K=5", "sq:0.5,K=5", "uniform,K=3",
+                                         "weights:0,1,0,2"])
+    def test_mixed_nitem_batches_bit_identical(self, monkeypatch, pattern):
+        model = OrdinalModel(parse_link_spec(MIXED_LINK), parse_pattern_spec(pattern))
+        theta = PreferenceVector(MIXED_THETA)
+        mixed = 0
+        for (i, j), binarized in itertools.product(
+                itertools.permutations(range(theta.n), 2), (False, True)):
+            want = self.reference(monkeypatch, rate_at_zero_nitem, model, theta, i, j,
+                                  binarized)
+            got = rate_at_zero_nitem(model, theta, i, j, binarized)
+            assert got == want, (i, j, binarized)
+            # does the rate at the root take both forms?
+            hi, lo = (i, j) if MIXED_THETA[i] > MIXED_THETA[j] else (j, i)
+            others = np.delete(np.asarray(MIXED_THETA), [i, j])
+            stack = np.concatenate([[MIXED_THETA[hi] - MIXED_THETA[lo]],
+                                    MIXED_THETA[hi] - others, others - MIXED_THETA[lo]])
+            mults = np.ones(stack.size)
+            mults[0] = 2.0
+            K = 1 if binarized else model.K
+            near = ((np.abs(model.link(stack)) <= 1.0)
+                    & (np.abs(got.argmin_lambda * mults) * K <= 1.0))
+            mixed += bool(near.any() and not near.all())
+        assert mixed > 0
+
+    @settings(deadline=None)
+    @given(patterns, st.sampled_from(LINKS),
+           st.lists(st.tuples(log_uniform(1e-9, 3.0), st.booleans(), st.floats(-3.0, 3.0)),
+                    max_size=8))
+    def test_mixed_batch_equals_scalar_evaluations(self, pattern, link, points):
+        # one point of each form comes first, so every batch is mixed
+        points = [(1e-6, False, 0.01), (1e-6, True, 2.0)] + points
+        gammas = np.array([-g if neg else g for g, neg, _ in points])
+        lams = np.array([lam for _, _, lam in points])
+        model = OrdinalModel(link, pattern)
+        tilted = model._tilt(model.link(gammas))
+        for moments in (True, False):
+            batch = tilted(lams, moments)
+            assert [list(v) for v in batch] == [
+                list(v) for v in per_call_tilted(model, gammas, lams, moments)]
+            singles = [model._tilted(float(g), float(lam), moments)
+                       for g, lam in zip(gammas, lams)]
+            assert np.stack(batch, axis=-1).tolist() == [list(v) for v in singles]
 
 
 class TestNewtonSolver:
@@ -414,6 +577,13 @@ class TestDecayPrediction:
                 else:
                     gap = binary.rate - ordinal.rate
                     assert got == max(1, math.ceil(math.log(10.0) / gap)), (pattern, gamma)
+
+    def test_to_dict_is_the_fields_in_order(self):
+        m = OrdinalModel(StrengthLink("identity"),
+                         PatternDistribution.from_family("abs", 0.1, 4))
+        for res in (rate_at_zero_ordinal(m, 0.15), rate_at_zero_ordinal(m, 0.0),
+                    rate_at_zero_binary(m, -0.5)):
+            assert list(res.to_dict().items()) == list(dataclasses.asdict(res).items())
 
     def test_requires_convergence(self):
         from ordrank.rates import RateResult

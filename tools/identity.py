@@ -16,6 +16,11 @@ The families:
   grid of perfbench's ``rates`` workload;
 - ``nitem``: ``rate_at_zero_nitem`` on all 45 pairs of
   ``equally_spaced(10, 0.05)``, in both views;
+- ``rates-edge``: the ``rates`` command at gammas 1e-300, 1e-12, 20 and
+  50 over the links and patterns of ``rates``, and ``rate_at_zero_nitem``
+  on all 10 pairs of a theta with one gap of 0.3 next to gaps of 1e-3
+  under the saturated ``tanhsig:100``, in both views, whose stacks mix
+  near-origin and log-sum-exp terms;
 - ``asymptotic``: ``asymptotic_two_item`` at every point of the ``rates``
   grid, and ``asymptotic_tau`` on that theta for every (link, pattern);
 - ``ingest``: the pair arrays that ``ingest`` writes from
@@ -70,6 +75,8 @@ PATTERNS = ("abs:0.1,K=4", "abs:0.9,K=4", "sq:0.5,K=5", "min-unconstrained,K=4",
 GAMMAS = (1e-4, 1e-3, 0.05, 0.15, 0.5, 1.5, 5.0)
 L = 500
 NITEM_PATTERN, NITEM_N, NITEM_GAP = "abs:1.0,K=5", 10, 0.05
+EDGE_GAMMAS = (1e-300, 1e-12, 20.0, 50.0)
+EDGE_LINK, EDGE_THETA = "tanhsig:100", (0.3, 0.0, 1e-3, 2e-3, 3e-3)
 EVALUATE_SETTINGS = (("--seed", "7", "--train-frac", "0.7"),
                      ("--seed", "3", "--train-frac", "0.5", "--pairing", "pair"))
 README_COMMANDS = (("snr", "--pattern", "abs:0.1", "--K", "4"),
@@ -162,6 +169,16 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     for i, j in itertools.combinations(range(NITEM_N), 2):
         for view in (False, True):
             add("nitem", repr(rate_at_zero_nitem(model, theta, i, j, view)))
+
+    for link, pattern, gamma in itertools.product(LINKS, PATTERNS, EDGE_GAMMAS):
+        add("rates-edge", run("rates", "--link", link, "--pattern", pattern,
+                              "--gamma", repr(gamma)))
+    edge = PreferenceVector(EDGE_THETA)
+    saturated = OrdinalModel(StrengthLink.from_spec(EDGE_LINK),
+                             PatternDistribution.from_spec(NITEM_PATTERN))
+    for i, j in itertools.combinations(range(edge.n), 2):
+        for view in (False, True):
+            add("rates-edge", repr(rate_at_zero_nitem(saturated, edge, i, j, view)))
 
     for link, pattern in itertools.product(LINKS, PATTERNS):
         model = OrdinalModel(StrengthLink.from_spec(link), PatternDistribution.from_spec(pattern))
