@@ -7,7 +7,7 @@ Library layout:
 - :mod:`ordrank.ranking` -- counting scores, ranking error, normal-limit predictors
 - :mod:`ordrank.rates`   -- large-deviation decay rates of misranking events
 - :mod:`ordrank.harness` -- deterministic Monte-Carlo experiment runner
-- :mod:`ordrank.data`    -- ratings ingestion and the split-evaluation protocol
+- :mod:`ordrank.data`    -- text input, ratings ingestion, the split-evaluation protocol
 - :mod:`ordrank.cli`     -- ``ordrank`` command-line surface
 """
 

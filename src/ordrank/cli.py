@@ -29,7 +29,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import harness, rates, snr
 from .model import InvalidPatternError, OrdinalModel, PatternDistribution, StrengthLink
-from .ranking import PreferenceVector, count_scores, dataset_from_csv, kendall_tau
+from .ranking import PreferenceVector, count_scores, kendall_tau
 
 __all__ = ["main", "parse_and_dispatch", "parse_link_spec", "parse_pattern_spec"]
 
@@ -173,7 +173,7 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"{args.theta}: theta must be a JSON list of numbers, "
                          "such as [0.3, 0.2, 0.1]") from None
     theta = PreferenceVector(values)
-    scores = count_scores(dataset_from_csv(text, n=theta.n))
+    scores = count_scores(data_mod.dataset_from_csv(text, n=theta.n))
     _json_out({
         "scores": scores.to_dict(),
         "tau_ordinal": kendall_tau(scores.ordinal_scores, theta),

@@ -1,12 +1,12 @@
-"""Ratings ingestion and the split-train-predict evaluation protocol.
+"""Text input, ratings ingestion and the split-train-predict protocol.
 
-A ratings table (user, item, rating, optional timestamp) is reduced to
-pairwise preference data: for every user and every pair of sufficiently
+Ratings files and ``rank``'s comparison CSV share one reader: one
+``np.loadtxt`` parse where it can tell, else a row loop naming the first
+bad line.  Ratings become pairwise data: per user and pair of sufficiently
 rated items, the signed rating difference is one ordinal comparison, zeros
-dropped.  The evaluation protocol then repeatedly splits each pair's
-comparisons, aggregates the training side either as a raw sum or as a sum of
-signs, predicts the held-out direction from the aggregate's sign, and
-compares the two aggregation schemes with a paired t-test.
+dropped.  The protocol repeatedly splits each pair's comparisons, predicts
+the held-out direction from the sign of the training side's raw or sign
+sum, and compares the two with a paired t-test.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
 
 from .model import CorruptDataError, OrdinalModel, StrengthLink
-from .ranking import PreferenceVector
+from .ranking import ComparisonDataset, PreferenceVector
 from .snr import minimal_snr_monotone
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "EvaluationReport",
     "TTestResult",
     "load_ratings",
+    "dataset_from_csv",
     "build_pair_comparisons",
     "ordinal_histogram",
     "evaluate_pair_protocol",
@@ -103,85 +105,71 @@ def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
     return RatingsTable(users[keep], items[keep], ratings[keep], timestamps[keep])
 
 
-_TAB_DTYPE = np.dtype([("user", np.int64), ("item", np.int64),
-                       ("rating", float), ("ts", np.int64)])
+_KINDS = {"user": "i8", "item": "i8", "rating": "f8", "timestamp": "i8"}  # ratings columns
 
 
 def _field(text, kind):
-    """``kind(text)`` for a ratings field: int() and float() also read
-    ``1_0`` and non-ASCII digits, so those are refused first."""
+    """``kind(text)`` for a field of delimited text: int() and float() also
+    read ``1_0`` and non-ASCII digits, so those are refused first."""
     if not isinstance(text, str) or "_" in text or not text.strip().isascii():
         raise ValueError(f"not an ASCII number: {text!r}")
     return kind(text)
 
 
-def _read_rows(path, format: str):
-    """The user, item, rating and timestamp columns of a ratings file, read
-    row by row; a bad row raises ValueError naming its line."""
-    users, items, ratings, stamps = [], [], [], []
-
-    def add(lineno: int, fields, raw) -> None:
+def _read_table(stream, reader, header: list, kinds: dict, raw, empty: str,
+                refused, refine=None):
+    """(rows, lines, refusal): the records a csv ``reader`` of ``stream``, a
+    StringIO with LF line ends, holds after ``header``, to the first refused:
+    an array of ``kinds`` columns and the line each starts on.  One
+    ``np.loadtxt`` parse reads them unless the row loop must decide, as for
+    rows ``refused`` masks; a refusal is a ValueError, ``empty`` if no row."""
+    # loadtxt takes \x1c to \x1f around a number for space, which int() and
+    # float() refuse
+    at, text = stream.tell(), stream.getvalue()
+    if set(header) <= set(kinds) and not any(mark in text for mark in "\x1c\x1d\x1e\x1f"):
         try:
-            u, i, r, t = fields  # a tab row has exactly four fields
-            user, item, rating, ts = (_field(u, int), _field(i, int),
-                                      _field(r, float), _field(t, int))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed row "
-                             f"{raw!r}") from exc
-        if not math.isfinite(rating):
-            raise ValueError(f"{path}: line {lineno}: rating {r!r} "
-                             f"is not finite")
-        # chained compares: a min()/max() pair costs about 5x more per row
-        if not (-2**63 <= user < 2**63 and -2**63 <= item < 2**63
-                and -2**63 <= ts < 2**63):
-            raise ValueError(f"{path}: line {lineno}: an integer in {raw!r} "
-                             f"lies outside int64")
-        users.append(user)
-        items.append(item)
-        ratings.append(rating)
-        stamps.append(ts)
-
-    if format == "movielens-100k-tab":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line := line.rstrip("\n"):
-                    add(lineno, line.split("\t"), line)
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty file")
-            required = {"user", "item", "rating"}
-            if not required.issubset(reader.fieldnames):
-                raise ValueError(f"{path}: header must contain {sorted(required)}")
-            for lineno, rec in enumerate(reader, start=2):
-                add(lineno, (rec["user"], rec["item"], rec["rating"],
-                             rec.get("timestamp", str(lineno))), rec)
-    if not users:
-        raise ValueError(f"{path}: no ratings found")
-    return (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-            np.array(ratings, dtype=float), np.array(stamps, dtype=np.int64))
-
-
-def _load_tab_array(path):
-    """The tab format's columns from one ``np.loadtxt`` parse, or None where
-    the row loop must decide: loadtxt refuses or warns, or finds no row or a
-    non-finite rating.  loadtxt refuses every other row the loop refuses."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            # a handle, not the path: numpy opens paths itself, and
-            # decompresses .gz names and fetches URLs on the way
-            text = io.StringIO(fh.read())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
-                # comments=None: the row loop refuses '#' lines
-                rows = np.loadtxt(text, dtype=_TAB_DTYPE, delimiter="\t",
-                                  comments=None, ndmin=1)
-        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-            return None
-    if rows.size == 0 or not np.isfinite(rows["rating"]).all():
-        return None
-    return tuple(rows[name] for name in _TAB_DTYPE.names)
+                # loadtxt reads on after the header; it refuses every field
+                # _field refuses, a quote included, and every row of another
+                # width, and comments=None: the row loop refuses '#' lines
+                rows = np.loadtxt(stream, dtype=[(h, kinds[h]) for h in header],
+                                  delimiter=reader.dialect.delimiter, comments=None, ndmin=1)
+            # the line of each row after the header; loadtxt skips blank lines
+            ends = np.flatnonzero(np.frombuffer(f"\n{text[at:]}\n".encode(), np.uint8) == 10)
+            lines = np.flatnonzero(np.diff(ends) > 1) + reader.line_num + 1
+        except (ValueError, Warning):  # a lone surrogate does not encode
+            rows = np.empty(0)
+        if 0 < rows.size == lines.size and not refused(*(rows[name] for name in kinds)).any():
+            return rows, lines, None
+        stream.seek(at)  # the row loop reads on from the header too
+    rows, lines, refusal, start = [], [], None, reader.line_num + 1
+    try:
+        for fields in reader:
+            if fields:  # a blank line holds no record
+                # the record as csv.DictReader reads it (a repeated name takes
+                # its last column); one wider than the header is malformed
+                record = dict(zip_longest(header, fields)) if len(fields) <= len(header) else {}
+                texts = [record.get(name) for name in kinds]
+                try:
+                    values = tuple(_field(t, float if kinds[name] == "f8" else int)
+                                   for t, name in zip(texts, kinds))
+                except ValueError as exc:
+                    raise ValueError(f"malformed row {raw(fields)!r}") from exc
+                for name, t, v in zip(kinds, texts, values):
+                    if not math.isfinite(v):
+                        raise ValueError(f"{name} {t!r} is not finite")
+                values = refine(*values) if refine else values
+                if not all(-2**63 <= v < 2**63 for v in values if isinstance(v, int)):
+                    raise ValueError(f"an integer in {raw(fields)!r} lies outside int64")
+                rows.append(values)
+                lines.append(start)
+            start = reader.line_num + 1  # the next record's first line
+    except (ValueError, csv.Error) as exc:
+        refusal = ValueError(f"line {start}: {exc}")
+    if not rows and refusal is None:
+        refusal = ValueError(empty)
+    return np.array(rows, dtype=list(kinds.items())), np.array(lines, dtype=np.int64), refusal
 
 
 def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
@@ -189,18 +177,85 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
 
     ``movielens-100k-tab`` rows are exactly four tab-separated fields,
     ``user item rating timestamp``.  ``generic-csv`` expects a header with
-    ``user,item,rating`` and an optional ``timestamp`` column.  A rating is
-    any finite ASCII number, fractional ones included; user, item and
-    timestamp are an optional sign and ASCII digits that fit in int64.
-    Duplicate (user, item) entries keep the latest timestamp (row order
-    breaks ties).
+    ``user,item,rating`` and an optional ``timestamp`` column (else the line
+    number), and no row wider than it.  A rating is any finite ASCII number;
+    user, item and timestamp are an optional sign and ASCII digits that fit
+    in int64.  Duplicate (user, item) entries keep the latest timestamp (row
+    order breaks ties).  A bad row raises ValueError naming its line.
     """
     if format not in ("movielens-100k-tab", "generic-csv"):
         raise ValueError(f"unknown ratings format {format!r}")
-    columns = _load_tab_array(path) if format == "movielens-100k-tab" else None
-    if columns is None:
-        columns = _read_rows(path, format)
-    return _dedup_latest(*columns)
+    tab = format == "movielens-100k-tab"
+    # universal newlines give LF line ends; the buffer goes before the dedup sorts
+    with open(path, encoding="utf-8") as fh, io.StringIO(fh.read()) as stream:
+        reader = csv.reader(stream, delimiter="\t" if tab else ",",
+                            quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
+        header = list(_KINDS) if tab else next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if not {"user", "item", "rating"}.issubset(header):
+            raise ValueError(f"{path}: header must contain ['item', 'rating', 'user']")
+        kinds = {name: kind for name, kind in _KINDS.items() if name in header}
+        # the row as its error names it: a tab line, or a csv.DictReader
+        # record, with None for a missing field and under None an extra one
+        raw = "\t".join if tab else lambda fields: dict(zip_longest(header, fields))
+        rows, lines, refusal = _read_table(
+            stream, reader, header, kinds, raw, "no ratings found",
+            lambda user, item, rating, *stamp: ~np.isfinite(rating))
+    if refusal is not None:
+        raise ValueError(f"{path}: {refusal}") from refusal
+    stamps = rows["timestamp"] if "timestamp" in kinds else lines
+    return _dedup_latest(rows["user"], rows["item"], rows["rating"], stamps)
+
+
+def _orient(i, j, l, y):
+    """A ``rank`` row (i, j, l, y) oriented i < j, once it compares two items."""
+    if i == j:
+        raise ValueError(f"self-comparison {i}")
+    if l < 1:
+        raise ValueError(f"rounds are one-based, got {l}")
+    return (j, i, l, -y) if i > j else (i, j, l, y)
+
+
+def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
+    """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, fields
+    read by ``ingest``'s rule: rows oriented i < j and sorted once by (pair,
+    round), so that each pair's L outcomes fill one row of a (pairs, L) array.
+    Outcome sums are exact Python ints, sign sums int64.  Every pair needs
+    rounds 1..L, one L for all; pairs keep the order of their first row."""
+    kinds = dict.fromkeys("ijly", "i8")
+    with io.StringIO(text, newline=None) as stream:  # LF line ends, as ``rank`` reads a file
+        reader = csv.reader(stream)
+        if [h.strip() for h in next(reader, [])] != ["i", "j", "l", "y"]:
+            raise ValueError("expected CSV header 'i,j,l,y'")
+        rows, lines, refusal = _read_table(  # the rows _orient refuses or turns past int64
+            stream, reader, list(kinds), kinds, list, "no comparison rows found",
+            lambda i, j, l, y: (i == j) | (l < 1) | ((i > j) & (y == -2**63)), _orient)
+    # orient the rows of the array parse; the row loop's already are
+    first, second = np.minimum(rows["i"], rows["j"]), np.maximum(rows["i"], rows["j"])
+    y = np.where(rows["i"] > rows["j"], -rows["y"], rows["y"])
+    order = np.lexsort((rows["l"], second, first))  # stable: a repeat sorts after its first
+    first, second, l, y = first[order], second[order], rows["l"][order], y[order]
+    bad = np.flatnonzero((y == 0) | ~_run_starts(first, second, l))
+    for k in bad[np.argsort(order[bad])][:1]:  # the first in file order, before refusal's
+        if y[k] == 0:
+            raise CorruptDataError(f"pair ({first[k]}, {second[k]}) contains a zero outcome")
+        raise ValueError(f"line {lines[order[k]]}: duplicate round {l[k]} "
+                         f"for pair ({first[k]},{second[k]})")
+    if refusal is not None:
+        raise refusal
+    starts = np.flatnonzero(_run_starts(first, second))
+    counts = np.diff(np.r_[starts, y.size])
+    if np.any(counts != counts[0]):
+        raise ValueError(f"pairs carry unequal round counts: {np.unique(counts).tolist()}")
+    L = int(counts[0])
+    listed = np.argsort(order.reshape(-1, L).min(axis=1))  # pairs in file order
+    # L distinct rounds, all >= 1, are 1..L when the last of them is L
+    for p in starts[listed[l.reshape(-1, L)[listed, -1] != L]][:1]:
+        raise ValueError(f"pair {(int(first[p]), int(second[p]))} rounds are not 1..{L}")
+    return ComparisonDataset(n, L, first[starts[listed]], second[starts[listed]],
+                             y.astype(object).reshape(-1, L).sum(axis=1)[listed],
+                             np.sign(y).reshape(-1, L).sum(axis=1)[listed])
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,22 @@
 """Counting-based ranking from paired-comparison outcomes.
 
-Items are scored by summing their observed comparison outcomes (raw ordinal
-values, or their signs after binarization) and ranked by score.  The module
-also provides the ranking-error metric (fraction of misordered pairs, ties
-counting as errors), the expected score vectors, and the closed-form
-normal-limit predictors for the two-item success probabilities and the
-n-item expected ranking error.
+Items are scored by summing their comparison outcomes (raw ordinal values,
+or their signs after binarization) and ranked by score.  The module also
+provides the ranking error (misordered pairs, ties counting as errors), the
+expected scores, and the normal-limit predictors of two-item success and
+n-item ranking error.  It reads no text: ``data.dataset_from_csv`` turns a
+comparison file into a ``ComparisonDataset``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .model import CorruptDataError, OrdinalModel, sech2
+from .model import OrdinalModel, sech2
 
 __all__ = [
     "PreferenceVector",
@@ -29,7 +27,6 @@ __all__ = [
     "expected_scores",
     "asymptotic_two_item",
     "asymptotic_tau",
-    "dataset_from_csv",
 ]
 
 
@@ -218,49 +215,3 @@ def asymptotic_tau(model: OrdinalModel, theta: PreferenceVector, L: int) -> tupl
         tau_ordinal = float(np.mean(ndtr(-scale * d_bar / np.sqrt(inv_snr + spread))))
         tau_binary = float(np.mean(ndtr(-scale * d_bar / np.sqrt(spread))))
     return tau_ordinal, tau_binary
-
-
-def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
-    """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, each field
-    read by ``ingest``'s rule; raw sums are exact Python ints."""
-    from .data import _field  # here, so that importing ranking loads no data module
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["i", "j", "l", "y"]:
-        raise ValueError("expected CSV header 'i,j,l,y'")
-    per_pair: dict[tuple[int, int], list] = {}  # raw sum, sign sum, rounds seen
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            i, j, l, y = (_field(v, int) for v in row)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed row {row!r}") from exc
-        if i == j:
-            raise ValueError(f"line {lineno}: self-comparison {i}")
-        if l < 1:
-            raise ValueError(f"line {lineno}: rounds are one-based, got {l}")
-        if i > j:
-            i, j, y = j, i, -y
-        if not -2**63 <= min(i, j, l, y) <= max(i, j, l, y) < 2**63:
-            raise ValueError(f"line {lineno}: an integer in {row!r} lies outside int64")
-        if y == 0:
-            raise CorruptDataError(f"pair ({i}, {j}) contains a zero outcome")
-        sums = per_pair.setdefault((i, j), [0, 0, set()])
-        if l in sums[2]:
-            raise ValueError(f"line {lineno}: duplicate round {l} for pair ({i},{j})")
-        sums[0] += y
-        sums[1] += 1 if y > 0 else -1
-        sums[2].add(l)
-    if not per_pair:
-        raise ValueError("no comparison rows found")
-    counts = {len(r) for _, _, r in per_pair.values()}
-    if len(counts) != 1:
-        raise ValueError(f"pairs carry unequal round counts: {sorted(counts)}")
-    L = counts.pop()
-    for pair, (_, _, rounds) in per_pair.items():
-        if max(rounds) != L:  # L distinct rounds, all >= 1, are 1..L when none exceeds L
-            raise ValueError(f"pair {pair} rounds are not 1..{L}")
-    first, second = np.array(list(per_pair), dtype=np.int64).T
-    raw, sign, _ = zip(*per_pair.values())
-    return ComparisonDataset(n, L, first, second, np.array(raw, dtype=object), np.array(sign))

@@ -606,6 +606,37 @@ class TestInputBoundaries:
         assert "line 2: malformed row '1_0\\t20\\t4\\t101'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["user,item,rating\n1,10,5\n1,20,4,99\n",
+                                      "user,item,rating,timestamp\n1,10,5,1\n1,20,4,2,\n"],
+                             ids=["extra-value", "trailing-comma"])
+    def test_generic_csv_row_wider_than_header_is_exit_2(self, tmp_path, capsys, text):
+        raw = tmp_path / "r.csv"
+        raw.write_text(text, encoding="utf-8")
+        out = tmp_path / "pairs.npz"
+        assert run_cli("ingest", "--format", "generic-csv", "--path", str(raw),
+                       "--out", str(out)) == 2
+        assert "line 3: malformed row" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,line", [
+        ("ingest", "1\t10\t5\t100\n\n\n1\tx\t3\t101\n", 4),
+        ("ingest-csv", "user,item,rating\n1,10,5\n\n\n1,x,3\n", 5),
+        ("ingest-csv", "user,item,rating\r\n1,10,5\r\n\r1,x,3\r\n", 4),
+        ("rank", "i,j,l,y\n0,1,1,2\n\n\n0,x,2,1\n", 5),
+    ], ids=["tab", "generic-csv", "generic-csv-crlf-cr", "rank"])
+    def test_bad_row_after_blank_lines_names_its_physical_line(self, tmp_path, capsys,
+                                                               command, text, line):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.5, -0.5]", encoding="utf-8")
+        args = {"ingest": ("ingest", "--path", str(path), "--out", str(tmp_path / "p.npz")),
+                "ingest-csv": ("ingest", "--format", "generic-csv", "--path", str(path),
+                               "--out", str(tmp_path / "p.npz")),
+                "rank": ("rank", "--input", str(path), "--theta", str(theta))}[command]
+        assert run_cli(*args) == 2
+        assert f"line {line}: malformed row" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,name,text", [
         ("ingest", "u.data", "1\t10\t5\t100\n99999999999999999999\t20\t4\t101\n"),
         ("rank", "data.csv", "i,j,l,y\n0,1,1,99999999999999999999\n"),

@@ -3,11 +3,13 @@ predictors, against hand oracles and exact enumeration."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ordrank.data import dataset_from_csv
 from ordrank.model import (
     CorruptDataError,
     OrdinalModel,
@@ -20,7 +22,6 @@ from ordrank.ranking import (
     asymptotic_tau,
     asymptotic_two_item,
     count_scores,
-    dataset_from_csv,
     expected_scores,
     kendall_tau,
 )
@@ -461,3 +462,13 @@ class TestDatasetCsv:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             dataset_from_csv("a,b,c,d\n0,1,1,2\n", n=2)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1,1,2\n2,2,1,1\n0,1,2,1\n0,1,x,1\n", "line 3: self-comparison 2"),
+        ("0,1,1,2\n0,1,2,1\n1,0,2,3\n0,2,1,1\n3,3,1,1\n", "line 4: duplicate round 2"),
+    ], ids=["self-comparison-before-malformed", "duplicate-before-self-comparison"])
+    def test_first_faulty_line_in_file_order(self, rows, message):
+        # the array parse reads every row before any is checked, and a later
+        # fault must not hide an earlier one
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            dataset_from_csv("i,j,l,y\n" + rows, n=4)

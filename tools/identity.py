@@ -44,6 +44,15 @@ The families:
   raw sums of 2^62 + 2^62 that leave int64), a seeded file that mixes all
   three, and two refused files (a zero outcome, an item past theta).  Item
   4 appears in no row of any file;
+- ``text-edge``: exit code and stdout of ``ingest`` (both formats, the pair
+  arrays too where it writes them) and of ``rank`` on small edge files: blank
+  lines, CRLF and bare CR line ends, quoted and padded fields, ``1_0`` and
+  non-ASCII digits, values outside int64 (``1,0,1,-9223372036854775808``
+  leaves int64 only once oriented, ``1,0,1,9223372036854775808`` enters it),
+  a repeated round, unequal round counts, rounds that are not 1..L, a
+  self-comparison before a malformed row, and header-only files.  A
+  ``generic-csv`` row wider than its header is left out: it is refused since
+  the readers were unified, and before that its extra value was dropped;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
   and ``rank``.
 """
@@ -95,6 +104,37 @@ RANK_FILES = (
     "0,1,1,2\n0,5,1,1\n",
 )
 RANK_SEED = 2001
+EDGE_TAB = (
+    "1\t10\t5\t100\n\n1\t20\t4\t101\r\n2\t10\t3\t102\r2\t20\t5\t103\n",
+    " 1\t10\t5\t100\n1\t20 \t4\t101\n2\t10\t3\t102\n2\t20\t5\t103\n",
+    "1\t10\t5\t100\n1_0\t20\t4\t101\n",
+    "1\t10\t5\t100\n\u0661\t20\t4\t101\n",
+    "1\t10\t5\t100\n\n\n1\tx\t3\t101\n",
+    "1\t10\t5\t9223372036854775808\n",
+    "",
+)
+EDGE_CSV = (
+    "user,item,rating\n1,10,5\n\n1,20,4\r\n2,10,3\r2,20,5\n",
+    'user,item,rating,timestamp\n"1",10,"4.5",100\n1, 20 ,3,101\n2,10,2,102\n2,20,1,103\n',
+    "user,item,rating\n1,10,5\n\n\n1,x,3\n",
+    "user,item,rating\n1,10,5\n1,2_0,4\n",
+    "user,item,rating,timestamp\n1,10,5,\u0667\n",
+    "user,item,rating\n99999999999999999999,10,5\n",
+    "user,item,rating\n",
+)
+EDGE_RANK = (
+    "i,j,l,y\n0,1,1,2\n\n0,1,2,-1\r\n1,2,1,3\r1,2,2,1\n",
+    'i,j,l,y\n"0",1,1, 2\n0,1,2,-3 \n',
+    "i,j,l,y\n0,1,1,2\n0,1,2,1_0\n",
+    "i,j,l,y\n0,1,1,2\n0,1,2,\u0663\n",
+    "i,j,l,y\n1,0,1,-9223372036854775808\n",
+    "i,j,l,y\n1,0,1,9223372036854775808\n1,0,2,1\n",
+    "i,j,l,y\n0,1,1,2\n1,0,1,-1\n",
+    "i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n",
+    "i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,3,1\n",
+    "i,j,l,y\n0,1,1,2\n2,2,1,1\n0,1,2,1\n0,1,x,1\n",
+    "i,j,l,y\n",
+)
 MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
 CSV_SEED, CSV_MIN = 1802, 4
 
@@ -131,13 +171,15 @@ def ratings_rows(seed: int, n_users: int, n_items: int, max_per_user: int,
 
 
 def add_ingest(add, family: str, workdir: Path, ratings: Path, *flags: str) -> Path:
-    """Add ``ingest``'s exit code, stdout and pair arrays; return the pairs file."""
-    pairs = workdir / f"{family}.npz"
+    """Add ``ingest``'s exit code, stdout and the pair arrays it writes;
+    return the pairs file."""
+    pairs = workdir / f"{ratings.name}.npz"
     add(family, run("ingest", "--path", str(ratings), *flags, "--out", str(pairs)))
-    with np.load(pairs) as z:
-        for name in sorted(z.files):
-            a = z[name]
-            add(family, f"{name} {a.dtype.str} {a.shape}".encode() + a.tobytes())
+    if pairs.exists():
+        with np.load(pairs) as z:
+            for name in sorted(z.files):
+                a = z[name]
+                add(family, f"{name} {a.dtype.str} {a.shape}".encode() + a.tobytes())
     return pairs
 
 
@@ -227,6 +269,17 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
         data.write_text("i,j,l,y\n" + rows_text, encoding="utf-8")
         theta_file.write_text(theta, encoding="utf-8")
         add("rank", run("rank", "--input", str(data), "--theta", str(theta_file)))
+
+    theta_file.write_text(RANK_THETAS[0], encoding="utf-8")
+    for k, (flags, text) in enumerate(
+            [((), t) for t in EDGE_TAB] + [(("--format", "generic-csv"), t) for t in EDGE_CSV]
+            + [(None, t) for t in EDGE_RANK]):
+        path = workdir / f"edge{k}"
+        path.write_bytes(text.encode("utf-8"))  # bytes: CR line ends stay as written
+        if flags is None:
+            add("text-edge", run("rank", "--input", str(path), "--theta", str(theta_file)))
+        else:
+            add_ingest(add, "text-edge", workdir, path, *flags, "--min-item-ratings", "1")
 
     for argv in README_COMMANDS:
         add("readme", run(*argv))
