@@ -105,7 +105,8 @@ def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
     return RatingsTable(users[keep], items[keep], ratings[keep], timestamps[keep])
 
 
-_KINDS = {"user": "i8", "item": "i8", "rating": "f8", "timestamp": "i8"}  # ratings columns
+# the ratings columns and their dtypes
+_KINDS = {"user": "i8", "item": "i8", "rating": "f8", "timestamp": "i8"}
 
 
 def _field(text, kind):
@@ -117,51 +118,71 @@ def _field(text, kind):
 
 
 def _read_table(stream, reader, header: list, kinds: dict, raw, empty: str,
-                refused, refine=None):
-    """(rows, lines, refusal): the records a csv ``reader`` of ``stream``, a
-    StringIO with LF line ends, holds after ``header``, to the first refused:
-    an array of ``kinds`` columns and the line each starts on.  One
-    ``np.loadtxt`` parse reads them unless the row loop must decide, as for
-    rows ``refused`` masks; a refusal is a ValueError, ``empty`` if no row."""
-    # loadtxt takes \x1c to \x1f around a number for space, which int() and
-    # float() refuse
+                rule=lambda *columns: columns):
+    """(columns, lines, refusal): the records that a csv ``reader`` of
+    ``stream``, a StringIO with LF line ends, holds after ``header``, up to
+    the first bad one, as ``kinds`` columns passed through ``rule``, with
+    the line each record starts on.  ``rule`` takes one row's values or
+    whole columns; it refuses with ValueError, or with OverflowError where
+    its result would leave int64.  One ``np.loadtxt`` parse reads the file
+    where it reads what the row loop would; else the row loop reads it, the
+    only code that names a bad line.  No record at all is refused as
+    ``empty``."""
     at, text = stream.tell(), stream.getvalue()
-    if set(header) <= set(kinds) and not any(mark in text for mark in "\x1c\x1d\x1e\x1f"):
+    first = reader.line_num + 1  # the line after the header
+    # loadtxt takes \x1c to \x1f around a number for space, which int() and
+    # float() refuse, and it does not unquote a field
+    if not any(text.find(mark, at) >= 0 for mark in '"\x1c\x1d\x1e\x1f'):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
-                # loadtxt reads on after the header; it refuses every field
-                # _field refuses, a quote included, and every row of another
-                # width, and comments=None: the row loop refuses '#' lines
-                rows = np.loadtxt(stream, dtype=[(h, kinds[h]) for h in header],
-                                  delimiter=reader.dialect.delimiter, comments=None, ndmin=1)
-            # the line of each row after the header; loadtxt skips blank lines
-            ends = np.flatnonzero(np.frombuffer(f"\n{text[at:]}\n".encode(), np.uint8) == 10)
-            lines = np.flatnonzero(np.diff(ends) > 1) + reader.line_num + 1
-        except (ValueError, Warning):  # a lone surrogate does not encode
-            rows = np.empty(0)
-        if 0 < rows.size == lines.size and not refused(*(rows[name] for name in kinds)).any():
-            return rows, lines, None
+                # loadtxt refuses every field _field refuses and every row
+                # of another width; it reads an unread column as no text.
+                # comments=None: the row loop refuses '#' lines
+                rows = np.loadtxt(
+                    stream, dtype=[(h, kinds.get(h, "U0")) for h in header],
+                    delimiter=reader.dialect.delimiter, comments=None,
+                    ndmin=1)
+            columns = rule(*(rows[name] for name in kinds))
+            lines = np.arange(first, first + rows.size)
+            if text.count("\n", at) + (not text.endswith("\n")) > rows.size:
+                # loadtxt skipped blank lines: number the others
+                ends = np.frombuffer(f"\n{text[at:]}\n".encode(), np.uint8)
+                ends = np.flatnonzero(ends == 10)
+                lines = np.flatnonzero(np.diff(ends) > 1) + first
+        except (ValueError, OverflowError, Warning):
+            columns = ()  # a lone surrogate does not encode
+        if columns and columns[0].size == lines.size > 0 and all(
+                np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
+            return columns, lines, None
         stream.seek(at)  # the row loop reads on from the header too
-    rows, lines, refusal, start = [], [], None, reader.line_num + 1
+    # a record as csv.DictReader reads it: a repeated name reads its last
+    # column, and a missing field None
+    column = {name: k for k, name in enumerate(header)}
+    cols, types = [column[name] for name in kinds], [
+        float if kind == "f8" else int for kind in kinds.values()]
+    rows, lines, refusal, start = [], [], None, first
     try:
         for fields in reader:
             if fields:  # a blank line holds no record
-                # the record as csv.DictReader reads it (a repeated name takes
-                # its last column); one wider than the header is malformed
-                record = dict(zip_longest(header, fields)) if len(fields) <= len(header) else {}
-                texts = [record.get(name) for name in kinds]
+                # a record wider than the header is malformed
+                texts = [fields[k] if k < len(fields) <= len(header) else None
+                         for k in cols]
                 try:
-                    values = tuple(_field(t, float if kinds[name] == "f8" else int)
-                                   for t, name in zip(texts, kinds))
+                    values = list(map(_field, texts, types))
                 except ValueError as exc:
                     raise ValueError(f"malformed row {raw(fields)!r}") from exc
                 for name, t, v in zip(kinds, texts, values):
-                    if not math.isfinite(v):
+                    if type(v) is float and not math.isfinite(v):
                         raise ValueError(f"{name} {t!r} is not finite")
-                values = refine(*values) if refine else values
-                if not all(-2**63 <= v < 2**63 for v in values if isinstance(v, int)):
-                    raise ValueError(f"an integer in {raw(fields)!r} lies outside int64")
+                try:
+                    values = rule(*values)
+                    if not all(-2**63 <= v < 2**63 for v in values
+                               if type(v) is int):
+                        raise OverflowError
+                except OverflowError:
+                    raise ValueError(f"an integer in {raw(fields)!r} lies "
+                                     f"outside int64") from None
                 rows.append(values)
                 lines.append(start)
             start = reader.line_num + 1  # the next record's first line
@@ -169,7 +190,8 @@ def _read_table(stream, reader, header: list, kinds: dict, raw, empty: str,
         refusal = ValueError(f"line {start}: {exc}")
     if not rows and refusal is None:
         refusal = ValueError(empty)
-    return np.array(rows, dtype=list(kinds.items())), np.array(lines, dtype=np.int64), refusal
+    rows = np.array(rows, dtype=list(kinds.items()))
+    return tuple(rows[name] for name in kinds), np.array(lines, int), refusal
 
 
 def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
@@ -186,60 +208,78 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
     if format not in ("movielens-100k-tab", "generic-csv"):
         raise ValueError(f"unknown ratings format {format!r}")
     tab = format == "movielens-100k-tab"
-    # universal newlines give LF line ends; the buffer goes before the dedup sorts
+    # universal newlines give LF line ends; the buffer goes before the
+    # dedup sorts
     with open(path, encoding="utf-8") as fh, io.StringIO(fh.read()) as stream:
-        reader = csv.reader(stream, delimiter="\t" if tab else ",",
-                            quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
+        reader = csv.reader(
+            stream, delimiter="\t" if tab else ",",
+            quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
         header = list(_KINDS) if tab else next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         if not {"user", "item", "rating"}.issubset(header):
-            raise ValueError(f"{path}: header must contain ['item', 'rating', 'user']")
+            raise ValueError(
+                f"{path}: header must contain ['item', 'rating', 'user']")
         kinds = {name: kind for name, kind in _KINDS.items() if name in header}
         # the row as its error names it: a tab line, or a csv.DictReader
         # record, with None for a missing field and under None an extra one
-        raw = "\t".join if tab else lambda fields: dict(zip_longest(header, fields))
-        rows, lines, refusal = _read_table(
-            stream, reader, header, kinds, raw, "no ratings found",
-            lambda user, item, rating, *stamp: ~np.isfinite(rating))
+        raw = ("\t".join if tab else
+               lambda fields: dict(zip_longest(header, fields)))
+        columns, lines, refusal = _read_table(
+            stream, reader, header, kinds, raw, "no ratings found")
     if refusal is not None:
         raise ValueError(f"{path}: {refusal}") from refusal
-    stamps = rows["timestamp"] if "timestamp" in kinds else lines
-    return _dedup_latest(rows["user"], rows["item"], rows["rating"], stamps)
+    stamps = columns[3] if "timestamp" in kinds else lines
+    return _dedup_latest(*columns[:3], stamps)
+
+
+def _any(mask) -> bool:
+    """Whether ``mask``, a bool or a bool array, holds True; np.any would
+    cost a row of the row loop as much as reading its fields."""
+    return mask is True or mask is not False and mask.any()
 
 
 def _orient(i, j, l, y):
-    """A ``rank`` row (i, j, l, y) oriented i < j, once it compares two items."""
-    if i == j:
+    """``rank`` rows (i, j, l, y), one row's ints or int64 columns, oriented
+    i < j: where i and j swap, y changes sign.  ValueError refuses an item
+    compared with itself or a round below 1, and OverflowError a sign
+    change that leaves int64.  For columns only the exception is read."""
+    if _any(i == j):
         raise ValueError(f"self-comparison {i}")
-    if l < 1:
+    if _any(l < 1):
         raise ValueError(f"rounds are one-based, got {l}")
-    return (j, i, l, -y) if i > j else (i, j, l, y)
+    swap = i > j
+    if _any(swap & (y == -2**63)):
+        raise OverflowError
+    # arithmetic, where np.where would not keep a row's ints past int64
+    return i + (j - i) * swap, j - (j - i) * swap, l, y - 2 * y * swap
 
 
 def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
     """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, fields
     read by ``ingest``'s rule: rows oriented i < j and sorted once by (pair,
-    round), so that each pair's L outcomes fill one row of a (pairs, L) array.
-    Outcome sums are exact Python ints, sign sums int64.  Every pair needs
-    rounds 1..L, one L for all; pairs keep the order of their first row."""
+    round), so that each pair's L outcomes fill one row of a (pairs, L)
+    array.  Outcome sums are exact Python ints, sign sums int64.  Every pair
+    needs rounds 1..L, one L for all; pairs keep the order of their first
+    row."""
     kinds = dict.fromkeys("ijly", "i8")
-    with io.StringIO(text, newline=None) as stream:  # LF line ends, as ``rank`` reads a file
+    # LF line ends, as ``rank`` reads a file
+    with io.StringIO(text, newline=None) as stream:
         reader = csv.reader(stream)
         if [h.strip() for h in next(reader, [])] != ["i", "j", "l", "y"]:
             raise ValueError("expected CSV header 'i,j,l,y'")
-        rows, lines, refusal = _read_table(  # the rows _orient refuses or turns past int64
-            stream, reader, list(kinds), kinds, list, "no comparison rows found",
-            lambda i, j, l, y: (i == j) | (l < 1) | ((i > j) & (y == -2**63)), _orient)
-    # orient the rows of the array parse; the row loop's already are
-    first, second = np.minimum(rows["i"], rows["j"]), np.maximum(rows["i"], rows["j"])
-    y = np.where(rows["i"] > rows["j"], -rows["y"], rows["y"])
-    order = np.lexsort((rows["l"], second, first))  # stable: a repeat sorts after its first
-    first, second, l, y = first[order], second[order], rows["l"][order], y[order]
+        (first, second, l, y), lines, refusal = _read_table(
+            stream, reader, list(kinds), kinds, list,
+            "no comparison rows found", _orient)
+    # stable: a repeated round sorts after its first
+    order = np.lexsort((l, second, first))
+    first, second, l, y = first[order], second[order], l[order], y[order]
     bad = np.flatnonzero((y == 0) | ~_run_starts(first, second, l))
-    for k in bad[np.argsort(order[bad])][:1]:  # the first in file order, before refusal's
+    # the first in file order, and before the refusal, which ends the rows
+    for k in bad[np.argsort(order[bad])][:1]:
         if y[k] == 0:
-            raise CorruptDataError(f"pair ({first[k]}, {second[k]}) contains a zero outcome")
+            raise CorruptDataError(
+                f"pair ({first[k]}, {second[k]}) contains a zero outcome")
         raise ValueError(f"line {lines[order[k]]}: duplicate round {l[k]} "
                          f"for pair ({first[k]},{second[k]})")
     if refusal is not None:
@@ -247,15 +287,18 @@ def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
     starts = np.flatnonzero(_run_starts(first, second))
     counts = np.diff(np.r_[starts, y.size])
     if np.any(counts != counts[0]):
-        raise ValueError(f"pairs carry unequal round counts: {np.unique(counts).tolist()}")
+        raise ValueError("pairs carry unequal round counts: "
+                         f"{np.unique(counts).tolist()}")
     L = int(counts[0])
-    listed = np.argsort(order.reshape(-1, L).min(axis=1))  # pairs in file order
+    listed = np.argsort(order.reshape(-1, L).min(axis=1))  # in file order
     # L distinct rounds, all >= 1, are 1..L when the last of them is L
     for p in starts[listed[l.reshape(-1, L)[listed, -1] != L]][:1]:
-        raise ValueError(f"pair {(int(first[p]), int(second[p]))} rounds are not 1..{L}")
-    return ComparisonDataset(n, L, first[starts[listed]], second[starts[listed]],
-                             y.astype(object).reshape(-1, L).sum(axis=1)[listed],
-                             np.sign(y).reshape(-1, L).sum(axis=1)[listed])
+        raise ValueError(f"pair {(int(first[p]), int(second[p]))} "
+                         f"rounds are not 1..{L}")
+    return ComparisonDataset(
+        n, L, first[starts[listed]], second[starts[listed]],
+        y.astype(object).reshape(-1, L).sum(axis=1)[listed],
+        np.sign(y).reshape(-1, L).sum(axis=1)[listed])
 
 
 @dataclass(frozen=True)

@@ -640,7 +640,10 @@ class TestInputBoundaries:
     @pytest.mark.parametrize("command,name,text", [
         ("ingest", "u.data", "1\t10\t5\t100\n99999999999999999999\t20\t4\t101\n"),
         ("rank", "data.csv", "i,j,l,y\n0,1,1,99999999999999999999\n"),
-    ], ids=["ingest", "rank"])
+        # past float range too: 400 digits
+        ("ingest", "u.data", f"1\t10\t5\t100\n1{'0' * 400}\t20\t4\t101\n"),
+        ("rank", "data.csv", f"i,j,l,y\n0,1,1,1{'0' * 400}\n"),
+    ], ids=["ingest", "rank", "ingest-400-digits", "rank-400-digits"])
     def test_integer_outside_int64_is_exit_2(self, tmp_path, capsys, command,
                                              name, text):
         path = tmp_path / name

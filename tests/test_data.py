@@ -296,7 +296,7 @@ TAB_ROW = st.tuples(PAD, INT_FIELD, INT_FIELD, RATING_FIELD, INT_FIELD, PAD).map
     lambda r: r[0] + "\t".join(r[1:5]) + r[5])
 TOKENS = ["0", "7", "-3", "+", "-", "_", "1_0", "\u0661", "\u0663", "\uff15",
           "2.5", "1e3", "nan", "inf", "-inf", "NaN", " ", "\xa0", "\x0b", "#",
-          "\ufeff", "9" * 20, "\x0c", "\x1c", "\x85", "\u2028",
+          "\ufeff", "9" * 20, "9" * 400, "\x0c", "\x1c", "\x85", "\u2028",
           "\udcff"]  # \udcff writes the byte 0xff
 ODD_FIELD = st.lists(st.sampled_from(TOKENS), max_size=3).map("".join)
 ODD_LINE = st.one_of(
@@ -356,7 +356,7 @@ def rank_csv(draw):
     row in either orientation and in any order, after up to two edits: a
     repeated or dropped row, a shifted round, a round below 1, a
     self-comparison, an item outside 0..4, or an outcome of 0 or near or
-    past the int64 bounds."""
+    past the int64 bounds; an item or outcome may be 400 digits long."""
     L = draw(st.integers(1, 3))
     pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
         lambda p: p[0] != p[1]), min_size=1, max_size=4, unique=True))
@@ -376,9 +376,10 @@ def rank_csv(draw):
         elif edit == "self":
             row[1] = row[0]
         elif edit == "item":
-            row[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, 5]))
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, 5, 10**400]))
         elif edit == "outcome":
-            row[3] = draw(st.sampled_from([0, 2**62, 2**63, -2**63, -2**63 - 1, 10**20]))
+            row[3] = draw(st.sampled_from([0, 2**62, 2**63, -2**63, -2**63 - 1, 10**20,
+                                           -10**400]))
     rows = [[str(v) for v in ([j, i, l, -y] if draw(st.booleans()) else [i, j, l, y])]
             for i, j, l, y in draw(st.permutations(rows))]
     restyle(draw, rows)
@@ -492,6 +493,18 @@ class TestLoadRatings:
         assert_same_table(table, _dedup_latest(
             *reference_read_rows(movielens_file, "movielens-100k-tab")))
 
+    @pytest.mark.parametrize("text", [
+        "user,genre,item,rating\n1,drama,10,5\n1,,20,4\n2,x y,10,3\n",
+        "user,item,rating,timestamp\n1,10,5,100\n\n1,20,4,101\n\n\n",
+    ], ids=["unread-column", "blank-lines"])
+    def test_generic_csv_parses_as_one_array(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(data_mod, "_field", side_effect=AssertionError):
+            table = load_ratings(path, format="generic-csv")
+        assert_same_table(table, _dedup_latest(
+            *reference_read_rows(path, "generic-csv")))
+
     @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"],
                              ids=["empty", "newline", "blank-lines"])
     def test_empty_file_warns_nothing(self, tmp_path, text):
@@ -581,6 +594,15 @@ class TestDatasetFromCsv:
     def test_header_only_has_no_rows(self, text):
         with pytest.raises(ValueError, match="^no comparison rows found$"):
             dataset_from_csv(text, n=2)
+
+    def test_parses_as_one_array(self):
+        # the row loop, the only caller of _field, never runs
+        text = "i,j,l,y\n1,0,1,-2\n0,1,2,3\n\n1,2,1,1\n2,1,2,1\n"
+        with mock.patch.object(data_mod, "_field", side_effect=AssertionError):
+            got = dataset_from_csv(text, n=3)
+        want = reference_dataset_from_csv(text, n=3)
+        for name in ("first", "second", "raw", "sign"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     @settings(max_examples=400, deadline=None)
     @given(text=rank_csv())

@@ -47,8 +47,9 @@ The families:
 - ``text-edge``: exit code and stdout of ``ingest`` (both formats, the pair
   arrays too where it writes them) and of ``rank`` on small edge files: blank
   lines, CRLF and bare CR line ends, quoted and padded fields, ``1_0`` and
-  non-ASCII digits, values outside int64 (``1,0,1,-9223372036854775808``
-  leaves int64 only once oriented, ``1,0,1,9223372036854775808`` enters it),
+  non-ASCII digits, an unread column, values outside int64 (up to 400
+  digits; ``1,0,1,-9223372036854775808`` leaves int64 only once oriented,
+  ``1,0,1,9223372036854775808`` enters it),
   a repeated round, unequal round counts, rounds that are not 1..L, a
   self-comparison before a malformed row, and header-only files.  A
   ``generic-csv`` row wider than its header is left out: it is refused since
@@ -111,6 +112,7 @@ EDGE_TAB = (
     "1\t10\t5\t100\n\u0661\t20\t4\t101\n",
     "1\t10\t5\t100\n\n\n1\tx\t3\t101\n",
     "1\t10\t5\t9223372036854775808\n",
+    f"1\t10\t5\t100\n1{'0' * 400}\t20\t4\t101\n",
     "",
 )
 EDGE_CSV = (
@@ -120,6 +122,8 @@ EDGE_CSV = (
     "user,item,rating\n1,10,5\n1,2_0,4\n",
     "user,item,rating,timestamp\n1,10,5,\u0667\n",
     "user,item,rating\n99999999999999999999,10,5\n",
+    f"user,item,rating\n1,1{'0' * 400},5\n",
+    'user,genre,item,rating\n1,drama,10,5\n1,"a,b",20,4\n2,,10,3\n2,x,20,5\n',
     "user,item,rating\n",
 )
 EDGE_RANK = (
@@ -133,6 +137,8 @@ EDGE_RANK = (
     "i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n",
     "i,j,l,y\n0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,3,1\n",
     "i,j,l,y\n0,1,1,2\n2,2,1,1\n0,1,2,1\n0,1,x,1\n",
+    f"i,j,l,y\n0,1,1,-1{'0' * 400}\n",
+    f"i,j,l,y\n0,1,1,2\n1{'0' * 400},1{'0' * 400},1,1\n",
     "i,j,l,y\n",
 )
 MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
