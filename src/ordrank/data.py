@@ -1,12 +1,13 @@
 """Text input, ratings ingestion and the split-train-predict protocol.
 
-Ratings files and ``rank``'s comparison CSV share one reader: one
-``np.loadtxt`` parse where it can tell, else a row loop naming the first
-bad line.  Ratings become pairwise data: per user and pair of sufficiently
-rated items, the signed rating difference is one ordinal comparison, zeros
-dropped.  The protocol repeatedly splits each pair's comparisons, predicts
-the held-out direction from the sign of the training side's raw or sign
-sum, and compares the two with a paired t-test.
+Ratings files and ``rank``'s comparison CSV share one reader of typed
+fields: one ``np.loadtxt`` parse of the text's bytes where it can tell,
+else a row loop naming the first bad line; ``rank`` orients and checks
+its rows as arrays.  Ratings become pairwise data: per user and pair of
+sufficiently rated items, the signed rating difference is one ordinal
+comparison, zeros dropped.  The protocol repeatedly splits each pair's
+comparisons, predicts the held-out direction from the sign of the
+training side's raw or sign sum, and compares the two with a paired t-test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -117,50 +118,52 @@ def _field(text, kind):
     return kind(text)
 
 
-def _read_table(stream, reader, header: list, kinds: dict, raw, empty: str,
-                rule=lambda *columns: columns):
-    """(columns, lines, refusal): the records that a csv ``reader`` of
-    ``stream``, a StringIO with LF line ends, holds after ``header``, up to
-    the first bad one, as ``kinds`` columns passed through ``rule``, with
-    the line each record starts on.  ``rule`` takes one row's values or
-    whole columns; it refuses with ValueError, or with OverflowError where
-    its result would leave int64.  One ``np.loadtxt`` parse reads the file
-    where it reads what the row loop would; else the row loop reads it, the
-    only code that names a bad line.  No record at all is refused as
-    ``empty``."""
-    at, text = stream.tell(), stream.getvalue()
+def _lines(text: str):
+    """``text``'s lines, split at LF; the first and the rest are each buffered once read."""
+    yield from io.StringIO(text[:text.find("\n") + 1])
+    yield from io.StringIO(text[text.find("\n") + 1:])
+
+
+def _read_table(text: str, reader, header: list, kinds: dict, raw, empty: str):
+    """(columns, lines, refusal): the records that ``reader``, a csv reader of
+    ``_lines(text)`` for LF line ends, holds after ``header``, up to the first
+    bad one, as ``kinds`` columns, with the line each record starts on.  Each
+    field is read by ``_field``, an integer in int64 as written.  One
+    ``np.loadtxt`` parse of the text's bytes reads the file where it reads
+    what the row loop would; else the row loop reads it, the only code that
+    names a bad line.  No record at all is refused as ``empty``."""
     first = reader.line_num + 1  # the line after the header
+    at = sum(map(len, islice(_lines(text), reader.line_num)))  # and its offset
     # loadtxt takes \x1c to \x1f around a number for space, which int() and
     # float() refuse, and it does not unquote a field
     if not any(text.find(mark, at) >= 0 for mark in '"\x1c\x1d\x1e\x1f'):
         try:
+            body = text[at:].encode()  # a lone surrogate does not encode
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
                 # loadtxt refuses every field _field refuses and every row
                 # of another width; it reads an unread column as no text.
                 # comments=None: the row loop refuses '#' lines
+                # decoded by a TextIOWrapper: loadtxt decodes UTF-8 slower
                 rows = np.loadtxt(
-                    stream, dtype=[(h, kinds.get(h, "U0")) for h in header],
-                    delimiter=reader.dialect.delimiter, comments=None,
-                    ndmin=1)
-            columns = rule(*(rows[name] for name in kinds))
+                    io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"),
+                    dtype=[(h, kinds.get(h, "U0")) for h in header],
+                    delimiter=reader.dialect.delimiter, comments=None, ndmin=1)
+            columns = tuple(rows[name] for name in kinds)
             lines = np.arange(first, first + rows.size)
-            if text.count("\n", at) + (not text.endswith("\n")) > rows.size:
+            if body.count(b"\n") + (not body.endswith(b"\n")) > rows.size:
                 # loadtxt skipped blank lines: number the others
-                ends = np.frombuffer(f"\n{text[at:]}\n".encode(), np.uint8)
-                ends = np.flatnonzero(ends == 10)
+                ends = np.flatnonzero(np.frombuffer(b"\n%b\n" % body, np.uint8) == 10)
                 lines = np.flatnonzero(np.diff(ends) > 1) + first
         except (ValueError, OverflowError, Warning):
-            columns = ()  # a lone surrogate does not encode
+            columns = ()
         if columns and columns[0].size == lines.size > 0 and all(
                 np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
             return columns, lines, None
-        stream.seek(at)  # the row loop reads on from the header too
     # a record as csv.DictReader reads it: a repeated name reads its last
     # column, and a missing field None
-    column = {name: k for k, name in enumerate(header)}
-    cols, types = [column[name] for name in kinds], [
-        float if kind == "f8" else int for kind in kinds.values()]
+    cols = [max(k for k, h in enumerate(header) if h == name) for name in kinds]
+    types = [float if kind == "f8" else int for kind in kinds.values()]
     rows, lines, refusal, start = [], [], None, first
     try:
         for fields in reader:
@@ -169,21 +172,15 @@ def _read_table(stream, reader, header: list, kinds: dict, raw, empty: str,
                 texts = [fields[k] if k < len(fields) <= len(header) else None
                          for k in cols]
                 try:
-                    values = list(map(_field, texts, types))
+                    values = tuple(map(_field, texts, types))
                 except ValueError as exc:
                     raise ValueError(f"malformed row {raw(fields)!r}") from exc
                 for name, t, v in zip(kinds, texts, values):
                     if type(v) is float and not math.isfinite(v):
                         raise ValueError(f"{name} {t!r} is not finite")
-                try:
-                    values = rule(*values)
-                    if not all(-2**63 <= v < 2**63 for v in values
-                               if type(v) is int):
-                        raise OverflowError
-                except OverflowError:
-                    raise ValueError(f"an integer in {raw(fields)!r} lies "
-                                     f"outside int64") from None
-                rows.append(values)
+                if not all(-2**63 <= v < 2**63 for v in values if type(v) is int):
+                    raise ValueError(f"an integer in {raw(fields)!r} lies outside int64")
+                rows.append(values)  # a tuple: a list fills a (1, 4) array
                 lines.append(start)
             start = reader.line_num + 1  # the next record's first line
     except (ValueError, csv.Error) as exc:
@@ -208,80 +205,61 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
     if format not in ("movielens-100k-tab", "generic-csv"):
         raise ValueError(f"unknown ratings format {format!r}")
     tab = format == "movielens-100k-tab"
-    # universal newlines give LF line ends; the buffer goes before the
-    # dedup sorts
-    with open(path, encoding="utf-8") as fh, io.StringIO(fh.read()) as stream:
-        reader = csv.reader(
-            stream, delimiter="\t" if tab else ",",
-            quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
-        header = list(_KINDS) if tab else next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if not {"user", "item", "rating"}.issubset(header):
-            raise ValueError(
-                f"{path}: header must contain ['item', 'rating', 'user']")
-        kinds = {name: kind for name, kind in _KINDS.items() if name in header}
-        # the row as its error names it: a tab line, or a csv.DictReader
-        # record, with None for a missing field and under None an extra one
-        raw = ("\t".join if tab else
-               lambda fields: dict(zip_longest(header, fields)))
-        columns, lines, refusal = _read_table(
-            stream, reader, header, kinds, raw, "no ratings found")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()  # universal newlines give LF line ends
+    reader = csv.reader(_lines(text), delimiter="\t" if tab else ",",
+                        quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
+    header = list(_KINDS) if tab else next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if not {"user", "item", "rating"}.issubset(header):
+        raise ValueError(f"{path}: header must contain ['item', 'rating', 'user']")
+    kinds = {name: kind for name, kind in _KINDS.items() if name in header}
+    # the row as its error names it: a tab line, or a csv.DictReader record,
+    # with None for a missing field and under None an extra one
+    raw = "\t".join if tab else lambda fields: dict(zip_longest(header, fields))
+    columns, lines, refusal = _read_table(text, reader, header, kinds, raw,
+                                          "no ratings found")
+    del text, reader  # the text and any line buffer go before the dedup sorts
     if refusal is not None:
         raise ValueError(f"{path}: {refusal}") from refusal
     stamps = columns[3] if "timestamp" in kinds else lines
     return _dedup_latest(*columns[:3], stamps)
 
 
-def _any(mask) -> bool:
-    """Whether ``mask``, a bool or a bool array, holds True; np.any would
-    cost a row of the row loop as much as reading its fields."""
-    return mask is True or mask is not False and mask.any()
-
-
-def _orient(i, j, l, y):
-    """``rank`` rows (i, j, l, y), one row's ints or int64 columns, oriented
-    i < j: where i and j swap, y changes sign.  ValueError refuses an item
-    compared with itself or a round below 1, and OverflowError a sign
-    change that leaves int64.  For columns only the exception is read."""
-    if _any(i == j):
-        raise ValueError(f"self-comparison {i}")
-    if _any(l < 1):
-        raise ValueError(f"rounds are one-based, got {l}")
-    swap = i > j
-    if _any(swap & (y == -2**63)):
-        raise OverflowError
-    # arithmetic, where np.where would not keep a row's ints past int64
-    return i + (j - i) * swap, j - (j - i) * swap, l, y - 2 * y * swap
-
-
 def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
-    """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, fields
-    read by ``ingest``'s rule: rows oriented i < j and sorted once by (pair,
-    round), so that each pair's L outcomes fill one row of a (pairs, L)
-    array.  Outcome sums are exact Python ints, sign sums int64.  Every pair
-    needs rounds 1..L, one L for all; pairs keep the order of their first
-    row."""
-    kinds = dict.fromkeys("ijly", "i8")
+    """The per-pair sums of CSV rows ``i,j,l,y`` among ``n`` items, fields read
+    by ``ingest``'s rule: rows oriented i < j (y changes sign) and sorted once
+    by (pair, round), so that each pair's L outcomes fill one row of a (pairs,
+    L) array.  Raw sums are exact Python ints, sign sums int64.  Every pair
+    needs rounds 1..L, one L for all; pairs keep the order of their first row.
+    The first row in the file with a fault is refused, for its first of: a
+    field the reader refuses, a self-comparison, a round below 1, a zero
+    outcome, a repeated round."""
     # LF line ends, as ``rank`` reads a file
-    with io.StringIO(text, newline=None) as stream:
-        reader = csv.reader(stream)
-        if [h.strip() for h in next(reader, [])] != ["i", "j", "l", "y"]:
-            raise ValueError("expected CSV header 'i,j,l,y'")
-        (first, second, l, y), lines, refusal = _read_table(
-            stream, reader, list(kinds), kinds, list,
-            "no comparison rows found", _orient)
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    kinds = dict.fromkeys("ijly", "i8")
+    reader = csv.reader(_lines(text))
+    if [h.strip() for h in next(reader, [])] != list(kinds):
+        raise ValueError("expected CSV header 'i,j,l,y'")
+    (i, j, l, y), lines, refusal = _read_table(
+        text, reader, list(kinds), kinds, list, "no comparison rows found")
+    flip, first, second = 1 - 2 * (i > j), np.minimum(i, j), np.maximum(i, j)
     # stable: a repeated round sorts after its first
     order = np.lexsort((l, second, first))
-    first, second, l, y = first[order], second[order], l[order], y[order]
-    bad = np.flatnonzero((y == 0) | ~_run_starts(first, second, l))
+    first, second, l, y, flip = (a[order] for a in (first, second, l, y, flip))
+    bad = np.flatnonzero((first == second) | (l < 1) | (y == 0)
+                         | ~_run_starts(first, second, l))
     # the first in file order, and before the refusal, which ends the rows
     for k in bad[np.argsort(order[bad])][:1]:
+        line = f"line {lines[order[k]]}:"
+        if first[k] == second[k]:
+            raise ValueError(f"{line} self-comparison {first[k]}")
+        if l[k] < 1:
+            raise ValueError(f"{line} rounds are one-based, got {l[k]}")
         if y[k] == 0:
-            raise CorruptDataError(
-                f"pair ({first[k]}, {second[k]}) contains a zero outcome")
-        raise ValueError(f"line {lines[order[k]]}: duplicate round {l[k]} "
-                         f"for pair ({first[k]},{second[k]})")
+            raise CorruptDataError(f"pair ({first[k]}, {second[k]}) contains a zero outcome")
+        raise ValueError(f"{line} duplicate round {l[k]} for pair ({first[k]},{second[k]})")
     if refusal is not None:
         raise refusal
     starts = np.flatnonzero(_run_starts(first, second))
@@ -295,10 +273,11 @@ def dataset_from_csv(text: str, n: int) -> ComparisonDataset:
     for p in starts[listed[l.reshape(-1, L)[listed, -1] != L]][:1]:
         raise ValueError(f"pair {(int(first[p]), int(second[p]))} "
                          f"rounds are not 1..{L}")
+    # objects for the raw sums, so that a flipped -2**63 stays exact
     return ComparisonDataset(
         n, L, first[starts[listed]], second[starts[listed]],
-        y.astype(object).reshape(-1, L).sum(axis=1)[listed],
-        np.sign(y).reshape(-1, L).sum(axis=1)[listed])
+        (y.astype(object) * flip).reshape(-1, L).sum(axis=1)[listed],
+        (np.sign(y) * flip).reshape(-1, L).sum(axis=1)[listed])
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ class PatternDistribution:
             raise InvalidPatternError("weights must be finite and non-negative")
         total = w.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
-            raise InvalidPatternError(f"weights sum to {total!r}, expected 1")
+            raise InvalidPatternError(f"weights sum to {float(total)!r}, expected 1")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
     @property
@@ -164,10 +164,11 @@ class PatternDistribution:
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "PatternDistribution":
         w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if not (total > 0 and np.all(w >= 0) and np.all(np.isfinite(w))):
+        if not (np.any(w > 0) and np.all(w >= 0) and np.all(np.isfinite(w))):
             raise InvalidPatternError("weights must be non-negative with positive sum")
-        return cls(tuple(w / total))
+        with np.errstate(over="ignore"):  # finite weights may sum past the largest float
+            w = w / w.max() if w.sum() == np.inf else w  # a finite sum keeps every bit
+        return cls(tuple(w / w.sum()))
 
     @classmethod
     def from_psi(cls, psi_values: Sequence[float]) -> "PatternDistribution":

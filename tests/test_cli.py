@@ -160,6 +160,16 @@ class TestSnrCommands:
         assert "psi" not in payload
         assert run_cli("snr", "--K", "4", "--psi", "abs:0.1") == 1
 
+    def test_weights_summing_past_the_largest_float(self, capsys):
+        # 1e308 + 1e308 overflows a float; the law is still (1/2, 1/2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("snr", "--pattern", "weights:1e308,1e308") == 0
+            big = capsys.readouterr()
+            assert run_cli("snr", "--pattern", "weights:1,1") == 0
+        assert big.err == ""
+        assert big.out.replace("1e308,1e308", "1,1") == capsys.readouterr().out
+
     def test_snr_min_monotone(self, capsys):
         assert run_cli("snr-min", "--K", "4", "--monotone") == 0
         payload = json.loads(capsys.readouterr().out)

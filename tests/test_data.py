@@ -217,14 +217,14 @@ def reference_dataset_from_csv(text: str, n: int) -> ComparisonDataset:
             i, j, l, y = (_field(v, int) for v in row)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed row {row!r}") from exc
+        if not -2**63 <= min(i, j, l, y) <= max(i, j, l, y) < 2**63:
+            raise ValueError(f"line {lineno}: an integer in {row!r} lies outside int64")
         if i == j:
             raise ValueError(f"line {lineno}: self-comparison {i}")
         if l < 1:
             raise ValueError(f"line {lineno}: rounds are one-based, got {l}")
         if i > j:
             i, j, y = j, i, -y
-        if not -2**63 <= min(i, j, l, y) <= max(i, j, l, y) < 2**63:
-            raise ValueError(f"line {lineno}: an integer in {row!r} lies outside int64")
         if y == 0:
             raise CorruptDataError(f"pair ({i}, {j}) contains a zero outcome")
         sums = per_pair.setdefault((i, j), [0, 0, set()])

@@ -284,6 +284,10 @@ class TestPatternDistribution:
         with pytest.raises(InvalidPatternError):
             PatternDistribution((0.5, 0.4))
 
+    def test_unnormalized_sum_is_named_as_a_float(self):
+        with pytest.raises(InvalidPatternError, match=r"^weights sum to 0\.9, expected 1$"):
+            PatternDistribution((0.5, 0.4))
+
     def test_inverse_snr(self):
         p = PatternDistribution.from_family("abs", 0.1, 4)
         assert p.inverse_snr == pytest.approx(p.variance() / p.mean() ** 2,

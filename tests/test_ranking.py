@@ -453,11 +453,18 @@ class TestDatasetCsv:
         assert dataset_from_csv("i,j,l,y\n0,1,1, 2\n0,1,2,-3 \n", n=2).rounds == 2
 
     @pytest.mark.parametrize("row", ["0,1,2,99999999999999999999",
-                                     "1,0,2,-9223372036854775808"])
+                                     "1,0,2,9223372036854775808"])
     def test_integer_outside_int64_reports_line(self, row):
-        # the second row flips orientation, so y = -(-2**63) leaves int64
+        # the range is checked on each field as written, not once oriented
         with pytest.raises(ValueError, match="line 3: .* outside int64"):
             dataset_from_csv(f"i,j,l,y\n0,1,1,2\n{row}\n", n=2)
+
+    @pytest.mark.parametrize("item", ["1", '"1"'], ids=["array-parse", "row-loop"])
+    def test_flipped_int64_minimum_stays_exact(self, item):
+        # oriented, y = -(-2**63) leaves int64, and the raw sum holds it exactly
+        data = dataset_from_csv(f"i,j,l,y\n{item},0,1,-9223372036854775808\n", n=2)
+        assert pair_sums(data) == {(0, 1): (2**63, 1)}
+        assert type(data.raw[0]) is int
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

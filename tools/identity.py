@@ -48,12 +48,16 @@ The families:
   arrays too where it writes them) and of ``rank`` on small edge files: blank
   lines, CRLF and bare CR line ends, quoted and padded fields, ``1_0`` and
   non-ASCII digits, an unread column, values outside int64 (up to 400
-  digits; ``1,0,1,-9223372036854775808`` leaves int64 only once oriented,
-  ``1,0,1,9223372036854775808`` enters it),
-  a repeated round, unequal round counts, rounds that are not 1..L, a
-  self-comparison before a malformed row, and header-only files.  A
-  ``generic-csv`` row wider than its header is left out: it is refused since
-  the readers were unified, and before that its extra value was dropped;
+  digits), the field values -2^63 and 2^63 in flipped rows, a repeated
+  round, unequal round counts, rounds that are not 1..L, a self-comparison
+  before a malformed row, and header-only files.  A ``generic-csv`` row
+  wider than its header is left out: it is refused since the readers were
+  unified, and before that its extra value was dropped.  int64 is checked
+  on each field as written, so ``1,0,1,-9223372036854775808`` reads, with
+  the raw sum 2^63 once oriented, and ``1,0,1,9223372036854775808`` exits
+  2.  Oriented values were checked before, which refused the first and
+  read the second: those two outputs, and no other, moved the family's
+  digest from ``0f20558124e2…`` to ``ed9047af5c31…``;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
   and ``rank``.
 """
