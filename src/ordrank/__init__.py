@@ -11,37 +11,11 @@ Library layout:
 - :mod:`ordrank.cli`     -- ``ordrank`` command-line surface
 """
 
-from .model import (
-    CorruptDataError,
-    InvalidPatternError,
-    ModelMoments,
-    OrdinalModel,
-    PatternDistribution,
-    StrengthLink,
-)
-from .ranking import (
-    ComparisonDataset,
-    PreferenceVector,
-    ScorePair,
-    asymptotic_tau,
-    asymptotic_two_item,
-    count_scores,
-    expected_scores,
-    kendall_tau,
-)
-from .rates import (
-    RateResult,
-    crossover_rounds,
-    error_decay_prediction,
-    rate_at_zero_binary,
-    rate_at_zero_nitem,
-    rate_at_zero_ordinal,
-)
-from .snr import (
-    SnrReport,
-    minimal_snr_monotone,
-    minimal_snr_unconstrained,
-    snr_of_pattern,
-)
+# Each module's ``__all__`` is its one list of public names; the package
+# republishes them.
+from .model import *  # noqa: F403
+from .ranking import *  # noqa: F403
+from .rates import *  # noqa: F403
+from .snr import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Every capability is a subcommand emitting JSON (or CSV for ``simulate``) on
-stdout or to ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
-1 usage error, 2 data or convergence error.
+Every capability is a subcommand.  A command returns its JSON payload, and
+``parse_and_dispatch`` encodes it and writes it to stdout or to ``--out``;
+``simulate`` writes its CSV the same way, and ``ingest`` its pairs file.
+Diagnostics go to stderr.  Exit codes: 0 success, 1 usage error, 2 data or
+convergence error.
 
 Spec strings on flags, written the same way in a simulate config (where a
 family is a bare name, its betas in ``betas``, and ``K`` stands for --K):
@@ -75,10 +77,6 @@ def _emit(payload: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_out(obj, args) -> None:
-    _emit(json.dumps(obj, indent=2, allow_nan=False), args.out)
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built on first use and shared by every later call:
@@ -148,23 +146,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_snr(args) -> int:
+def _cmd_snr(args):
     pattern = parse_pattern_spec(args.pattern, args.K)
     report = snr.snr_of_pattern(pattern)
-    _json_out({"K": pattern.K, "pattern": args.pattern, **report.to_dict()}, args)
-    return 0
+    return {"K": pattern.K, "pattern": args.pattern, **report.to_dict()}
 
 
-def _cmd_snr_min(args) -> int:
+def _cmd_snr_min(args):
     fn = snr.minimal_snr_monotone if args.monotone else snr.minimal_snr_unconstrained
     value, pattern = fn(args.K)
-    _json_out({"K": args.K,
-               "constraint": "non-increasing" if args.monotone else "none",
-               "value": value, "pattern": pattern.to_dict()}, args)
-    return 0
+    return {"K": args.K, "constraint": "non-increasing" if args.monotone else "none",
+            "value": value, "pattern": pattern.to_dict()}
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     text = Path(args.input).read_text(encoding="utf-8")
     values = json.loads(Path(args.theta).read_text(encoding="utf-8"))
     try:
@@ -174,41 +169,30 @@ def _cmd_rank(args) -> int:
                          "such as [0.3, 0.2, 0.1]") from None
     theta = PreferenceVector(values)
     scores = count_scores(data_mod.dataset_from_csv(text, n=theta.n))
-    _json_out({
-        "scores": scores.to_dict(),
-        "tau_ordinal": kendall_tau(scores.ordinal_scores, theta),
-        "tau_binary": kendall_tau(scores.binary_scores, theta),
-    }, args)
-    return 0
+    return {"scores": scores.to_dict(),
+            "tau_ordinal": kendall_tau(scores.ordinal_scores, theta),
+            "tau_binary": kendall_tau(scores.binary_scores, theta)}
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args):
     model = OrdinalModel(parse_link_spec(args.link),
                          parse_pattern_spec(args.pattern, args.K))
     binary = rates.rate_at_zero_binary(model, args.gamma)
     ordinal = rates.rate_at_zero_ordinal(model, args.gamma)
     if not (binary.converged and ordinal.converged):
-        print("rate optimization did not converge", file=sys.stderr)
-        return 2
-    _json_out({
-        "gamma": args.gamma,
-        "binary": binary.to_dict(),
-        "ordinal": ordinal.to_dict(),
-        "crossover_factor": args.factor,
-        "crossover_rounds": rates.crossover_rounds(binary, ordinal,
-                                                   factor=args.factor),
-    }, args)
-    return 0
+        raise ValueError("rate optimization did not converge")
+    return {"gamma": args.gamma, "binary": binary.to_dict(), "ordinal": ordinal.to_dict(),
+            "crossover_factor": args.factor,
+            "crossover_rounds": rates.crossover_rounds(binary, ordinal, factor=args.factor)}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     config = harness.ExperimentConfig.from_json(
         Path(args.config).read_text(encoding="utf-8"))
     _emit(harness.run_experiment(config).to_csv(), args.out)
-    return 0
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args):
     if args.out is None:
         raise UsageError("ingest needs --out for the pairs file")
     table = data_mod.load_ratings(args.path, format=args.format)
@@ -216,28 +200,25 @@ def _cmd_ingest(args) -> int:
     data_mod.save_pairs(pairs, args.out)
     print(f"wrote {pairs.n_pairs()} pairs "
           f"({pairs.total_comparisons()} comparisons)", file=sys.stderr)
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     pairs = data_mod.load_pairs(args.pairs)
     report = data_mod.evaluate_pair_protocol(
         pairs, train_frac=args.train_frac, repetitions=args.reps,
         min_pair_count=args.min_pair_count, seed=args.seed,
         pairing=args.pairing)
-    _json_out(report.to_dict(), args)
-    return 0
+    return report.to_dict()
 
 
-def _cmd_histogram(args) -> int:
+def _cmd_histogram(args):
     pairs = data_mod.load_pairs(args.pairs)
     hist = data_mod.ordinal_histogram(pairs)
     mags = sorted(hist)
-    _json_out({"magnitudes": mags, "counts": [hist[m] for m in mags]}, args)
-    return 0
+    return {"magnitudes": mags, "counts": [hist[m] for m in mags]}
 
 
-def _cmd_model_info(args) -> int:
+def _cmd_model_info(args):
     model = OrdinalModel(parse_link_spec(args.link),
                          parse_pattern_spec(args.pattern, args.K))
     payload = model.to_dict()
@@ -250,8 +231,7 @@ def _cmd_model_info(args) -> int:
             "variance": m.variance,
             "snr": None if m.snr == float("inf") else m.snr,
         }
-    _json_out(payload, args)
-    return 0
+    return payload
 
 
 def parse_and_dispatch(argv) -> int:
@@ -261,7 +241,10 @@ def parse_and_dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return args.run(args)
+        payload = args.run(args)  # None: the command wrote its own output
+        if payload is not None:
+            _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
+        return 0
     except UsageError as exc:
         print(f"ordrank: {exc}", file=sys.stderr)
         sub = parser.subparsers.get(argv[0]) if argv else None

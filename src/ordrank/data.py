@@ -301,6 +301,7 @@ class PairComparisons:
             raise CorruptDataError(
                 "item_i, item_j and offsets must be 1-d integer arrays, "
                 "item_i and item_j of equal length")
+        offsets = offsets.astype(np.int64, copy=False)  # np.diff wraps unsigned offsets
         lengths = np.diff(offsets)
         if (offsets.size != item_i.size + 1 or offsets[0] != 0
                 or np.any(lengths < 0) or offsets[-1] != diffs.size):

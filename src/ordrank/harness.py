@@ -37,6 +37,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -140,8 +141,8 @@ class ExperimentConfig:
         if self.scenario == "two_item":
             if not self.gammas:
                 raise ConfigError("two_item needs a gamma grid")
-            if any(g <= 0 for g in self.gammas):
-                raise ConfigError("two_item gammas must be positive")
+            if not all(0 < g < math.inf for g in self.gammas):
+                raise ConfigError("two_item gammas must be positive and finite")
             if self.n != 2 or self.theta is not None or self.theta_gap is not None:
                 raise ConfigError("two_item reads no n, theta or theta_gap")
         else:
@@ -156,11 +157,14 @@ class ExperimentConfig:
                 raise ConfigError("scenario2 needs a beta grid")
             if len(self.L_grid) != 1:
                 raise ConfigError("scenario2 uses a single L")
-        # built once, so a malformed config or a tied theta fails before any
-        # run: one model per grid beta (one model at beta None for a pattern
-        # that is not a family), and the ranking scenarios' preferences
+        # built once, so a malformed config, a tied theta or a link that leaves
+        # float range on the grid fails before any run: one model per grid beta
+        # (one model at beta None for a pattern that is not a family), and the
+        # ranking scenarios' preferences
         try:
             link = StrengthLink.from_spec(self.link)
+            if self.scenario == "two_item":
+                link(np.array(self.gammas))
             # a family is written as its bare name, and only a family has betas
             family = PatternDistribution.split_spec(self.pattern)[0] in PATTERN_FAMILIES
             if not family == (self.pattern in PATTERN_FAMILIES) == bool(self.betas):
@@ -181,7 +185,7 @@ class ExperimentConfig:
             try:
                 theta = (PreferenceVector(self.theta) if self.theta is not None
                          else PreferenceVector.equally_spaced(self.n, self.theta_gap))
-                theta.pairs()
+                link(theta.pairs()[2])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         object.__setattr__(self, "preferences", theta)

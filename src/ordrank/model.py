@@ -152,7 +152,8 @@ class PatternDistribution:
             raise InvalidPatternError("weights must be a non-empty 1-d sequence")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidPatternError("weights must be finite and non-negative")
-        total = w.sum()
+        with np.errstate(over="ignore"):  # a sum past the largest float is refused below
+            total = w.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise InvalidPatternError(f"weights sum to {float(total)!r}, expected 1")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))

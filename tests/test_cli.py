@@ -103,6 +103,29 @@ class TestExitCodes:
         assert run_cli(command, "--pairs", str(path)) == 2
         assert "offsets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_unsigned_offsets_read_as_signed(self, tmp_path, capsys, dtype):
+        outputs = []
+        for name, offsets in (("signed", np.array([0, 2, 4, 6])),
+                              ("unsigned", np.array([0, 2, 4, 6], dtype=dtype))):
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, item_i=np.array([0, 0, 1]), item_j=np.array([1, 2, 2]),
+                     offsets=offsets, diffs=np.array([1.0, -2.0, 3.0, 1.0, -1.0, 2.0]))
+            for argv in (("evaluate", "--min-pair-count", "2", "--reps", "5"), ("histogram",)):
+                assert run_cli(argv[0], "--pairs", str(path), *argv[1:]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
+    @pytest.mark.parametrize("command", ["evaluate", "histogram"])
+    def test_decreasing_unsigned_offsets_are_exit_2(self, tmp_path, capsys, command):
+        # np.diff wraps around on unsigned integers, so [0, 5, 3, 6] looked ordered
+        path = tmp_path / "pairs.npz"
+        np.savez(path, item_i=np.array([0, 0, 1]), item_j=np.array([1, 2, 2]),
+                 offsets=np.array([0, 5, 3, 6], dtype=np.uint64), diffs=np.ones(6))
+        assert run_cli(command, "--pairs", str(path)) == 2
+        assert ("offsets must hold 4 non-decreasing entries from 0 to 6"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["evaluate", "histogram"])
     def test_npy_pairs_file_is_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "pairs.npy"

@@ -115,6 +115,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_two_item(gammas=(0.2, -0.1))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gammas_refused_at_load(self, gamma):
+        with pytest.raises(ConfigError, match="two_item gammas must be positive and finite"):
+            default_config("two_item", gammas=(0.05, gamma))
+
+    @pytest.mark.parametrize("scenario,overrides,match", [
+        ("two_item", {"gammas": (0.05, 1e200)},
+         r"link cubic leaves float range at gamma=1e\+200"),
+        ("scenario1", {"theta_gap": 1e150}, "link cubic leaves float range at gamma="),
+    ], ids=["two_item-gammas", "scenario1-theta_gap"])
+    def test_link_past_float_range_refused_at_load(self, scenario, overrides, match):
+        # refused before run_experiment evaluates the link on the grid
+        with pytest.raises(ConfigError, match=match):
+            default_config(scenario, link="cubic", **overrides)
+
     def test_ci_level_bounds(self):
         with pytest.raises(ConfigError):
             small_two_item(ci_level=1.0)

@@ -288,6 +288,11 @@ class TestPatternDistribution:
         with pytest.raises(InvalidPatternError, match=r"^weights sum to 0\.9, expected 1$"):
             PatternDistribution((0.5, 0.4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_refused_without_a_warning(self):
+        with pytest.raises(InvalidPatternError, match=r"^weights sum to inf, expected 1$"):
+            PatternDistribution((1e308, 1e308))
+
     def test_inverse_snr(self):
         p = PatternDistribution.from_family("abs", 0.1, 4)
         assert p.inverse_snr == pytest.approx(p.variance() / p.mean() ** 2,

@@ -3,8 +3,10 @@
 Every command runs in-process through ``ordrank.cli.parse_and_dispatch``.
 For each output family the script prints one line ``family count sha256``:
 how many outputs the family holds and the sha256 of all of them in order.
-A command's output is its exit code and stdout, a library call's the
-``repr`` of its result, and an array's its name, dtype, shape and bytes.  Run it from the root of each checkout and diff::
+A command's output is its exit code and stdout (in ``cli``, its stderr and
+``--out`` file too), a library call's the ``repr`` of its result, and an
+array's its name, dtype, shape and bytes.  Run it from the root of each
+checkout and diff::
 
     PYTHONPATH=src python tools/identity.py > identity.txt
 
@@ -59,7 +61,14 @@ The families:
   read the second: those two outputs, and no other, moved the family's
   digest from ``0f20558124e2…`` to ``ed9047af5c31…``;
 - ``readme``: the README examples of ``snr``, ``snr-min``, ``model-info``
-  and ``rank``.
+  and ``rank``;
+- ``cli``: where each subcommand's output and errors go.  Each output is
+  the exit code, stdout, stderr and ``--out`` file of one command
+  (``run_all``), with the temporary directory written as ``<tmp>``: the
+  bare ``ordrank`` and an unknown command; every subcommand without and
+  with ``--out`` (a small ``scenario1`` config for ``simulate``, and
+  ``ingest``'s stderr line and pair arrays), and with an unknown flag; and
+  input files that do not exist.
 """
 
 from __future__ import annotations
@@ -68,8 +77,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -180,17 +191,89 @@ def ratings_rows(seed: int, n_users: int, n_items: int, max_per_user: int,
     return rng.permutation(np.concatenate([rows, again]))
 
 
+def run_all(workdir: Path, *argv: str) -> bytes:
+    """Exit code, stdout, stderr and ``--out`` file of one ``ordrank`` command
+    run in-process, with ``workdir`` written as ``<tmp>``.  A warning is
+    kept as its category and message, without the source line that raised
+    it.  The ``--out`` file is read and removed; a pairs file is read as its
+    arrays, because a zip member records the time it was written."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.parse_and_dispatch(list(argv))
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in seen)
+    parts = [f"{code}\n--stdout--\n{out.getvalue()}--stderr--\n{err.getvalue()}--out--\n"
+             .encode()]
+    target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if target is not None and target.exists():
+        parts += pair_arrays(target) if target.suffix == ".npz" else [target.read_bytes()]
+        target.unlink()
+    return b"\n".join(parts).replace(str(workdir).encode(), b"<tmp>")
+
+
+def pair_arrays(path: Path) -> list[bytes]:
+    """Each array of an .npz archive as its name, dtype, shape and bytes."""
+    with np.load(path) as z:
+        return [f"{name} {z[name].dtype.str} {z[name].shape}".encode() + z[name].tobytes()
+                for name in sorted(z.files)]
+
+
+def write_tab(path: Path, table) -> None:
+    """A ratings table as the tab format that ``ingest`` reads by default."""
+    path.write_text("".join(f"{u}\t{i}\t{int(r)}\t{t}\n" for u, i, r, t in zip(
+        table.users, table.items, table.ratings, table.timestamps)), encoding="utf-8")
+
+
 def add_ingest(add, family: str, workdir: Path, ratings: Path, *flags: str) -> Path:
     """Add ``ingest``'s exit code, stdout and the pair arrays it writes;
     return the pairs file."""
     pairs = workdir / f"{ratings.name}.npz"
     add(family, run("ingest", "--path", str(ratings), *flags, "--out", str(pairs)))
     if pairs.exists():
-        with np.load(pairs) as z:
-            for name in sorted(z.files):
-                a = z[name]
-                add(family, f"{name} {a.dtype.str} {a.shape}".encode() + a.tobytes())
+        for array in pair_arrays(pairs):
+            add(family, array)
     return pairs
+
+
+def add_cli(add, workdir: Path) -> None:
+    """Add the ``cli`` family: every subcommand's exit code, stdout, stderr
+    and ``--out`` file through ``run_all``."""
+    cli_dir = workdir / "cli"
+    cli_dir.mkdir()
+    config, ratings = cli_dir / "config.json", cli_dir / "u.data"
+    pairs, data, theta = cli_dir / "pairs.npz", cli_dir / "data.csv", cli_dir / "theta.json"
+    config.write_text(json.dumps(default_config(
+        "scenario1", replications=20, L_grid=(50, 100)).to_dict()), encoding="utf-8")
+    write_tab(ratings, synthetic_ratings(n_items=6, users_per_pair=40, seed=3))
+    data.write_text(RANK_CSV, encoding="utf-8")
+    theta.write_text(RANK_THETA, encoding="utf-8")
+    run("ingest", "--path", str(ratings), "--min-item-ratings", "50", "--out", str(pairs))
+    commands = {
+        "snr": ("--pattern", "abs:0.1", "--K", "4"),
+        "snr-min": ("--K", "4", "--monotone"),
+        "rank": ("--input", str(data), "--theta", str(theta)),
+        "rates": ("--link", "identity", "--pattern", "abs:0.5,K=4", "--gamma", "0.15"),
+        "model-info": ("--link", "cubic", "--pattern", "sq:0.5,K=3", "--gamma", "0.2"),
+        "simulate": ("--config", str(config)),
+        "ingest": ("--path", str(ratings), "--min-item-ratings", "50"),
+        "evaluate": ("--pairs", str(pairs), "--reps", "5", "--min-pair-count", "2"),
+        "histogram": ("--pairs", str(pairs)),
+    }
+    add("cli", run_all(workdir))
+    add("cli", run_all(workdir, "no-such-command"))
+    for name, flags in commands.items():
+        add("cli", run_all(workdir, name, *flags))  # ingest without --out: a usage error
+        out = cli_dir / ("out.npz" if name == "ingest" else "out")
+        add("cli", run_all(workdir, name, *flags, "--out", str(out)))
+        add("cli", run_all(workdir, name, *flags, "--no-such-flag", "1"))
+    missing = str(cli_dir / "missing")
+    for argv in (("rank", "--input", missing, "--theta", str(theta)),
+                 ("rank", "--input", str(data), "--theta", missing),
+                 ("simulate", "--config", missing),
+                 ("ingest", "--path", missing, "--out", str(cli_dir / "out.npz")),
+                 ("evaluate", "--pairs", missing),
+                 ("histogram", "--pairs", missing)):
+        add("cli", run_all(workdir, *argv))
 
 
 def add_evaluate(add, family: str, pairs: Path) -> None:
@@ -238,10 +321,8 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
             add("asymptotic", repr(asymptotic_two_item(model, gamma, L)))
         add("asymptotic", repr(asymptotic_tau(model, theta, L)))
 
-    table = synthetic_ratings(seed=7)
     ratings = workdir / "u.data"
-    ratings.write_text("".join(f"{u}\t{i}\t{int(r)}\t{t}\n" for u, i, r, t in zip(
-        table.users, table.items, table.ratings, table.timestamps)), encoding="utf-8")
+    write_tab(ratings, synthetic_ratings(seed=7))
     pairs = add_ingest(add, "ingest", workdir, ratings, "--min-item-ratings", "100")
     for setting in EVALUATE_SETTINGS:
         add("evaluate", run("evaluate", "--pairs", str(pairs), *setting))
@@ -297,6 +378,7 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     data.write_text(RANK_CSV, encoding="utf-8")
     theta_file.write_text(RANK_THETA, encoding="utf-8")
     add("readme", run("rank", "--input", str(data), "--theta", str(theta_file)))
+    add_cli(add, workdir)
     return families
 
 
@@ -310,6 +392,7 @@ def digest(outputs: list[str | bytes]) -> str:
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines at the terminal width
     with tempfile.TemporaryDirectory() as tmp:
         families = collect(Path(tmp))
     for family, outputs in families.items():
