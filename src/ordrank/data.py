@@ -6,8 +6,10 @@ else a row loop naming the first bad line; ``rank`` orients and checks
 its rows as arrays.  Ratings become pairwise data: per user and pair of
 sufficiently rated items, the signed rating difference is one ordinal
 comparison, zeros dropped.  The protocol repeatedly splits each pair's
-comparisons, predicts the held-out direction from the sign of the
-training side's raw or sign sum, and compares the two with a paired t-test.
+comparisons by one float sort of keyed sums, predicts the held-out direction
+from the sign of the training side's raw or sign sum, and compares the two
+with a paired t-test.  Raw sums add in file order where the differences are
+half steps that sum exactly, and in split order otherwise.
 """
 
 from __future__ import annotations
@@ -497,39 +499,32 @@ def _split_keys(seed: int, repetitions: int, size: int):
         yield np.random.default_rng(child).random(size)
 
 
-def _split_order(keys: np.ndarray, pair_id: np.ndarray) -> np.ndarray:
-    """``np.lexsort((keys, pair_id))`` for keys in [0, 1) and a non-decreasing
-    integer ``pair_id``, ties to the earlier position.  Rounding is monotone, so
-    distinct sums ``pair_id + keys`` argsort into that order; equal ones (tied
-    keys, or keys rounded together next to a large pair id) take the lexsort."""
-    composite = pair_id + keys
-    order = np.argsort(composite)
-    tied = np.any(np.diff(composite[order]) == 0.0)
-    return np.lexsort((keys, pair_id)) if tied else order
-
-
 def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
                     n_train: np.ndarray, key_sets):
     """Per array of split keys (one per comparison, in [0, 1)), rows (ordinal,
     binary) of accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its
-    ``n_train[p]`` comparisons of smallest key, ties to the earlier position
-    (the ``_split_order`` order), and predicts held-out signs from the sign of
-    its raw or sign sum.  One float sort finds each pair's ``n_train``-th
-    smallest sum ``pair + key``; raw sums add in file order only where integer
-    differences whose magnitudes sum below 2**53 make every partial sum exact."""
+    ``n_train[p]`` comparisons of smallest key, ties to the earlier position,
+    and predicts held-out signs from the sign of its raw or sign sum.  One
+    float sort of ``pair + key`` orders each split, ``np.lexsort((keys,
+    pair_id))`` where two sums are equal.  Raw sums add in file order, the
+    train set a mask, only where every difference is a multiple of 1/2 and
+    their magnitudes sum below 2**52, so that every partial sum is exact."""
     starts, sizes = offsets[:-1], np.diff(offsets)
     pair_id = np.repeat(np.arange(sizes.size), sizes)
     train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
     last = starts + n_train - 1
     n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
-    exact = np.abs(diffs).sum() < 2.0**53 and np.array_equal(np.trunc(diffs), diffs)
+    exact = np.abs(diffs).sum() < 2.0**52 and np.array_equal(np.trunc(2 * diffs), 2 * diffs)
     for keys in key_sets:  # only the raw sums and the train positives change
         composite = pair_id + keys
-        ranked = np.sort(composite) if exact else None
-        if exact and not np.any(ranked[1:] == ranked[:-1]):
+        order = None if exact else np.argsort(composite)
+        ranked = np.sort(composite) if exact else composite[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.lexsort((keys, pair_id))
+        if order is None:
             values, chosen = diffs, composite <= np.repeat(ranked[last], sizes)
         else:
-            values, chosen = diffs[_split_order(keys, pair_id)], train
+            values, chosen = diffs[order], train
         train_pos = np.add.reduceat(chosen & (values > 0), starts)
         # differences are never 0, so the sign sum is 2 * train_pos - n_train;
         # a held-out difference times False adds a zero of either sign, which

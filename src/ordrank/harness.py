@@ -32,9 +32,7 @@ without changing any output, and reruns give byte-identical results.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -236,22 +234,20 @@ class ExperimentResult:
         cfg = self.config
         link_label = cfg.models[0][1].link.spec
         pattern_label = PatternDistribution.split_spec(cfg.pattern)[0]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        rows = [CSV_COLUMNS]
         for point in self.points:
             beta = point.params.get("beta")
             gamma_or_w = point.params.get("gamma", point.params.get("w"))
             for name in sorted(point.metrics):
                 m = point.metrics[name]
-                writer.writerow([
+                rows.append([
                     cfg.scenario, link_label, pattern_label,
                     _fmt(beta), cfg.n, cfg.K, point.params.get("L", ""),
                     _fmt(gamma_or_w), name,
                     _fmt(m.estimate), _fmt(m.se), _fmt(m.ci_lo), _fmt(m.ci_hi),
                     point.reps, cfg.base_seed,
                 ])
-        return buf.getvalue()
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _fmt(v) -> str:

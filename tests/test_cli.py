@@ -614,14 +614,39 @@ class TestInputBoundaries:
         assert run_cli("evaluate", "--pairs", str(pairs), "--seed", "0") == 0
 
     @pytest.mark.parametrize("text", ["5", "null", '{"theta": 5}', '{"centered": true}',
-                                      '[0.3, "a"]', '[0.2, true]'])
+                                      '[0.3, "a"]', '[0.2, true]', "[1e400, 0]", "[NaN, 0]"])
     def test_malformed_theta_is_exit_2(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"
         data.write_text("i,j,l,y\n0,1,1,2\n", encoding="utf-8")
         theta = tmp_path / "theta.json"
         theta.write_text(text, encoding="utf-8")
         assert run_cli("rank", "--input", str(data), "--theta", str(theta)) == 2
-        assert "theta must be a JSON list" in capsys.readouterr().err
+        # a JSON list of numbers that are not finite reads, then is refused
+        want = "a finite 1-d vector" if text in ("[1e400, 0]", "[NaN, 0]") else "a JSON list"
+        assert f"theta must be {want}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("ingest", "--path", "{ratings}"), 1, "ingest needs --out for the pairs file"),
+        (("ingest", "--path", "{ratings}", "--min-item-ratings", "0", "--out", "{out}"), 2,
+         "min_ratings_per_item must be >= 1"),
+        (("ingest", "--format", "generic-csv", "--path", "{empty}", "--out", "{out}"), 2,
+         "{empty}: empty file"),
+        (("evaluate", "--pairs", "{pairs}", "--train-frac", "1"), 2,
+         "train_frac must lie in (0, 1)"),
+        (("evaluate", "--pairs", "{pairs}", "--reps", "0"), 2, "repetitions must be >= 1"),
+    ], ids=["ingest-without-out", "ingest-min-ratings-0", "ingest-empty-csv",
+            "evaluate-train-frac-1", "evaluate-reps-0"])
+    def test_refused_ingest_and_evaluate_options(self, tmp_path, capsys, argv, code,
+                                                 message):
+        table = synthetic_ratings(n_items=4, users_per_pair=20, seed=3)
+        paths = {name: str(tmp_path / name)
+                 for name in ("ratings", "out", "empty", "pairs")}
+        write_ratings_file(Path(paths["ratings"]), table)
+        Path(paths["empty"]).write_text("", encoding="utf-8")
+        save_pairs(build_pair_comparisons(table, min_ratings_per_item=10), paths["pairs"])
+        assert run_cli(*(a.format(**paths) for a in argv)) == code
+        assert message.format(**paths) in capsys.readouterr().err
+        assert not Path(paths["out"]).exists()
 
     def test_non_finite_rating_is_exit_2(self, tmp_path, capsys):
         raw = tmp_path / "u.data"
@@ -761,18 +786,22 @@ class TestInputBoundaries:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),
-                                           ("pattern", [1, 2])])
+                                           ("pattern", [1, 2]), ("scenario", "nope"),
+                                           ("scenario", "two_item"), ("gammas", [])])
     def test_malformed_simulate_config_is_exit_2(self, tmp_path, capsys, key, value):
         # without betas: a bare family name needs them, and a non-string
-        # pattern is refused for not being a spec
-        d = {**default_config("scenario1").to_dict(), key: value}
+        # pattern is refused for not being a spec; scenario1's dict read as
+        # two_item has no gammas, and two_item's own takes an empty list
+        d = {**default_config("two_item" if key == "gammas" else "scenario1").to_dict(),
+             key: value}
         del d["betas"]
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(d), encoding="utf-8")
         assert run_cli("simulate", "--config", str(path)) == 2
         err = capsys.readouterr().err
-        assert ("beta values in betas" if value == "abs"
-                else "a pattern is a name[:args][,K=<k>] string") in err
+        want = {"abs": "beta values in betas", "nope": "unknown scenario 'nope'",
+                "two_item": "two_item needs a gamma grid", "[]": "two_item needs a gamma grid"}
+        assert want.get(str(value), "a pattern is a name[:args][,K=<k>] string") in err
 
     @pytest.mark.parametrize("pattern", [
         {"family": "abs", "beta": 1.0}, {"family": "abs"},

@@ -2,6 +2,7 @@
 protocol, and the paired t-test."""
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -31,9 +32,8 @@ from ordrank.data import (
     _field,
     _split_accuracy,
     _split_keys,
-    _split_order,
 )
-from ordrank.model import CorruptDataError
+from ordrank.model import CorruptDataError, PatternDistribution
 from ordrank.ranking import ComparisonDataset
 
 
@@ -757,6 +757,16 @@ class TestBuildPairComparisons:
 
 
 class TestRatingsTable:
+    @pytest.mark.parametrize("users,items,ratings,stamps,match", [
+        ([], [], [], None, "ratings table is empty"),
+        ([1, 2], [3], [1.0, 2.0], None, "ragged ratings columns"),
+        ([1, 2], [3, 4], [1.0, 2.0], [7], "ragged timestamp column"),
+    ], ids=["empty", "ragged", "ragged-timestamps"])
+    def test_malformed_columns_refused(self, users, items, ratings, stamps, match):
+        columns = [None if c is None else np.array(c) for c in (users, items, ratings, stamps)]
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            RatingsTable(*columns)
+
     def test_sorted_adjacent_duplicate_refused(self):
         # rows already in order skip the sort, not the duplicate check
         with pytest.raises(ValueError, match="duplicate"):
@@ -859,12 +869,14 @@ class TestSplitAccuracy:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sizes=st.lists(st.integers(2, 12), min_size=1, max_size=20),
            grid=st.sampled_from([None, 2, 4]),
-           magnitudes=st.sampled_from([[1.0, 2.0, 3.0], [1.0, 2.0**52]]))
+           magnitudes=st.sampled_from([[1.0, 2.0, 3.0], [1.0, 2.0**52],
+                                       [0.5, 1.5, 2.5], [0.5, 2.0**51]]))
     def test_integer_differences_equal_the_ordered_reference(self, data, sizes, grid,
                                                              magnitudes):
         # coarse keys tie inside a pair, 1 - 2**-53 rounds up to the next
-        # pair's sums, and magnitudes of 2**52 sum past 2**53, where only
-        # the split order gives the reference's raw sums
+        # pair's sums, and magnitudes of 2**52 (twice 2**51 for half steps)
+        # sum past 2**53, where only the split order gives the reference's
+        # raw sums; below it, integer and half-step sums need no argsort
         n = sum(sizes)
         if grid is None:
             key = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1 - 2**-53))
@@ -877,9 +889,11 @@ class TestSplitAccuracy:
                                              max_size=n)))
         n_train = np.array([data.draw(st.integers(1, size - 1)) for size in sizes])
         offsets = np.cumsum(np.r_[0, sizes])
-        got = next(_split_accuracy(diffs, offsets, n_train, [keys]))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = next(_split_accuracy(diffs, offsets, n_train, [keys]))
         np.testing.assert_array_equal(got, split_accuracy_reference(
             diffs[np.lexsort((keys, segment_ids(sizes)))], offsets, n_train))
+        assert argsort.called == (2 * np.abs(diffs).sum() >= 2.0**53)
 
     def test_raw_sums_past_2_to_the_53_add_in_split_order(self):
         # in split order the raw sum rounds to 0, in file order it is -1
@@ -899,16 +913,32 @@ def segment_ids(sizes) -> np.ndarray:
 
 
 class TestSplitOrder:
-    """``_split_order`` is exactly ``lexsort((keys, pair_id))``, ties
-    included."""
+    """``_split_accuracy`` trains on the ``lexsort((keys, pair_id))`` order,
+    tied keys and sums that round together included, whether the raw sums
+    add in file order (integer and half-step differences) or in split order
+    (tenths)."""
+
+    SCALES = (1.0, 0.5, 0.1)
+
+    @staticmethod
+    def check(diffs, keys, sizes, n_train) -> None:
+        """One split's accuracies equal the reference's in lexsort order."""
+        offsets = np.cumsum(np.r_[0, sizes])
+        want = split_accuracy_reference(diffs[np.lexsort((keys, segment_ids(sizes)))],
+                                        offsets, n_train)
+        np.testing.assert_array_equal(
+            next(_split_accuracy(diffs, offsets, n_train, [keys])), want)
+
+    @staticmethod
+    def signed(rng, n: int, scale: float) -> np.ndarray:
+        return rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n) * scale
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sizes=st.lists(st.integers(2, 40), min_size=1,
                                           max_size=30),
            grid=st.sampled_from([None, 2, 4, 16]),
-           offset=st.sampled_from([0, 2**20, 2**40, 2**52]))
-    def test_equals_lexsort(self, data, sizes, grid, offset):
-        # next to a pair id of 2**40 or more, distinct keys round together
+           scale=st.sampled_from(SCALES))
+    def test_equals_lexsort(self, data, sizes, grid, scale):
         n = sum(sizes)
         if grid is None:
             keys = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
@@ -916,26 +946,30 @@ class TestSplitOrder:
         else:  # a coarse grid makes ties inside a pair likely
             keys = data.draw(st.lists(st.integers(0, grid - 1).map(
                 lambda k: k / grid), min_size=n, max_size=n))
-        keys, pair_id = np.array(keys, dtype=float), offset + segment_ids(sizes)
-        np.testing.assert_array_equal(_split_order(keys, pair_id),
-                                      np.lexsort((keys, pair_id)))
+        diffs = scale * np.array(data.draw(st.lists(
+            st.sampled_from([-3.0, -1.0, 1.0, 2.0]), min_size=n, max_size=n)))
+        n_train = np.array([data.draw(st.integers(1, size - 1)) for size in sizes])
+        self.check(diffs, np.array(keys, dtype=float), sizes, n_train)
 
     @pytest.mark.parametrize("n_pairs", [50, 70_000])
     def test_coarse_keys_tie_inside_pairs(self, n_pairs):
         rng = np.random.default_rng(n_pairs)
-        pair_id = segment_ids(rng.integers(2, 9, n_pairs))
+        sizes = rng.integers(2, 9, n_pairs)
+        pair_id = segment_ids(sizes)
         keys = np.round(rng.random(pair_id.size), 1)
         tied = (np.diff(pair_id) == 0) & (np.diff(keys) == 0)
         assert tied.sum() > 0  # ties inside a pair are certain
-        np.testing.assert_array_equal(_split_order(keys, pair_id),
-                                      np.lexsort((keys, pair_id)))
+        for scale in self.SCALES:
+            self.check(self.signed(rng, keys.size, scale), keys, sizes,
+                       rng.integers(1, sizes))
 
     def test_uniform_keys_over_many_pairs(self):
         rng = np.random.default_rng(4)
-        pair_id = segment_ids(rng.integers(2, 6, 70_000))
-        keys = rng.random(pair_id.size)
-        np.testing.assert_array_equal(_split_order(keys, pair_id),
-                                      np.lexsort((keys, pair_id)))
+        sizes = rng.integers(2, 6, 70_000)
+        keys = rng.random(sizes.sum())
+        for scale in self.SCALES:
+            self.check(self.signed(rng, keys.size, scale), keys, sizes,
+                       rng.integers(1, sizes))
 
     @staticmethod
     def count_calls(monkeypatch, name: str = "lexsort") -> list:
@@ -950,17 +984,28 @@ class TestSplitOrder:
         monkeypatch.setattr(np, name, counted)
         return calls
 
+    def check_routes(self, monkeypatch, diffs, keys, sizes, n_train) -> None:
+        """``check`` once per scale, each through one lexsort; only the split
+        order of tenths argsorts first."""
+        for scale in self.SCALES:
+            self.check(diffs * scale, keys, sizes, n_train)
+            with monkeypatch.context() as patch:
+                lexsorts = self.count_calls(patch)
+                argsorts = self.count_calls(patch, "argsort")
+                next(_split_accuracy(diffs * scale, np.cumsum(np.r_[0, sizes]), n_train, [keys]))
+            assert len(lexsorts) == 1 and len(argsorts) == (scale == 0.1)
+
     def test_distinct_keys_rounding_together_take_the_lexsort(self, monkeypatch):
-        # at 2**40 the sums are spaced 2**-12 apart: each pair's keys are
-        # distinct and descending, 2**-20 apart, so they round together
+        # next to pair 999 the sums are spaced 2**-43 apart: each pair's keys
+        # are distinct and descending, 2**-50 apart, so near 1,000 they round
+        # together
         rng = np.random.default_rng(40)
-        pair_id = 2**40 + segment_ids(np.full(500, 4))
-        keys = np.repeat(rng.random(500) * 0.99, 4) + np.tile([3, 2, 1, 0], 500) * 2.0**-20
-        want = np.lexsort((keys, pair_id))
-        assert np.unique(pair_id + keys).size < keys.size
-        calls = self.count_calls(monkeypatch)
-        np.testing.assert_array_equal(_split_order(keys, pair_id), want)
-        assert len(calls) == 1
+        sizes = np.full(1000, 4)
+        keys = np.repeat(rng.random(1000) * 0.99, 4) + np.tile([3, 2, 1, 0], 1000) * 2.0**-50
+        assert np.unique(segment_ids(sizes) + keys).size < keys.size
+        assert np.unique(keys).size == keys.size
+        self.check_routes(monkeypatch, self.signed(rng, keys.size, 1.0), keys, sizes,
+                          rng.integers(1, sizes))
 
     def test_key_rounding_up_to_the_next_pair_takes_the_lexsort(self, monkeypatch):
         # pair 1's last key: 1 + (1 - 2**-53) rounds to 2.0, the sum of
@@ -968,19 +1013,20 @@ class TestSplitOrder:
         keys = np.array([0.25, 0.5, 0.5, 1 - 2**-53, 0.0, 0.75, 0.5, 0.25])
         pair_id = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         assert pair_id[3] + keys[3] == pair_id[4] + keys[4] == 2.0
-        want = np.lexsort((keys, pair_id))
-        calls = self.count_calls(monkeypatch)
-        np.testing.assert_array_equal(_split_order(keys, pair_id), want)
-        assert len(calls) == 1
+        diffs = np.array([1.0, -2.0, -1.0, 3.0, 2.0, -1.0, 1.0, -3.0])
+        self.check_routes(monkeypatch, diffs, keys, np.full(4, 2), np.ones(4, dtype=int))
 
     def test_criterion_10_splits_take_the_float_sort(self, monkeypatch):
+        # integer and half-step differences both train by mask on one np.sort
         pairs = build_pair_comparisons(synthetic_ratings(seed=7),
                                        min_ratings_per_item=100)
+        halves = dataclasses.replace(pairs, diffs=pairs.diffs * 0.5)
         calls = self.count_calls(monkeypatch)
         argsorts = self.count_calls(monkeypatch, "argsort")
-        report = evaluate_pair_protocol(pairs, train_frac=0.7, repetitions=100,
-                                        min_pair_count=10, seed=7)
-        assert report.ordinal_acc.shape == (100, 190)
+        for each in (pairs, halves):
+            report = evaluate_pair_protocol(each, train_frac=0.7, repetitions=100,
+                                            min_pair_count=10, seed=7)
+            assert report.ordinal_acc.shape == (100, 190)
         assert calls == [] and argsorts == []
 
 
@@ -1032,6 +1078,11 @@ class TestEvaluateProtocol:
         })
         rep = evaluate_pair_protocol(pairs, repetitions=3, min_pair_count=10)
         assert rep.pair_order == ((0, 1),)
+
+    def test_unknown_pairing_rejected(self):
+        pairs = make_pairs({(0, 1): np.array([1.0, -1.0, 2.0])})
+        with pytest.raises(ValueError, match="^pairing must be 'repetition' or 'pair'$"):
+            evaluate_pair_protocol(pairs, min_pair_count=2, pairing="both")
 
     def test_no_eligible_pairs(self):
         pairs = make_pairs({(0, 1): np.array([1.0, -1.0])})
@@ -1097,6 +1148,10 @@ class TestPairedTTest:
 
 
 class TestSyntheticFixture:
+    def test_pattern_past_four_levels_refused(self):
+        with pytest.raises(ValueError, match="^1-5 ratings bound differences by 4$"):
+            synthetic_ratings(pattern=PatternDistribution.uniform(5))
+
     def test_deterministic(self):
         a = synthetic_ratings(n_items=4, users_per_pair=6, seed=1)
         b = synthetic_ratings(n_items=4, users_per_pair=6, seed=1)

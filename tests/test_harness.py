@@ -142,6 +142,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             default_config("scenario2", betas=None)
 
+    def test_unknown_scenario_refused(self):
+        with pytest.raises(ConfigError, match="^unknown scenario 'nope'$"):
+            default_config("nope")
+
     @pytest.mark.parametrize("scenario,overrides,match", [
         ("scenario1", {"pattern": "abs:0.9", "betas": None}, "its bare name"),
         ("scenario3", {"pattern": "uniform"}, "no other pattern takes betas"),

@@ -276,6 +276,17 @@ class TestPatternDistribution:
             b = PatternDistribution.from_psi(psi + c).weights
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: PatternDistribution(()), "weights must be a non-empty 1-d sequence"),
+        (lambda: PatternDistribution.from_psi([]), "psi must be a non-empty 1-d sequence"),
+        (lambda: PatternDistribution.from_psi([math.nan]), "psi entries must be real or -inf"),
+        (lambda: PatternDistribution.from_family("cube", 1.0, 3),
+         "unknown pattern family 'cube'"),
+    ], ids=["no-weights", "no-psi", "nan-psi", "unknown-family"])
+    def test_empty_or_unknown_input_rejected(self, build, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            build()
+
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidPatternError):
             PatternDistribution((1.2, -0.2))

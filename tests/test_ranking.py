@@ -169,6 +169,12 @@ class TestCountScores:
             ComparisonDataset(3, 2, np.array(first), np.array(second),
                               np.array(raw), np.array(raw))
 
+    @pytest.mark.parametrize("n,rounds", [(1, 2), (3, 0)])
+    def test_dataset_refuses_one_item_or_no_rounds(self, n, rounds):
+        with pytest.raises(ValueError, match="^need n >= 2 items and at least one round$"):
+            ComparisonDataset(n, rounds, np.array([0]), np.array([1]),
+                              np.array([[2]]), np.array([[1]]))
+
     @pytest.mark.parametrize("first,second,raw,sign", [
         ([0], [1, 2], [[2]], [[1]]),       # pair arrays of unequal length
         ([0, 1], [1, 2], [[2]], [[1]]),    # one sum for two pairs
@@ -321,6 +327,13 @@ class TestAsymptoticTwoItem:
             asymptotic_two_item(m, -0.1, 10)
         with pytest.raises(ValueError):
             asymptotic_two_item(m, 0.0, 10)
+
+    def test_no_rounds_rejected(self):
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
+        with pytest.raises(ValueError, match="^L must be >= 1$"):
+            asymptotic_two_item(m, 0.1, 0)
+        with pytest.raises(ValueError, match="^L must be >= 1$"):
+            asymptotic_tau(m, PreferenceVector((0.1, 0.0)), 0)
 
 
 class TestAsymptoticTau:

@@ -590,3 +590,8 @@ class TestDecayPrediction:
         bad = RateResult(0.1, 0.0, 200, converged=False)
         with pytest.raises(ValueError):
             error_decay_prediction(bad, 10)
+
+    def test_negative_rounds_rejected(self):
+        m = OrdinalModel(StrengthLink("identity"), PatternDistribution.uniform(2))
+        with pytest.raises(ValueError, match="^L must be >= 0$"):
+            error_decay_prediction(rate_at_zero_ordinal(m, 0.15), -1)

@@ -34,13 +34,15 @@ The families:
   seeded MovieLens-shaped tab file: users rate 2 to 80 items with skewed
   item popularity, so many users share a pair, and about 2% of the rows
   repeat a (user, item) with a new rating, some at a tied timestamp;
-- ``ingest-csv``: the same from a seeded ``generic-csv`` file with
-  ratings in tenths and duplicate rows, some of them exact copies;
-- ``evaluate-movielens`` and ``evaluate-csv``: ``evaluate`` at both of
-  criterion 10's settings on those two pairs files, every pair of at least
-  two comparisons scored.  The MovieLens pairs are many short runs of
-  integer differences, whose raw sums may add in any order; the tenths are
-  not integers, so their raw sums add in split order;
+- ``ingest-csv`` and ``ingest-halves``: the same from seeded ``generic-csv``
+  files with ratings in tenths, and in halves from 1.0 to 5.0, and duplicate
+  rows, some of them exact copies;
+- ``evaluate-movielens``, ``evaluate-csv`` and ``evaluate-halves``:
+  ``evaluate`` at both of criterion 10's settings on those pairs files,
+  every pair of at least two comparisons scored.  The MovieLens pairs are
+  many short runs of integer differences and the halves' differences are
+  multiples of 1/2, so their raw sums are exact and may add in any order;
+  the tenths' are not, so their raw sums add in split order;
 - ``rank``: the ``rank`` command on five items under three theta vectors,
   over hand files (an incomplete graph, rows in reversed orientation, and
   raw sums of 2^62 + 2^62 that leave int64), a seeded file that mixes all
@@ -158,6 +160,7 @@ EDGE_RANK = (
 )
 MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
 CSV_SEED, CSV_MIN = 1802, 4
+HALVES_SEED = 1803
 
 
 def run(*argv: str) -> str:
@@ -337,16 +340,17 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
                        "--min-item-ratings", str(MOVIELENS_MIN))
     add("ingest-movielens", run("histogram", "--pairs", str(pairs)))
     add_evaluate(add, "evaluate-movielens", pairs)
-    tenths = (np.arange(5, 51) / 10.0).tolist()
-    generic = workdir / "generic.csv"
-    rows = ratings_rows(CSV_SEED, 80, 40, 12, len(tenths))
-    generic.write_text("user,item,rating,timestamp\n" + "".join(
-        f"{u},{i},{tenths[r]!r},{t}\n"
-        for u, i, r, t in np.concatenate([rows, rows[:10]]).tolist()), encoding="utf-8")
-    pairs = add_ingest(add, "ingest-csv", workdir, generic, "--format", "generic-csv",
-                       "--min-item-ratings", str(CSV_MIN))
-    add("ingest-csv", run("histogram", "--pairs", str(pairs)))
-    add_evaluate(add, "evaluate-csv", pairs)
+    for family, seed, steps in (("csv", CSV_SEED, np.arange(5, 51) / 10.0),
+                                ("halves", HALVES_SEED, np.arange(2, 11) / 2.0)):
+        generic, steps = workdir / f"{family}.csv", steps.tolist()
+        rows = ratings_rows(seed, 80, 40, 12, len(steps))
+        generic.write_text("user,item,rating,timestamp\n" + "".join(
+            f"{u},{i},{steps[r]!r},{t}\n"
+            for u, i, r, t in np.concatenate([rows, rows[:10]]).tolist()), encoding="utf-8")
+        pairs = add_ingest(add, f"ingest-{family}", workdir, generic, "--format", "generic-csv",
+                           "--min-item-ratings", str(CSV_MIN))
+        add(f"ingest-{family}", run("histogram", "--pairs", str(pairs)))
+        add_evaluate(add, f"evaluate-{family}", pairs)
 
     rng = np.random.default_rng(RANK_SEED)
     rows = [(i, j, l, int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
