@@ -1,15 +1,15 @@
 """Text input, ratings ingestion and the split-train-predict protocol.
 
-Ratings files and ``rank``'s comparison CSV share one reader of typed
-fields: one ``np.loadtxt`` parse of the text's bytes where it can tell,
-else a row loop naming the first bad line; ``rank`` orients and checks
-its rows as arrays.  Ratings become pairwise data: per user and pair of
-sufficiently rated items, the signed rating difference is one ordinal
-comparison, zeros dropped.  The protocol repeatedly splits each pair's
-comparisons by one float sort of keyed sums, predicts the held-out direction
-from the sign of the training side's raw or sign sum, and compares the two
-with a paired t-test.  Raw sums add in file order where the differences are
-half steps that sum exactly, and in split order otherwise.
+Ratings files and ``rank``'s comparison CSV share one reader of typed fields:
+one ``np.loadtxt`` parse of the text's bytes where it can tell, else a row
+loop naming the first bad line; ``rank`` orients and checks its rows as
+arrays.  Ratings become pairwise data: per user and pair of sufficiently
+rated items, the signed rating difference is one ordinal comparison, zeros
+dropped, ordered by one sort of a word each.  The protocol repeatedly splits
+each pair's comparisons by one float sort of keyed sums, predicts the
+held-out direction from the sign of the training side's raw or sign sum, and
+compares the two with a paired t-test.  Raw sums add in file order where the
+differences are half steps that sum exactly, and in split order otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 _PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
-_PAIR_BATCH = 1 << 20  # index pairs differenced at once in build_pair_comparisons
-_WORD_BITS = 64  # build_pair_comparisons' sort word: pair key and fill position
+_PAIR_BATCH = 1 << 16  # index pairs differenced, or words decoded, at once
+_WORD_BITS = 64  # build_pair_comparisons' sort word: pair key, row and offset
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -70,8 +70,8 @@ def _increasing(a: np.ndarray, b: np.ndarray) -> bool:
 class RatingsTable:
     """Column-oriented ratings, one row per (user, item), in that order.
 
-    Construction sorts the rows into that order, a step it skips when they
-    already strictly increase in it, and refuses a (user, item) given twice.
+    Construction sorts the rows into that order unless they already strictly
+    increase in it; it refuses non-finite ratings and a repeated (user, item).
     """
 
     users: np.ndarray
@@ -87,6 +87,8 @@ class RatingsTable:
             raise ValueError("ragged ratings columns")
         if self.timestamps is not None and self.timestamps.size != n:
             raise ValueError("ragged timestamp column")
+        if not np.isfinite(self.ratings).all():
+            raise ValueError("ratings must be finite")
         if _increasing(self.users, self.items):
             return  # already in order, and no (user, item) twice
         order = np.lexsort((self.items, self.users))
@@ -103,8 +105,17 @@ class RatingsTable:
 def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
     """Keep the latest timestamp per (user, item), in (user, item) order;
     ties go to the later row."""
-    order = np.lexsort((timestamps, items, users))  # stable: ties keep row order
-    keep = order[np.r_[_run_starts(users[order], items[order])[1:], True]]
+    # (user rank, item rank) as one key below rows**2, in one unstable sort
+    item_ids, key = np.unique(items, return_inverse=True)
+    key += np.unique(users, return_inverse=True)[1] * item_ids.size
+    order = np.argsort(key)
+    key = key[order]
+    last = np.r_[key[1:] != key[:-1], True]  # the last row of each key
+    # only a repeated key's rows need the timestamp and row order
+    runs = np.flatnonzero(~(last & np.r_[True, last[:-1]]))
+    rows = order[runs]
+    order[runs] = rows[np.lexsort((rows, timestamps[rows], key[runs]))]
+    keep = order[last]
     return RatingsTable(users[keep], items[keep], ratings[keep], timestamps[keep])
 
 
@@ -339,57 +350,64 @@ def build_pair_comparisons(table: RatingsTable,
     least ``min_ratings_per_item`` times; zero differences are dropped, and
     each pair's differences are in user order.
 
-    Each index pair of a user's items is filled as one uint64 word, its pair
-    key above its position in the per-user fill.  Positions are unique, so
-    one unstable sort of the words orders the differences by (pair key, user
-    order), and the words give back the keys and, from the positions, the
-    differences.  A table whose key and position need more than 64 bits in
-    all raises ValueError naming its item and index-pair counts.
+    Each non-zero comparison is one uint64 word: its pair key above the kept
+    row of the first item's rating, above the offset to the second's.  One
+    unstable sort orders the words by (pair key, user), and each difference
+    is read back from the ratings column.  n kept items, R kept rows and S
+    items of the largest user need bits(n² − 1) + bits(R − 1) + bits(S − 1);
+    more than 64 raises ValueError naming those sizes.
     """
     if min_ratings_per_item < 1:
         raise ValueError("min_ratings_per_item must be >= 1")
     ids, ranks, counts = np.unique(table.items, return_inverse=True,
                                    return_counts=True)
-    kept = counts[ranks] >= min_ratings_per_item
+    often = counts >= min_ratings_per_item  # the kept items, ranked among themselves
+    kept, ids, ranks = often[ranks], ids[often], (np.cumsum(often) - 1)[ranks]
     # the table's (user, item) row order puts the kept rows in (user, rank) order
     users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
     starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
     sizes = np.diff(np.r_[starts, users.size])
-    # user u's index pairs fill positions base[u]:base[u + 1], so the fill is
-    # in user order whatever order the users are filled in; a pair's key is
-    # rank_i * ids.size + rank_j, below ids.size**2 whatever the ids
-    base = np.r_[0, np.cumsum(sizes * (sizes - 1) // 2)]
-    pos_bits = int(max(base[-1] - 1, 0)).bit_length()
+    # a pair's key is rank_i * ids.size + rank_j, below ids.size**2 whatever the ids
     key_bits = (ids.size * ids.size - 1).bit_length()
-    if key_bits + pos_bits > _WORD_BITS:
-        raise ValueError(f"{ids.size} items and {base[-1]} index pairs need a "
-                         f"{key_bits}-bit pair key and a {pos_bits}-bit position, "
-                         f"more than {_WORD_BITS} bits")
-    # word = key << pos_bits | position, as rank_i's and rank_j's shifted parts
-    ranks = ranks.astype(np.uint64)
-    high, low = ranks * np.uint64(ids.size << pos_bits), ranks << np.uint64(pos_bits)
-    packed = np.empty(base[-1], dtype=np.uint64)
-    diffs = np.empty(base[-1], dtype=ratings.dtype)
+    row_bits = max(users.size - 1, 0).bit_length()
+    off_bits = max(int(sizes.max()) - 1, 0).bit_length()
+    if key_bits + row_bits + off_bits > _WORD_BITS:
+        raise ValueError(f"{ids.size} items and {users.size} rows, at most {sizes.max()} "
+                         f"per user, need a {key_bits}-bit pair key, a {row_bits}-bit row "
+                         f"and a {off_bits}-bit offset, more than {_WORD_BITS} bits")
+    # word = key << low_bits | row_i << off_bits | (row_j - row_i), the sum of
+    # first[row_i] and second[row_j]
+    low_bits, ranks = row_bits + off_bits, ranks.astype(np.uint64)
+    rows = np.arange(users.size, dtype=np.uint64)
+    first = ranks * np.uint64(ids.size << low_bits) + (rows << np.uint64(off_bits)) - rows
+    second = (ranks << np.uint64(low_bits)) + rows
+    # one triangle for every size: a user of s items takes its first
+    # s(s - 1)/2 index pairs, those with b < s
+    b, a = np.tril_indices(sizes.max(), -1)
+    words = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.uint64)
+    filled = 0  # pages past the last word written are never touched
     for s in np.unique(sizes[sizes > 1]).tolist():
-        a, b = np.triu_indices(s, 1)
-        of_size = np.flatnonzero(sizes == s)
-        # a bounded batch of users at a time: all users of a size at once
-        # would hold several index arrays over every pair in memory
-        step = max(1, _PAIR_BATCH // a.size)
+        m, of_size = s * (s - 1) // 2, np.flatnonzero(sizes == s)
+        step = max(1, _PAIR_BATCH // m)  # a bounded batch of users at a time
         for lo in range(0, of_size.size, step):
-            batch = of_size[lo:lo + step]
-            ia, ib = starts[batch, None] + a, starts[batch, None] + b
-            out = base[batch, None] + np.arange(a.size)
-            packed[out] = high[ia] + low[ib] + out.view(np.uint64)
-            diffs[out] = ratings[ia] - ratings[ib]
-    packed = packed[diffs != 0]
-    packed.sort()  # positions are unique, so no two words tie
-    diffs = diffs[(packed & np.uint64((1 << pos_bits) - 1)).view(np.int64)]
-    keys = packed >> np.uint64(pos_bits)
-    starts = np.flatnonzero(_run_starts(keys))
-    pair, n = keys[starts], np.uint64(ids.size)
-    return PairComparisons(ids[pair // n], ids[pair % n],
-                           np.r_[starts, keys.size], diffs)
+            base = starts[of_size[lo:lo + step], None]  # each user's first row
+            ia, ib = base + a[:m], base + b[:m]
+            # the difference, not equality: a non-finite one must reach
+            # PairComparisons' check
+            batch = (first[ia] + second[ib])[ratings[ia] - ratings[ib] != 0]
+            words[filled:filled + batch.size] = batch
+            filled += batch.size
+    words = words[:filled]
+    words.sort()  # a pair holds each row once, so no two words tie
+    diffs = np.empty(filled, dtype=ratings.dtype)
+    for lo in range(0, filled, _PAIR_BATCH):
+        part = words[lo:lo + _PAIR_BATCH].view(np.int64) & ((1 << low_bits) - 1)
+        row = part >> off_bits
+        diffs[lo:lo + part.size] = ratings[row] - ratings[row + (part & ((1 << off_bits) - 1))]
+    words >>= np.uint64(low_bits)  # the pair keys
+    starts = np.flatnonzero(_run_starts(words))
+    pair, n = words[starts], np.uint64(ids.size)
+    return PairComparisons(ids[pair // n], ids[pair % n], np.r_[starts, filled], diffs)
 
 
 def ordinal_histogram(pairs: PairComparisons) -> dict[float, int]:

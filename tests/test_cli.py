@@ -773,16 +773,17 @@ class TestInputBoundaries:
         assert json.loads(capsys.readouterr().out)["at_gamma"]["prob_positive"] == 1.0
 
     def test_ingest_past_the_sort_word_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        # 4 items need a 4-bit pair key and 18 two-item users a 5-bit position
-        monkeypatch.setattr(data_mod, "_WORD_BITS", 8)
+        # 4 items need a 4-bit pair key, and 18 two-item users a 6-bit row
+        # and a 1-bit offset: 11 bits
+        monkeypatch.setattr(data_mod, "_WORD_BITS", 10)
         raw = tmp_path / "u.data"
         write_ratings_file(raw, synthetic_ratings(n_items=4, users_per_pair=3, seed=1))
         out = tmp_path / "pairs.npz"
         assert run_cli("ingest", "--path", str(raw), "--min-item-ratings", "1",
                        "--out", str(out)) == 2
         assert capsys.readouterr().err == (
-            "ordrank: 4 items and 18 index pairs need a 4-bit pair key and a "
-            "5-bit position, more than 8 bits\n")
+            "ordrank: 4 items and 36 rows, at most 2 per user, need a 4-bit pair key, "
+            "a 6-bit row and a 1-bit offset, more than 10 bits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),

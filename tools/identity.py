@@ -37,6 +37,11 @@ The families:
 - ``ingest-csv`` and ``ingest-halves``: the same from seeded ``generic-csv``
   files with ratings in tenths, and in halves from 1.0 to 5.0, and duplicate
   rows, some of them exact copies;
+- ``ingest-wide``: ``ingest``'s pair arrays and ``histogram`` from a seeded
+  tab file of 800 users as in ``ingest-movielens`` and six who rate 363 to
+  480 of its 500 items each, so that each of those six has more index pairs
+  than one ``_PAIR_BATCH`` of 2^16 and a few pairs hold over 400
+  comparisons;
 - ``evaluate-movielens``, ``evaluate-csv`` and ``evaluate-halves``:
   ``evaluate`` at both of criterion 10's settings on those pairs files,
   every pair of at least two comparisons scored.  The MovieLens pairs are
@@ -161,6 +166,7 @@ EDGE_RANK = (
 MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
 CSV_SEED, CSV_MIN = 1802, 4
 HALVES_SEED = 1803
+WIDE_SEED, WIDE_MIN = 2601, 5
 
 
 def run(*argv: str) -> str:
@@ -192,6 +198,18 @@ def ratings_rows(seed: int, n_users: int, n_items: int, max_per_user: int,
     later = rng.random(len(again)) < 0.5
     again[later, 3] += rng.integers(1, 1000, size=int(later.sum()))
     return rng.permutation(np.concatenate([rows, again]))
+
+
+def wide_rows(seed: int) -> np.ndarray:
+    """``ratings_rows`` for 800 users of 500 items, and six more users who
+    rate 363 to 480 of the items each, more than 2**16 index pairs apiece;
+    shuffled together."""
+    rows = ratings_rows(seed, 800, 500, 30, 5)
+    rng = np.random.default_rng(seed)
+    heavy = [(3 * user + 1, item, int(rng.integers(5)), int(rng.integers(10**9)))
+             for user in range(800, 806)
+             for item in rng.choice(500, int(rng.integers(363, 481)), replace=False).tolist()]
+    return rng.permutation(np.concatenate([rows, np.array(heavy, dtype=np.int64)]))
 
 
 def run_all(workdir: Path, *argv: str) -> bytes:
@@ -351,6 +369,12 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
                            "--min-item-ratings", str(CSV_MIN))
         add(f"ingest-{family}", run("histogram", "--pairs", str(pairs)))
         add_evaluate(add, f"evaluate-{family}", pairs)
+
+    wide = workdir / "wide.data"
+    wide.write_text("".join(f"{u}\t{i}\t{r + 1}\t{t}\n"
+                            for u, i, r, t in wide_rows(WIDE_SEED).tolist()), encoding="utf-8")
+    pairs = add_ingest(add, "ingest-wide", workdir, wide, "--min-item-ratings", str(WIDE_MIN))
+    add("ingest-wide", run("histogram", "--pairs", str(pairs)))
 
     rng = np.random.default_rng(RANK_SEED)
     rows = [(i, j, l, int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
