@@ -6,10 +6,10 @@ loop naming the first bad line; ``rank`` orients and checks its rows as
 arrays.  Ratings become pairwise data: per user and pair of sufficiently
 rated items, the signed rating difference is one ordinal comparison, zeros
 dropped, ordered by one sort of a word each.  The protocol repeatedly splits
-each pair's comparisons by one float sort of keyed sums, predicts the
-held-out direction from the sign of the training side's raw or sign sum, and
-compares the two with a paired t-test.  Raw sums add in file order where the
-differences are half steps that sum exactly, and in split order otherwise.
+each pair's comparisons by random keys, predicts the held-out direction from
+the sign of the training side's raw or sign sum, and compares the two with a
+paired t-test.  Half-step differences train by each pair's threshold key from
+a row sort and sum in file order; others sum in split order, by an argsort.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
 _PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
 _PAIR_BATCH = 1 << 16  # index pairs differenced, or words decoded, at once
 _WORD_BITS = 64  # build_pair_comparisons' sort word: pair key, row and offset
+_ROW_WIDTH = 16  # _split_accuracy's row sorts: pair sizes round up to a multiple
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -105,9 +106,13 @@ class RatingsTable:
 def _dedup_latest(users, items, ratings, timestamps) -> RatingsTable:
     """Keep the latest timestamp per (user, item), in (user, item) order;
     ties go to the later row."""
-    # (user rank, item rank) as one key below rows**2, in one unstable sort
-    item_ids, key = np.unique(items, return_inverse=True)
-    key += np.unique(users, return_inverse=True)[1] * item_ids.size
+    # (user, item) as one int64 key in their order, in one unstable sort: each
+    # id's offset to the smallest where the product of the spans fits, else its rank
+    wide = math.prod(int(ids.max()) - int(ids.min()) + 1 for ids in (users, items)) >= 2**63
+    user, item = (np.unique(ids, return_inverse=True)[1] if wide else ids - ids.min()
+                  for ids in (users, items))
+    key = user * (int(item.max()) + 1) + item
+    del user, item  # 8 bytes a row each, alive to the end otherwise
     order = np.argsort(key)
     key = key[order]
     last = np.r_[key[1:] != key[:-1], True]  # the last row of each key
@@ -521,26 +526,40 @@ def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
                     n_train: np.ndarray, key_sets):
     """Per array of split keys (one per comparison, in [0, 1)), rows (ordinal,
     binary) of accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its
-    ``n_train[p]`` comparisons of smallest key, ties to the earlier position,
-    and predicts held-out signs from the sign of its raw or sign sum.  One
-    float sort of ``pair + key`` orders each split, ``np.lexsort((keys,
-    pair_id))`` where two sums are equal.  Raw sums add in file order, the
-    train set a mask, only where every difference is a multiple of 1/2 and
-    their magnitudes sum below 2**52, so that every partial sum is exact."""
+    first ``n_train[p]`` comparisons in ``np.lexsort((keys, pair_id))`` order
+    and predicts held-out signs from the sign of its raw or sign sum.  Raw
+    sums of multiples of 1/2 whose magnitudes sum below 2**52 are exact in any
+    order: a mask trains on keys up to each pair's ``n_train[p]``-th smallest,
+    from row sorts.  Others add in split order, by an argsort of ``pair +
+    key``.  The lexsort runs only where such a key ties the next, or two sums tie."""
     starts, sizes = offsets[:-1], np.diff(offsets)
     pair_id = np.repeat(np.arange(sizes.size), sizes)
     train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
-    last = starts + n_train - 1
     n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
     exact = np.abs(diffs).sum() < 2.0**52 and np.array_equal(np.trunc(2 * diffs), 2 * diffs)
+    classes, (threshold, above) = [], np.empty((2, sizes.size))
+    widths = -(-sizes // _ROW_WIDTH) * _ROW_WIDTH
+    for width in np.unique(widths) if exact else ():
+        # a block row per pair of this width: its comparisons, then cells set to +inf
+        rows = np.flatnonzero(widths == width)
+        cells = np.minimum(starts[rows, None] + np.arange(width), diffs.size - 1)
+        pad = np.flatnonzero(np.arange(width) >= sizes[rows, None])
+        classes.append((rows, cells, pad, np.arange(rows.size) * width + n_train[rows] - 1))
     for keys in key_sets:  # only the raw sums and the train positives change
-        composite = pair_id + keys
-        order = None if exact else np.argsort(composite)
-        ranked = np.sort(composite) if exact else composite[order]
-        if np.any(ranked[1:] == ranked[:-1]):
+        if exact:  # each pair's n_train-th smallest key and the next, by row sorts
+            for rows, cells, pad, last in classes:
+                np.put(block := keys[cells], pad, np.inf)
+                block.sort(axis=1)
+                threshold[rows], above[rows] = block.ravel()[last], block.ravel()[last + 1]
+            order, tied = None, np.any(above == threshold)
+        else:
+            order = np.argsort(composite := pair_id + keys)
+            ranked = composite[order]
+            tied = np.any(ranked[1:] == ranked[:-1])
+        if tied:
             order = np.lexsort((keys, pair_id))
         if order is None:
-            values, chosen = diffs, composite <= np.repeat(ranked[last], sizes)
+            values, chosen = diffs, keys <= np.repeat(threshold, sizes)
         else:
             values, chosen = diffs[order], train
         train_pos = np.add.reduceat(chosen & (values > 0), starts)
@@ -565,12 +584,10 @@ def evaluate_pair_protocol(pairs: PairComparisons, train_frac: float = 0.7,
     repetition splits all others with one generator spawned from ``seed`` (at
     least 0).  It draws one uniform key per comparison; the ``train_frac``
     share of each pair's comparisons with the smallest keys, ties to the
-    earlier position, at least one and at most all but one, train.  One
-    float sort per repetition finds them (``_split_accuracy``), with
-    ``numpy.lexsort`` where two keyed sums are equal.
-    The closing paired t-test compares binary against ordinal accuracy; the
-    pairing unit is the repetition mean by default, or per-pair means with
-    ``pairing='pair'``.
+    earlier position, at least one and at most all but one, train
+    (``_split_accuracy``).  The closing paired t-test compares binary against
+    ordinal accuracy; the pairing unit is the repetition mean by default, or
+    per-pair means with ``pairing='pair'``.
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must lie in (0, 1)")

@@ -29,6 +29,7 @@ from ordrank.data import (
     paired_t_test,
     save_pairs,
     synthetic_ratings,
+    _ROW_WIDTH,
     _dedup_latest,
     _field,
     _split_accuracy,
@@ -827,7 +828,8 @@ class TestDedupLatest:
         """``_dedup_latest`` on rows (user, item) = ``keys``, rating = row
         number, against a dict loop: per (user, item) the latest timestamp,
         the later row on ties.  Its one ``np.lexsort`` sees only the rows of
-        a repeated (user, item)."""
+        a repeated (user, item); ``np.unique`` ranks the ids only where
+        offsets to the smallest would pass int64."""
         best = {}
         for row, (key, stamp) in enumerate(zip(keys, stamps)):
             if key not in best or stamp >= best[key][1]:
@@ -836,8 +838,11 @@ class TestDedupLatest:
         users, items = (np.array(c, dtype=np.int64) for c in zip(*keys))
         with pytest.MonkeyPatch.context() as patch:
             lexsorts = TestSplitOrder.count_calls(patch)
+            uniques = TestSplitOrder.count_calls(patch, "unique")
             table = _dedup_latest(users, items, np.arange(len(keys), dtype=float),
                                   np.array(stamps, dtype=np.int64))
+        spans = [max(ids) - min(ids) + 1 for ids in zip(*keys)]
+        assert len(uniques) == 2 * (spans[0] * spans[1] >= 2**63)
         got = zip(table.users.tolist(), table.items.tolist(),
                   table.ratings.tolist(), table.timestamps.tolist())
         assert list(got) == [(u, i, row, t) for (u, i), (row, t) in sorted(best.items())]
@@ -846,6 +851,8 @@ class TestDedupLatest:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(FEW | WIDE, FEW | WIDE, FEW | WIDE), min_size=1,
                          max_size=60))
+    @example(rows=[(0, 1, 0), (0, 2**63 - 1, 0), (0, 1, 0)])  # spans 1 and 2**63 - 1
+    @example(rows=[(0, 0, 0), (0, 2**63 - 1, 0), (0, 0, 0)])  # spans 1 and 2**63
     def test_equals_dict_loop(self, rows):
         self.check([(u, i) for u, i, _ in rows], [t for _, _, t in rows])
 
@@ -1068,15 +1075,16 @@ class TestSplitOrder:
         return calls
 
     def check_routes(self, monkeypatch, diffs, keys, sizes, n_train) -> None:
-        """``check`` once per scale, each through one lexsort; only the split
-        order of tenths argsorts first."""
+        """``check`` once per scale.  Integer and half-step differences find
+        each threshold by a row sort of distinct keys, with no lexsort; only
+        tenths argsort ``pair + key``, and its tie takes the one lexsort."""
         for scale in self.SCALES:
             self.check(diffs * scale, keys, sizes, n_train)
             with monkeypatch.context() as patch:
                 lexsorts = self.count_calls(patch)
                 argsorts = self.count_calls(patch, "argsort")
                 next(_split_accuracy(diffs * scale, np.cumsum(np.r_[0, sizes]), n_train, [keys]))
-            assert len(lexsorts) == 1 and len(argsorts) == (scale == 0.1)
+            assert len(lexsorts) == len(argsorts) == (scale == 0.1)
 
     def test_distinct_keys_rounding_together_take_the_lexsort(self, monkeypatch):
         # next to pair 999 the sums are spaced 2**-43 apart: each pair's keys
@@ -1099,8 +1107,29 @@ class TestSplitOrder:
         diffs = np.array([1.0, -2.0, -1.0, 3.0, 2.0, -1.0, 1.0, -3.0])
         self.check_routes(monkeypatch, diffs, keys, np.full(4, 2), np.ones(4, dtype=int))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           sizes=st.lists(st.integers(2, 4 * _ROW_WIDTH + 1)
+                          | st.integers(1, 4).map(lambda k: k * _ROW_WIDTH),
+                          min_size=1, max_size=12),
+           grid=st.sampled_from([4, 16, 64, 1024]), scale=st.sampled_from(SCALES[:2]))
+    def test_only_boundary_ties_take_the_lexsort(self, data, sizes, grid, scale):
+        # coarse keys tie on a pair's boundary (its n_train-th and next smallest
+        # key) or inside its train or test side, in rows of several widths
+        n = sum(sizes)
+        keys = np.array(data.draw(st.lists(st.integers(0, grid - 1), min_size=n,
+                                           max_size=n))) / grid
+        diffs = self.signed(np.random.default_rng(n), n, scale)
+        n_train = np.array([data.draw(st.integers(1, size - 1)) for size in sizes])
+        ranked = map(np.sort, np.split(keys, np.cumsum(sizes)[:-1]))
+        boundary = any(k[m - 1] == k[m] for k, m in zip(ranked, n_train))
+        self.check(diffs, keys, sizes, n_train)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            next(_split_accuracy(diffs, np.cumsum(np.r_[0, sizes]), n_train, [keys]))
+        assert lexsort.call_count == boundary
+
     def test_criterion_10_splits_take_the_float_sort(self, monkeypatch):
-        # integer and half-step differences both train by mask on one np.sort
+        # integer and half-step differences both train by mask on row sorts
         pairs = build_pair_comparisons(synthetic_ratings(seed=7),
                                        min_ratings_per_item=100)
         halves = dataclasses.replace(pairs, diffs=pairs.diffs * 0.5)
@@ -1143,6 +1172,11 @@ class TestEvaluateProtocol:
         # way re-drew the stream that generated criterion 10's input
         keys = next(_split_keys(7, 3, 500))
         assert not np.array_equal(keys, np.random.default_rng(7).random(500))
+
+    def test_keys_are_each_spawned_generators_draw(self):
+        children = np.random.SeedSequence(7).spawn(4)
+        for child, keys in zip(children, _split_keys(7, 4, 300)):
+            np.testing.assert_array_equal(keys, np.random.default_rng(child).random(300))
 
     def test_negating_differences_preserves_accuracy(self):
         rng = np.random.default_rng(6)
