@@ -9,7 +9,8 @@ dropped, ordered by one sort of a word each.  The protocol repeatedly splits
 each pair's comparisons by random keys, predicts the held-out direction from
 the sign of the training side's raw or sign sum, and compares the two with a
 paired t-test.  Half-step differences train by each pair's threshold key from
-a row sort and sum in file order; others sum in split order, by an argsort.
+a row sort and sum as packed int64 codes while 2·Σ|d| < 2**min(53, 63 - bits
+of the largest pair size); others sum in split order, by an argsort.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ class PairComparisons:
             raise CorruptDataError(
                 f"offsets must hold {item_i.size + 1} non-decreasing entries "
                 f"from 0 to {diffs.size}")
-        if np.any(item_i >= item_j) or not np.all(np.isfinite(diffs) & (diffs != 0)):
+        if np.any(item_i >= item_j) or not (np.isfinite(diffs).all() and diffs.all()):
             raise CorruptDataError("pairs need i < j and finite non-zero differences")
         if _increasing(item_i, item_j):  # already in order, and no pair twice
             offsets = np.r_[0, np.cumsum(lengths)]
@@ -410,7 +411,8 @@ def build_pair_comparisons(table: RatingsTable,
         row = part >> off_bits
         diffs[lo:lo + part.size] = ratings[row] - ratings[row + (part & ((1 << off_bits) - 1))]
     words >>= np.uint64(low_bits)  # the pair keys
-    starts = np.flatnonzero(_run_starts(words))
+    # the pair keys' run starts through one bool temporary, and none without a word
+    starts = np.r_[0, np.flatnonzero(words[1:] != words[:-1]) + 1][:filled]
     pair, n = words[starts], np.uint64(ids.size)
     return PairComparisons(ids[pair // n], ids[pair % n], np.r_[starts, filled], diffs)
 
@@ -527,16 +529,17 @@ def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
     """Per array of split keys (one per comparison, in [0, 1)), rows (ordinal,
     binary) of accuracies: segment ``offsets[p]:offsets[p + 1]`` trains on its
     first ``n_train[p]`` comparisons in ``np.lexsort((keys, pair_id))`` order
-    and predicts held-out signs from the sign of its raw or sign sum.  Raw
-    sums of multiples of 1/2 whose magnitudes sum below 2**52 are exact in any
-    order: a mask trains on keys up to each pair's ``n_train[p]``-th smallest,
-    from row sorts.  Others add in split order, by an argsort of ``pair +
+    and predicts held-out signs from the sign of its raw or sign sum.  Half
+    steps with 2·Σ|d| < 2**min(53, 63 - shift), shift the largest size's bit
+    length, train by a mask from row sorts and sum ``2d << shift | (d > 0)`` in
+    int64.  Others add as floats in split order, by an argsort of ``pair +
     key``.  The lexsort runs only where such a key ties the next, or two sums tie."""
     starts, sizes = offsets[:-1], np.diff(offsets)
-    pair_id = np.repeat(np.arange(sizes.size), sizes)
-    train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
     n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
-    exact = np.abs(diffs).sum() < 2.0**52 and np.array_equal(np.trunc(2 * diffs), 2 * diffs)
+    shift = int(sizes.max()).bit_length()  # a pair's train positives stay below 2**shift
+    exact = (2 * np.abs(diffs).sum() < 2.0 ** min(53, 63 - shift)
+             and np.array_equal(np.trunc(2 * diffs), 2 * diffs))
+    code = (2 * diffs).astype(np.int64) << shift | (diffs > 0) if exact else None
     classes, (threshold, above) = [], np.empty((2, sizes.size))
     widths = -(-sizes // _ROW_WIDTH) * _ROW_WIDTH
     for width in np.unique(widths) if exact else ():
@@ -545,29 +548,33 @@ def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
         cells = np.minimum(starts[rows, None] + np.arange(width), diffs.size - 1)
         pad = np.flatnonzero(np.arange(width) >= sizes[rows, None])
         classes.append((rows, cells, pad, np.arange(rows.size) * width + n_train[rows] - 1))
+    pair_id = None  # with train, built by the first repetition that orders
     for keys in key_sets:  # only the raw sums and the train positives change
         if exact:  # each pair's n_train-th smallest key and the next, by row sorts
             for rows, cells, pad, last in classes:
                 np.put(block := keys[cells], pad, np.inf)
                 block.sort(axis=1)
                 threshold[rows], above[rows] = block.ravel()[last], block.ravel()[last + 1]
-            order, tied = None, np.any(above == threshold)
+            tied = np.any(above == threshold)
+        if exact and not tied:
+            packed = np.add.reduceat((keys <= np.repeat(threshold, sizes)) * code, starts)
+            # twice the raw sum, whose sign and zeros the rule reads; >> keeps the sign
+            raw, train_pos = packed >> shift, packed & ((1 << shift) - 1)
         else:
-            order = np.argsort(composite := pair_id + keys)
-            ranked = composite[order]
-            tied = np.any(ranked[1:] == ranked[:-1])
-        if tied:
-            order = np.lexsort((keys, pair_id))
-        if order is None:
-            values, chosen = diffs, keys <= np.repeat(threshold, sizes)
-        else:
-            values, chosen = diffs[order], train
-        train_pos = np.add.reduceat(chosen & (values > 0), starts)
-        # differences are never 0, so the sign sum is 2 * train_pos - n_train;
-        # a held-out difference times False adds a zero of either sign, which
-        # can change only the sign of a zero raw sum, never its comparisons
-        aggregate = np.array([np.add.reduceat(chosen * values, starts),
-                              2 * train_pos - n_train])
+            if pair_id is None:
+                pair_id = np.repeat(np.arange(sizes.size), sizes)
+                train = np.arange(diffs.size) < np.repeat(starts + n_train, sizes)
+            if not exact:  # split order, unless two sums tie
+                order = np.argsort(composite := pair_id + keys)
+            if exact or np.any((ranked := composite[order])[1:] == ranked[:-1]):
+                order = np.lexsort((keys, pair_id))
+            values = diffs[order]
+            train_pos = np.add.reduceat(train & (values > 0), starts)
+            # a held-out difference times False adds a zero of either sign,
+            # which can change only the sign of a zero raw sum
+            raw = np.add.reduceat(train * values, starts)
+        # differences are never 0, so the sign sum is 2 * train_pos - n_train
+        aggregate = np.array([raw, 2 * train_pos - n_train])
         test_pos = total_pos - train_pos
         correct = np.where(aggregate > 0, test_pos, n_test - test_pos)
         # a zero aggregate abstains: chance-level credit

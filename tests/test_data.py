@@ -985,6 +985,38 @@ class TestSplitAccuracy:
             diffs[np.lexsort((keys, segment_ids(sizes)))], offsets, n_train))
         assert argsort.called == (2 * np.abs(diffs).sum() >= 2.0**53)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), large=st.integers(1024, 4200),
+           sizes=st.lists(st.integers(2, 6), max_size=6),
+           unit=st.sampled_from([1.0, 0.5]), off=st.integers(-3, 2))
+    def test_packed_sums_equal_the_ordered_reference(self, seed, large, sizes, unit, off):
+        # a pair of 1,024 comparisons or more takes shift = 11 or more low bits
+        # for its train positives, so the int64 codes hold doubled sums below
+        # 2**(63 - shift), under 2**53; the magnitudes sum to that bound plus
+        # off units.  Pair 0 trains on h and -h, a zero sum, and the large pair
+        # holds a magnitude r of either sign, so raw sums of every sign occur
+        rng = np.random.default_rng(seed)
+        sizes, shift = [3, large, *sizes], large.bit_length()
+        n, half_bound = sum(sizes), 2.0 ** (62 - shift)
+        diffs = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n) * unit
+        h = half_bound / 4
+        diffs[:2] = h, -h
+        r = 3 + int(rng.integers(large))
+        diffs[r] = 0.0  # then r makes up the rest of the target sum
+        diffs[r] = rng.choice([-1.0, 1.0]) * (half_bound + off * unit - np.abs(diffs).sum())
+        assert (2 * np.abs(diffs).sum() < 2.0 ** (63 - shift)) == (off < 0)
+        offsets, pair_id = np.cumsum(np.r_[0, sizes]), segment_ids(sizes)
+        n_train = np.r_[2, [rng.integers(1, size) for size in sizes[1:]]]
+        key_sets = [rng.random(n) for _ in range(2)]
+        key_sets[0][:3] = 0.1, 0.2, 0.9
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = list(_split_accuracy(diffs, offsets, n_train, key_sets))
+        assert argsort.called == (off >= 0)
+        assert got[0][0, 0] == 0.5  # h - h abstains
+        for keys, rows in zip(key_sets, got):
+            np.testing.assert_array_equal(rows, split_accuracy_reference(
+                diffs[np.lexsort((keys, pair_id))], offsets, n_train))
+
     def test_raw_sums_past_2_to_the_53_add_in_split_order(self):
         # in split order the raw sum rounds to 0, in file order it is -1
         diffs = np.array([-2.0**52, 2.0**52, -2.0**52, 1.0, -1.0, 2.0**52])

@@ -42,6 +42,10 @@ The families:
   480 of its 500 items each, so that each of those six has more index pairs
   than one ``_PAIR_BATCH`` of 2^16 and a few pairs hold over 400
   comparisons;
+- ``evaluate-wide``: ``evaluate`` at both of criterion 10's settings on
+  those pairs, every pair of at least two comparisons scored.  Pairs of
+  over 400 comparisons put each pair's train positives in 9 or more low
+  bits of ``_split_accuracy``'s packed int64 sums;
 - ``evaluate-movielens``, ``evaluate-csv`` and ``evaluate-halves``:
   ``evaluate`` at both of criterion 10's settings on those pairs files,
   every pair of at least two comparisons scored.  The MovieLens pairs are
@@ -375,6 +379,7 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
                             for u, i, r, t in wide_rows(WIDE_SEED).tolist()), encoding="utf-8")
     pairs = add_ingest(add, "ingest-wide", workdir, wide, "--min-item-ratings", str(WIDE_MIN))
     add("ingest-wide", run("histogram", "--pairs", str(pairs)))
+    add_evaluate(add, "evaluate-wide", pairs)
 
     rng = np.random.default_rng(RANK_SEED)
     rows = [(i, j, l, int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
