@@ -5,7 +5,8 @@ one ``np.loadtxt`` parse of the text's bytes where it can tell, else a row
 loop naming the first bad line; ``rank`` orients and checks its rows as
 arrays.  Ratings become pairwise data: per user and pair of sufficiently
 rated items, the signed rating difference is one ordinal comparison, zeros
-dropped, ordered by one sort of a word each.  The protocol repeatedly splits
+dropped, ordered by one sort of a word each (pair key, user rank, the pair
+of rating levels) and decoded from the levels.  The protocol repeatedly splits
 each pair's comparisons by random keys, predicts the held-out direction from
 the sign of the training side's raw or sign sum, and compares the two with a
 paired t-test.  Half-step differences train by each pair's threshold key from
@@ -50,7 +51,7 @@ __all__ = [
 
 _PAIR_ARRAYS = ("item_i", "item_j", "offsets", "diffs")  # the pairs-file layout
 _PAIR_BATCH = 1 << 16  # index pairs differenced, or words decoded, at once
-_WORD_BITS = 64  # build_pair_comparisons' sort word: pair key, row and offset
+_WORD_BITS = 64  # build_pair_comparisons' sort word: pair key, user rank, level pair
 _ROW_WIDTH = 16  # _split_accuracy's row sorts: pair sizes round up to a multiple
 
 
@@ -356,12 +357,13 @@ def build_pair_comparisons(table: RatingsTable,
     least ``min_ratings_per_item`` times; zero differences are dropped, and
     each pair's differences are in user order.
 
-    Each non-zero comparison is one uint64 word: its pair key above the kept
-    row of the first item's rating, above the offset to the second's.  One
-    unstable sort orders the words by (pair key, user), and each difference
-    is read back from the ratings column.  n kept items, R kept rows and S
-    items of the largest user need bits(n² − 1) + bits(R − 1) + bits(S − 1);
-    more than 64 raises ValueError naming those sizes.
+    Each non-zero comparison is one word: its pair key above the user's rank
+    among the kept users, above ``level_i * V + level_j``, the levels of its
+    ratings among the V distinct kept ``values``.  One unstable sort orders
+    the words by (pair key, user); each difference is ``values[level_i] -
+    values[level_j]``, from a V×V table where V² is at most the comparisons.
+    n items and U users kept need bits(n² − 1) + bits(U − 1) + bits(V² − 1):
+    up to 32 sort as uint32, up to 64 as uint64, more raise ValueError.
     """
     if min_ratings_per_item < 1:
         raise ValueError("min_ratings_per_item must be >= 1")
@@ -370,27 +372,31 @@ def build_pair_comparisons(table: RatingsTable,
     often = counts >= min_ratings_per_item  # the kept items, ranked among themselves
     kept, ids, ranks = often[ranks], ids[often], (np.cumsum(often) - 1)[ranks]
     # the table's (user, item) row order puts the kept rows in (user, rank) order
-    users, ranks, ratings = table.users[kept], ranks[kept], table.ratings[kept]
+    users, ranks = table.users[kept], ranks[kept]
+    # ratings are finite, so r_i - r_j is 0 just where the levels match (-0.0 is 0.0's)
+    values, levels = np.unique(table.ratings[kept], return_inverse=True)
     starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
     sizes = np.diff(np.r_[starts, users.size])
     # a pair's key is rank_i * ids.size + rank_j, below ids.size**2 whatever the ids
-    key_bits = (ids.size * ids.size - 1).bit_length()
-    row_bits = max(users.size - 1, 0).bit_length()
-    off_bits = max(int(sizes.max()) - 1, 0).bit_length()
-    if key_bits + row_bits + off_bits > _WORD_BITS:
-        raise ValueError(f"{ids.size} items and {users.size} rows, at most {sizes.max()} "
-                         f"per user, need a {key_bits}-bit pair key, a {row_bits}-bit row "
-                         f"and a {off_bits}-bit offset, more than {_WORD_BITS} bits")
-    # word = key << low_bits | row_i << off_bits | (row_j - row_i), the sum of
-    # first[row_i] and second[row_j]
-    low_bits, ranks = row_bits + off_bits, ranks.astype(np.uint64)
-    rows = np.arange(users.size, dtype=np.uint64)
-    first = ranks * np.uint64(ids.size << low_bits) + (rows << np.uint64(off_bits)) - rows
-    second = (ranks << np.uint64(low_bits)) + rows
+    n, v = ids.size, values.size
+    key_bits, user_bits = (n * n - 1).bit_length(), (starts.size - 1).bit_length()
+    code_bits = max(v * v - 1, 0).bit_length()
+    if key_bits + user_bits + code_bits > _WORD_BITS:
+        raise ValueError(f"{n} items, {starts.size} users and {v} distinct ratings need a "
+                         f"{key_bits}-bit pair key, a {user_bits}-bit user rank and a "
+                         f"{code_bits}-bit rating pair, more than {_WORD_BITS} bits")
+    # word = key << low_bits | user << code_bits | level_i * v + level_j, the sum
+    # of first[row_i] and second[row_j]
+    low_bits = user_bits + code_bits
+    word = np.uint32 if key_bits + low_bits <= 32 else np.uint64
+    ranks, level = ranks.astype(word), levels.astype(word)
+    user = np.repeat(np.arange(starts.size, dtype=word), sizes)  # each row's user rank
+    first = (ranks * word(n) << word(low_bits)) + (user << word(code_bits)) + level * word(v)
+    second = (ranks << word(low_bits)) + level
     # one triangle for every size: a user of s items takes its first
     # s(s - 1)/2 index pairs, those with b < s
     b, a = np.tril_indices(sizes.max(), -1)
-    words = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.uint64)
+    words = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=word)
     filled = 0  # pages past the last word written are never touched
     for s in np.unique(sizes[sizes > 1]).tolist():
         m, of_size = s * (s - 1) // 2, np.flatnonzero(sizes == s)
@@ -398,22 +404,25 @@ def build_pair_comparisons(table: RatingsTable,
         for lo in range(0, of_size.size, step):
             base = starts[of_size[lo:lo + step], None]  # each user's first row
             ia, ib = base + a[:m], base + b[:m]
-            # the difference, not equality: a non-finite one must reach
-            # PairComparisons' check
-            batch = (first[ia] + second[ib])[ratings[ia] - ratings[ib] != 0]
+            batch = (first[ia] + second[ib])[levels[ia] != levels[ib]]
             words[filled:filled + batch.size] = batch
             filled += batch.size
     words = words[:filled]
-    words.sort()  # a pair holds each row once, so no two words tie
-    diffs = np.empty(filled, dtype=ratings.dtype)
+    del users, ranks, levels, level, user, first, second, a, b  # the decode reuses their pages
+    words.sort()  # a user rates an item once, so no two words tie
+    # the difference table where it is no larger than the output, else the code's quotient
+    # and remainder by v
+    steps = np.subtract.outer(values, values).ravel() if v * v <= filled else None
+    diffs = np.empty(filled, dtype=values.dtype)
     for lo in range(0, filled, _PAIR_BATCH):
-        part = words[lo:lo + _PAIR_BATCH].view(np.int64) & ((1 << low_bits) - 1)
-        row = part >> off_bits
-        diffs[lo:lo + part.size] = ratings[row] - ratings[row + (part & ((1 << off_bits) - 1))]
-    words >>= np.uint64(low_bits)  # the pair keys
+        # intp: numpy converts a uint32 index on every gather
+        code = words[lo:lo + _PAIR_BATCH].astype(np.intp) & ((1 << code_bits) - 1)
+        diffs[lo:lo + code.size] = (values[code // v] - values[code % v] if steps is None
+                                    else steps[code])
+    words >>= word(low_bits)  # the pair keys
     # the pair keys' run starts through one bool temporary, and none without a word
     starts = np.r_[0, np.flatnonzero(words[1:] != words[:-1]) + 1][:filled]
-    pair, n = words[starts], np.uint64(ids.size)
+    pair, n = words[starts], word(n)
     return PairComparisons(ids[pair // n], ids[pair % n], np.r_[starts, filled], diffs)
 
 
@@ -537,9 +546,11 @@ def _split_accuracy(diffs: np.ndarray, offsets: np.ndarray,
     starts, sizes = offsets[:-1], np.diff(offsets)
     n_test, total_pos = sizes - n_train, np.add.reduceat(diffs > 0, starts)
     shift = int(sizes.max()).bit_length()  # a pair's train positives stay below 2**shift
-    exact = (2 * np.abs(diffs).sum() < 2.0 ** min(53, 63 - shift)
-             and np.array_equal(np.trunc(2 * diffs), 2 * diffs))
-    code = (2 * diffs).astype(np.int64) << shift | (diffs > 0) if exact else None
+    twice = 2 * diffs  # the check and the codes read one array, not kept past them
+    exact = (np.abs(twice).sum() < 2.0 ** min(53, 63 - shift)
+             and np.array_equal(np.trunc(twice), twice))
+    code = twice.astype(np.int64) << shift | (diffs > 0) if exact else None
+    del twice
     classes, (threshold, above) = [], np.empty((2, sizes.size))
     widths = -(-sizes // _ROW_WIDTH) * _ROW_WIDTH
     for width in np.unique(widths) if exact else ():

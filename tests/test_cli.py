@@ -773,17 +773,17 @@ class TestInputBoundaries:
         assert json.loads(capsys.readouterr().out)["at_gamma"]["prob_positive"] == 1.0
 
     def test_ingest_past_the_sort_word_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        # 4 items need a 4-bit pair key, and 18 two-item users a 6-bit row
-        # and a 1-bit offset: 11 bits
-        monkeypatch.setattr(data_mod, "_WORD_BITS", 10)
+        # 4 items need a 4-bit pair key, 18 two-item users a 5-bit user rank,
+        # and 1-5 stars a 5-bit rating pair: 14 bits
+        monkeypatch.setattr(data_mod, "_WORD_BITS", 13)
         raw = tmp_path / "u.data"
         write_ratings_file(raw, synthetic_ratings(n_items=4, users_per_pair=3, seed=1))
         out = tmp_path / "pairs.npz"
         assert run_cli("ingest", "--path", str(raw), "--min-item-ratings", "1",
                        "--out", str(out)) == 2
         assert capsys.readouterr().err == (
-            "ordrank: 4 items and 36 rows, at most 2 per user, need a 4-bit pair key, "
-            "a 6-bit row and a 1-bit offset, more than 10 bits\n")
+            "ordrank: 4 items, 18 users and 5 distinct ratings need a 4-bit pair key, "
+            "a 5-bit user rank and a 5-bit rating pair, more than 13 bits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("pattern", 1.0), ("pattern", "abs"),

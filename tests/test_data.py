@@ -738,10 +738,10 @@ class TestBuildPairComparisons:
 
     @pytest.mark.parametrize("spare", [0, -1])
     def test_sort_word_width_bound(self, monkeypatch, spare):
-        # 5 items need a 5-bit pair key, 3 users of 4 items hold 12 rows, 4
-        # bits, and offsets up to 3, 2 bits: an 11-bit word holds all three,
-        # a 10-bit one does not
-        monkeypatch.setattr(data_mod, "_WORD_BITS", 11 + spare)
+        # 5 items need a 5-bit pair key, 3 users a 2-bit user rank, and 5
+        # distinct ratings a 5-bit rating pair: a 12-bit word holds all
+        # three, an 11-bit one does not
+        monkeypatch.setattr(data_mod, "_WORD_BITS", 12 + spare)
         users = np.repeat([4, 9, 11], 4)
         items = np.array([0, 1, 2, 3, 1, 2, 3, 4, 0, 2, 3, 4])
         ratings = np.array([5, 3, 4, 1, 2, 2, 5, 1, 3, 4, 1, 2], dtype=float)
@@ -749,10 +749,48 @@ class TestBuildPairComparisons:
         if spare == 0:
             self.assert_per_user_equal(table, 1)
         else:
-            with pytest.raises(ValueError, match="^5 items and 12 rows, at most 4 per user, "
-                                                 "need a 5-bit pair key, a 4-bit row and a "
-                                                 "2-bit offset, more than 10 bits$"):
+            with pytest.raises(ValueError, match="^5 items, 3 users and 5 distinct ratings "
+                                                 "need a 5-bit pair key, a 2-bit user rank "
+                                                 "and a 5-bit rating pair, more than 11 bits$"):
                 build_pair_comparisons(table, 1)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_words_of_32_and_33_bits_equal_per_user_loop(self, extra):
+        # 15 items need an 8-bit pair key, 256 users an 8-bit user rank and
+        # 256 distinct ratings a 16-bit rating pair: 32 bits, the widest
+        # uint32 word; one more user takes the word to 33 bits, a uint64.
+        # The last user rates the last two items with the two largest
+        # ratings, so its word sets the top bit of every field
+        n_users = 256 + extra
+        assert (15**2 - 1).bit_length() + (n_users - 1).bit_length() + 16 == 32 + extra
+        rng = np.random.default_rng(30)
+        values = np.arange(256) / 4 - 40.0  # quarter steps, negative and positive
+        items = np.concatenate([np.sort(rng.choice(13, 3, replace=False))
+                                for _ in range(n_users - 1)] + [[12, 13, 14]])
+        levels = np.r_[rng.permutation(3 * n_users - 3) % 256, 0, 255, 254]
+        table = RatingsTable(np.repeat(np.arange(n_users) * 2 - 9, 3), items, values[levels])
+        assert np.unique(table.ratings).size == 256
+        self.assert_per_user_equal(table, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rated=st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=7, unique=True),
+                          min_size=1, max_size=6),
+           pool=st.lists(st.one_of(st.sampled_from([-0.0, 0.0, -2.5, 0.1, 1e-300]),
+                                   st.floats(-1e6, 1e6, allow_nan=False)),
+                         min_size=1, max_size=40, unique_by=repr),
+           draws=st.randoms(use_true_random=False), min_ratings=st.integers(1, 2))
+    def test_level_words_equal_per_user_loop(self, rated, pool, draws, min_ratings):
+        # up to 40 distinct ratings (-0.0 and 0.0 count as one) against at
+        # most 6 users of 7 items, at most 126 comparisons, so differences
+        # are read both from the table (V² within the comparisons) and from
+        # each code's quotient and remainder by V
+        users = np.repeat(np.arange(len(rated)) * 3 - 4, [len(r) for r in rated])
+        items = np.concatenate(rated)
+        ratings = np.array([draws.choice(pool) for _ in items.tolist()])
+        table = RatingsTable(users, items, ratings)
+        self.assert_per_user_equal(table, min_ratings)
+        got = build_pair_comparisons(table, min_ratings)
+        assert got.diffs.tobytes() == per_user_pairs(table, min_ratings)[3].tobytes()
 
     def test_peak_memory_is_bounded_by_the_comparisons(self):
         # a MovieLens-shaped table: Pareto item popularity and user activity,

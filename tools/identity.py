@@ -42,6 +42,13 @@ The families:
   480 of its 500 items each, so that each of those six has more index pairs
   than one ``_PAIR_BATCH`` of 2^16 and a few pairs hold over 400
   comparisons;
+- ``ingest-fine``: ``ingest``'s pair arrays from two seeded ``generic-csv``
+  files as in ``ingest-movielens``: ratings in hundredths from 1.00 to 5.00
+  over 400 users and 250 items, whose comparisons need 43-bit sort words
+  and outnumber the 401² level pairs, so each difference is read from the
+  table of level differences; and six-decimal ratings over 40 users and
+  20 items, 31-bit words with more level pairs than comparisons, so each
+  difference is decoded from its level pair's quotient and remainder by V;
 - ``evaluate-wide``: ``evaluate`` at both of criterion 10's settings on
   those pairs, every pair of at least two comparisons scored.  Pairs of
   over 400 comparisons put each pair's train positives in 9 or more low
@@ -171,6 +178,8 @@ MOVIELENS_SEED, MOVIELENS_MIN = 1801, 15
 CSV_SEED, CSV_MIN = 1802, 4
 HALVES_SEED = 1803
 WIDE_SEED, WIDE_MIN = 2601, 5
+# per file: seed, ratings_rows' shape, the rating scale, min item ratings
+FINE_FILES = ((3001, (400, 250, 80, 401), 100, 15), (3002, (40, 20, 8, 4 * 10**6), 10**6, 1))
 
 
 def run(*argv: str) -> str:
@@ -380,6 +389,13 @@ def collect(workdir: Path) -> dict[str, list[str | bytes]]:
     pairs = add_ingest(add, "ingest-wide", workdir, wide, "--min-item-ratings", str(WIDE_MIN))
     add("ingest-wide", run("histogram", "--pairs", str(pairs)))
     add_evaluate(add, "evaluate-wide", pairs)
+    for seed, shape, scale, min_ratings in FINE_FILES:
+        fine = workdir / f"fine{seed}.csv"
+        fine.write_text("user,item,rating,timestamp\n" + "".join(
+            f"{u},{i},{(scale + r) / scale!r},{t}\n"
+            for u, i, r, t in ratings_rows(seed, *shape).tolist()), encoding="utf-8")
+        add_ingest(add, "ingest-fine", workdir, fine, "--format", "generic-csv",
+                   "--min-item-ratings", str(min_ratings))
 
     rng = np.random.default_rng(RANK_SEED)
     rows = [(i, j, l, int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
