@@ -1,9 +1,9 @@
 """Text input, ratings ingestion and the split-train-predict protocol.
 
 Ratings files and ``rank``'s comparison CSV share one reader of typed fields:
-one ``np.loadtxt`` parse of the text's bytes where it can tell, else a row
-loop naming the first bad line; ``rank`` orients and checks its rows as
-arrays.  Ratings become pairwise data: per user and pair of sufficiently
+one ``np.loadtxt`` parse; past a record it refuses, halving finds the longest
+prefix it reads and a re-read of that record names its fault.  ``rank`` checks
+its rows as arrays.  Ratings become pairwise data: per user and pair of sufficiently
 rated items, the signed rating difference is one ordinal comparison, zeros
 dropped, ordered by one sort of a word each (pair key, user rank, the pair
 of rating levels) and decoded from the levels.  The protocol repeatedly splits
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 import zipfile
 import zlib
@@ -147,68 +148,93 @@ def _lines(text: str):
 def _read_table(text: str, reader, header: list, kinds: dict, raw, empty: str):
     """(columns, lines, refusal): the records that ``reader``, a csv reader of
     ``_lines(text)`` for LF line ends, holds after ``header``, up to the first
-    bad one, as ``kinds`` columns, with the line each record starts on.  Each
-    field is read by ``_field``, an integer in int64 as written.  One
-    ``np.loadtxt`` parse of the text's bytes reads the file where it reads
-    what the row loop would; else the row loop reads it, the only code that
-    names a bad line.  No record at all is refused as ``empty``."""
+    bad one, as ``kinds`` columns, with the line each record starts on.  One
+    ``np.loadtxt`` parse reads them; past a record it refuses, halving finds
+    the longest prefix it reads, and ``_field`` names the next one's fault.  No
+    record at all is refused as ``empty``."""
     first = reader.line_num + 1  # the line after the header
     at = sum(map(len, islice(_lines(text), reader.line_num)))  # and its offset
-    # loadtxt takes \x1c to \x1f around a number for space, which int() and
-    # float() refuse, and it does not unquote a field
-    if not any(text.find(mark, at) >= 0 for mark in '"\x1c\x1d\x1e\x1f'):
+    body = text[at:].encode("utf-8", "surrogatepass")
+    # loadtxt reads \x1c to \x1f as space and may read a non-ASCII character
+    # as a digit, where int() and float() refuse both: a run of them that is
+    # not all other space reads as '_'s
+    parsed = body
+    if not body.isascii() or any(mark in body for mark in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        parsed = re.sub(rb"[\x1c-\x1f\x80-\xff]+", lambda run: run[0] if min(run[0]) > 31 and (
+            run[0].decode("utf-8", "surrogatepass").isspace()) else b"_" * len(run[0]), body)
+    # a repeated name reads its last column, and an unread one reads as no text
+    cols = {name: max(k for k, h in enumerate(header) if h == name) for name in kinds}
+    types = [kinds[h] if cols.get(h) == k else "U0" for k, h in enumerate(header)]
+    need = max(cols.values()) + 1  # a record may leave out the unread columns after these
+    usecols = None  # every column, and no more
+
+    def parse(begin, end):  # the columns of the records in parsed[begin:end], or None
         try:
-            body = text[at:].encode()  # a lone surrogate does not encode
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty file only warns
-                # loadtxt refuses every field _field refuses and every row
-                # of another width; it reads an unread column as no text.
-                # comments=None: the row loop refuses '#' lines
-                # decoded by a TextIOWrapper: loadtxt decodes UTF-8 slower
+                warnings.simplefilter("ignore")  # no record at all only warns
+                # comments=None: _field refuses '#' lines; decoded by a
+                # TextIOWrapper: loadtxt decodes UTF-8 slower
                 rows = np.loadtxt(
-                    io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"),
-                    dtype=[(h, kinds.get(h, "U0")) for h in header],
-                    delimiter=reader.dialect.delimiter, comments=None, ndmin=1)
-            columns = tuple(rows[name] for name in kinds)
-            lines = np.arange(first, first + rows.size)
-            if body.count(b"\n") + (not body.endswith(b"\n")) > rows.size:
-                # loadtxt skipped blank lines: number the others
-                ends = np.flatnonzero(np.frombuffer(b"\n%b\n" % body, np.uint8) == 10)
-                lines = np.flatnonzero(np.diff(ends) > 1) + first
-        except (ValueError, OverflowError, Warning):
-            columns = ()
-        if columns and columns[0].size == lines.size > 0 and all(
-                np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
-            return columns, lines, None
-    # a record as csv.DictReader reads it: a repeated name reads its last
-    # column, and a missing field None
-    cols = [max(k for k, h in enumerate(header) if h == name) for name in kinds]
-    types = [float if kind == "f8" else int for kind in kinds.values()]
-    rows, lines, refusal, start = [], [], None, first
-    try:
-        for fields in reader:
-            if fields:  # a blank line holds no record
-                # a record wider than the header is malformed
-                texts = [fields[k] if k < len(fields) <= len(header) else None
-                         for k in cols]
-                try:
-                    values = tuple(map(_field, texts, types))
-                except ValueError as exc:
-                    raise ValueError(f"malformed row {raw(fields)!r}") from exc
-                for name, t, v in zip(kinds, texts, values):
-                    if type(v) is float and not math.isfinite(v):
-                        raise ValueError(f"{name} {t!r} is not finite")
-                if not all(-2**63 <= v < 2**63 for v in values if type(v) is int):
-                    raise ValueError(f"an integer in {raw(fields)!r} lies outside int64")
-                rows.append(values)  # a tuple: a list fills a (1, 4) array
-                lines.append(start)
-            start = reader.line_num + 1  # the next record's first line
-    except (ValueError, csv.Error) as exc:
-        refusal = ValueError(f"line {start}: {exc}")
-    if not rows and refusal is None:
-        refusal = ValueError(empty)
-    rows = np.array(rows, dtype=list(kinds.items()))
-    return tuple(rows[name] for name in kinds), np.array(lines, int), refusal
+                    io.TextIOWrapper(io.BytesIO(parsed[begin:end]), encoding="utf-8"),
+                    dtype=",".join(types[:need] if usecols else types), usecols=usecols,
+                    delimiter=reader.dialect.delimiter, comments=None,
+                    quotechar=reader.dialect.quotechar, ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+        columns = tuple(rows[f"f{cols[name]}"] for name in kinds)
+        if all(np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
+            return columns
+
+    columns = parse(0, len(body))
+    if columns and columns[0].size == body.count(b"\n") + (not body.endswith(b"\n")):
+        return columns, np.arange(first, first + columns[0].size), None
+    # the records are the lines that are not blank where loadtxt reads as many;
+    # else (a quote holds a line break, a record leaves out unread columns, or
+    # loadtxt refuses one) they are the csv reader's, up to one it refuses or
+    # finds wider than the header, and loadtxt reads them up to column need
+    ends = np.flatnonzero(np.frombuffer(b"\n%b\n" % body, np.uint8) == 10)
+    lines = np.flatnonzero(np.diff(ends) > 1) + first
+    if not (columns and columns[0].size == lines.size):
+        lines, start, usecols = [], first, range(need)
+        try:
+            for fields in reader:
+                if len(fields) > len(header):
+                    raise csv.Error  # it ends the records as csv's own refusals do
+                if fields:  # a blank line holds no record
+                    lines.append(start)
+                start = reader.line_num + 1  # the next record's first line
+            columns = columns or parse(0, len(body))
+        except csv.Error:
+            lines.append(start)
+        lines = np.array(lines, int)
+    if columns and columns[0].size == lines.size:
+        return columns, lines, None if lines.size else ValueError(empty)
+    starts = np.r_[ends[lines - first], len(body)]
+    # loadtxt reads the records before lo, as the pieces in read, but not those before hi
+    lo, hi, read = 0, lines.size, [parse(0, 0)]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (got := parse(starts[lo], starts[mid])) and got[0].size == mid - lo:
+            lo = mid
+            read.append(got)
+        else:
+            hi = mid
+    columns = tuple(map(np.concatenate, zip(*read)))
+    try:  # the record it refuses, as csv.DictReader reads it: a missing field
+        # None, and all None where it is wider than the header
+        fields = next(csv.reader(io.StringIO(body[starts[lo]:starts[hi]].decode(
+            "utf-8", "surrogatepass")), reader.dialect))
+        texts = [fields[k] if k < len(fields) <= len(header) else None for k in cols.values()]
+        values = [_field(t, float if kinds[name] == "f8" else int)
+                  for name, t in zip(kinds, texts)]
+        fault = next((f"{name} {t!r} is not finite" for name, t, v in zip(kinds, texts, values)
+                      if type(v) is float and not math.isfinite(v)),
+                     f"an integer in {raw(fields)!r} lies outside int64")
+    except csv.Error as exc:
+        fault = exc
+    except ValueError:
+        fault = f"malformed row {raw(fields)!r}"
+    return columns, lines[:lo], ValueError(f"line {lines[lo]}: {fault}")
 
 
 def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
@@ -227,8 +253,8 @@ def load_ratings(path, format: str = "movielens-100k-tab") -> RatingsTable:
     tab = format == "movielens-100k-tab"
     with open(path, encoding="utf-8") as fh:
         text = fh.read()  # universal newlines give LF line ends
-    reader = csv.reader(_lines(text), delimiter="\t" if tab else ",",
-                        quoting=csv.QUOTE_NONE if tab else csv.QUOTE_MINIMAL)
+    reader = csv.reader(_lines(text), delimiter="\t", quotechar=None,
+                        quoting=csv.QUOTE_NONE) if tab else csv.reader(_lines(text))
     header = list(_KINDS) if tab else next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file")

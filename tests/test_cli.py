@@ -232,8 +232,9 @@ class TestRankCommand:
         ("0,1,1,2\n0,1,2,1\n0,2,1,1\n0,2,3,1\n", "pair (0, 2) rounds are not 1..2"),
         ("0,1,1,1\n0,1,2,1_0\n", "line 3: malformed row"),
         ("0,1,1,1\n0,1,2,\u0663\n", "line 3: malformed row"),
+        (f'0,1,1,"{"1" * 200_000}"\n', "line 2: field larger than field limit (131072)"),
     ], ids=["self-comparison", "round-0", "duplicate-round", "unequal-rounds",
-            "rounds-not-1-to-L", "underscore-digit", "non-ascii-digit"])
+            "rounds-not-1-to-L", "underscore-digit", "non-ascii-digit", "csv-field-limit"])
     def test_csv_refusals_are_exit_2(self, tmp_path, capsys, rows, message):
         assert self.rank(tmp_path, "i,j,l,y\n" + rows, [0.3, 0.2, 0.1]) == 2
         assert message in capsys.readouterr().err
@@ -681,7 +682,8 @@ class TestInputBoundaries:
         ("ingest-csv", "user,item,rating\n1,10,5\n\n\n1,x,3\n", 5),
         ("ingest-csv", "user,item,rating\r\n1,10,5\r\n\r1,x,3\r\n", 4),
         ("rank", "i,j,l,y\n0,1,1,2\n\n\n0,x,2,1\n", 5),
-    ], ids=["tab", "generic-csv", "generic-csv-crlf-cr", "rank"])
+        ("ingest-csv", 'user,item,rating,genre\n1,10,5,"a\nb"\n2,10,x,c\n', 4),
+    ], ids=["tab", "generic-csv", "generic-csv-crlf-cr", "rank", "generic-csv-quoted-line-break"])
     def test_bad_row_after_blank_lines_names_its_physical_line(self, tmp_path, capsys,
                                                                command, text, line):
         path = tmp_path / "input"
